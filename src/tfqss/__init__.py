@@ -5,7 +5,7 @@ analytic key-rate model with intensity optimization, collusion-leakage
 bounds, and reference curves for benchmarking.
 """
 
-from .attacks import LeakageChannel, LeakageReport, beta_bound, leakage_report
+from .attacks import LeakageReport, beta_bound, leakage_report
 from .bounds import dps_qss_baseline, plob_bound, repeaterless_bound
 from .channel import ChannelState, click_probability, transmittance
 from .core import (
@@ -35,7 +35,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ChannelState",
     "DegenerateChannelError",
-    "LeakageChannel",
     "LeakageReport",
     "Outcome",
     "Owner",

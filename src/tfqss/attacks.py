@@ -23,17 +23,10 @@ the privacy factor in the key-rate formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .channel import transmittance
 from .core import MAX_INTENSITY, ParameterError, SystemParams
 from .keyrate import qber
-
-
-class LeakageChannel(Enum):
-    INTERNAL_GENERAL = "internal_general"
-    INTERNAL_SPLIT = "internal_split"
-    EXTERNAL = "external"
 
 
 @dataclass(frozen=True)
@@ -44,7 +37,6 @@ class LeakageReport:
     internal_split_leakage: float
     internal_general_leakage: float
     external_leakage: float
-    dominant: LeakageChannel
 
 
 def _check_mu(mu: float) -> None:
@@ -102,16 +94,9 @@ def leakage_report(
     # measuring everything dominates any split for beta <= 1
     assert general >= split - 1e-15
     assert general >= external - 1e-15
-    ranked = [
-        (general, LeakageChannel.INTERNAL_GENERAL),
-        (split, LeakageChannel.INTERNAL_SPLIT),
-        (external, LeakageChannel.EXTERNAL),
-    ]
-    dominant = max(ranked, key=lambda pair: pair[0])[1]  # ties keep first
     return LeakageReport(
         beta=beta,
         internal_split_leakage=split,
         internal_general_leakage=general,
         external_leakage=external,
-        dominant=dominant,
     )

@@ -62,7 +62,12 @@ class ChannelState:
     @classmethod
     def for_distance(cls, distance: float,
                      params: SystemParams) -> "ChannelState":
-        return cls(transmittance(distance, params), params)
+        eta = transmittance(distance, params)
+        if eta == 0.0:
+            raise ParameterError(
+                f"distance={distance!r} km: link too long, the arm "
+                "transmittance underflows to 0")
+        return cls(eta, params)
 
 
 def _check_detection_args(mu: float, eta: float) -> None:

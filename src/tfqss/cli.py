@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 from .attacks import leakage_report
@@ -29,10 +28,6 @@ ATTACK_HEADER = "mu,beta,internal_split,internal_general,external"
 
 class ConfigError(ValueError):
     """Bad config file, bad value, or unknown key."""
-
-
-def _default_threads() -> int:
-    return os.cpu_count() or 1
 
 
 # key -> (coercion kind, default); insertion order is the canonical
@@ -55,15 +50,13 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "qber_abort_threshold": ("float", 0.11),
     "grid_size": ("int", 64),
     "refine_iters": ("int", 60),
-    "threads": ("int", None),  # resolved to cpu count at merge time
+    "threads": ("int", 1),  # validated, no effect (see scan_distances)
     "output": ("str", None),
 }
 
 
 def default_settings() -> dict:
-    settings = {key: default for key, (_, default) in _SCHEMA.items()}
-    settings["threads"] = _default_threads()
-    return settings
+    return {key: default for key, (_, default) in _SCHEMA.items()}
 
 
 def _coerce(key: str, raw: str):

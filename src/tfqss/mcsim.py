@@ -3,20 +3,23 @@
 Alice's pulse k (bit index k-1, zero-based) occupies combined slot
 2k-1, Bob's pulse k occupies slot 2k. The dealer's interferometer
 overlaps every pulse with its predecessor, so interior detection slot
-j in [2, 2N-1] carries ideal phase difference
+j in [2, 2N-1] sits between two sender pulses, and one rule gives the
+bits of both:
 
-    j = 2k   (even):  pi * (B_k  XOR A_k)           bits b[k-1], a[k-1]
-    j = 2k-1 (odd) :  pi * (A_k  XOR B_{k-1} XOR 1)  bits a[k-1], b[k-2]
+    alice = a[(j - 1) >> 1],  bob = b[(j >> 1) - 1]
 
-where the extra XOR 1 on odd slots is the pi shift the interferometer
-applies to Alice's pulses on one arm. The two boundary slots (1 and
-2N) lack a partner pulse and are discarded, leaving 2N-2 interior
-slots; the empirical gain is detected/(2N-2).
+That is bits a[k-1], b[k-1] on even slot j = 2k and a[k-1], b[k-2] on
+odd slot j = 2k-1. Slot j carries ideal phase difference
+pi * (alice XOR bob XOR (j & 1)), where the extra XOR on odd slots is
+the pi shift the interferometer applies to Alice's pulses on one arm.
+The two boundary slots (1 and 2N) lack a partner pulse and are
+discarded, leaving 2N-2 interior slots; the empirical gain is
+detected/(2N-2).
 
 Sifting keeps clicked slots, flips the dealer's bit on odd slots (which
-cancels that pi shift), and aligns each slot with the adjacent sender
-pair above, so that c = a XOR b holds exactly on every retained slot of
-a noiseless run, for both slot parities.
+cancels that pi shift), and reads the sender bits by the same rule, so
+that c = a XOR b holds exactly on every retained slot of a noiseless
+run, for both slot parities.
 """
 
 from __future__ import annotations
@@ -52,14 +55,18 @@ def prepare_train(
 
 @dataclass(frozen=True, eq=False)
 class DetectionRecords:
-    """Array-backed sequence of DetectionRecord, one per interior slot."""
+    """Array-backed sequence of DetectionRecord, one per interior slot.
 
-    slots: np.ndarray     # int64 combined-slot indices, ascending
+    slots is a range (the slot of entry i is implied by its index), so
+    slicing with any step stays a range and stores nothing per slot.
+    """
+
+    slots: range          # combined-slot indices
     outcomes: np.ndarray  # uint8 Outcome values
     resolved: np.ndarray  # uint8 announced bits; 0 placeholder at no-clicks
 
     def __len__(self) -> int:
-        return int(self.slots.size)
+        return len(self.outcomes)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -68,30 +75,11 @@ class DetectionRecords:
         outcome = Outcome(int(self.outcomes[i]))
         bit = None if outcome is Outcome.NO_CLICK else int(self.resolved[i])
         return DetectionRecord(
-            slot=int(self.slots[i]), outcome=outcome, resolved_bit=bit)
+            slot=self.slots[i], outcome=outcome, resolved_bit=bit)
 
     def __iter__(self):
         for i in range(len(self)):
             yield self[i]
-
-
-def _adjacent_pairs(
-    a_bits: np.ndarray, b_bits: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per interior slot j=2..2N-1, the (alice, bob) bits adjacent to it.
-
-    Interior slots alternate even, odd: j = 2, 3, 4, ..., 2N-1. Even
-    slot 2k sits between Alice's pulse k and Bob's pulse k; odd slot
-    2k-1 sits between Bob's pulse k-1 and Alice's pulse k.
-    """
-    n = a_bits.size
-    a_adj = np.empty(2 * n - 2, dtype=np.uint8)
-    b_adj = np.empty(2 * n - 2, dtype=np.uint8)
-    a_adj[0::2] = a_bits[: n - 1]   # even slots 2k
-    a_adj[1::2] = a_bits[1:]        # odd slots 2k-1, k >= 2
-    b_adj[0::2] = b_bits[: n - 1]
-    b_adj[1::2] = b_bits[: n - 1]
-    return a_adj, b_adj
 
 
 def run_measurement(
@@ -103,8 +91,9 @@ def run_measurement(
     """Interfere the two trains and record every interior slot.
 
     Slot outcomes follow the channel's threshold-detector model applied
-    to each slot's ideal phase difference (vectorized form of
-    channel.detect_slot). N = 1 yields no interior slots.
+    to each slot's ideal phase difference, built by the module
+    docstring's rule (vectorized form of channel.detect_slot). N = 1
+    yields no interior slots.
     """
     if a.owner is not Owner.ALICE or b.owner is not Owner.BOB:
         raise ParameterError("expected trains in (alice, bob) order")
@@ -114,20 +103,13 @@ def run_measurement(
     if a.intensity != b.intensity:
         raise ParameterError("senders must use the same intensity")
     n = len(a)
-    if n == 1:
-        empty_u8 = np.empty(0, dtype=np.uint8)
-        return DetectionRecords(np.empty(0, dtype=np.int64),
-                                empty_u8, empty_u8.copy())
-    a_adj, b_adj = _adjacent_pairs(a.bits, b.bits)
-    ideal = a_adj ^ b_adj
+    ideal = np.empty(2 * n - 2, dtype=np.uint8)
+    np.bitwise_xor(a.bits[:-1], b.bits[:-1], out=ideal[0::2])  # j = 2k
+    np.bitwise_xor(a.bits[1:], b.bits[:-1], out=ideal[1::2])   # j = 2k-1
     ideal[1::2] ^= 1  # pi shift on Alice's delayed pulses (odd slots)
     outcomes, resolved = detect_slots(
         ideal, a.intensity, state.eta, state.params, rng)
-    return DetectionRecords(
-        slots=np.arange(2, 2 * n, dtype=np.int64),
-        outcomes=outcomes,
-        resolved=resolved,
-    )
+    return DetectionRecords(range(2, 2 * n), outcomes, resolved)
 
 
 def sift(
@@ -136,25 +118,23 @@ def sift(
     """Keep clicked slots and align the three parties' bits.
 
     The dealer flips his announced bit on odd slots; afterwards every
-    retained slot satisfies c = a XOR b up to channel noise.
+    retained slot satisfies c = a XOR b up to channel noise. Sender bits
+    are read only at the clicked slots, by the module docstring's rule.
     """
     n = len(a)
     if len(b) != n:
         raise ParameterError(f"train lengths differ: {n} != {len(b)}")
-    slots = np.asarray(records.slots, dtype=np.int64)
-    if slots.size and not (slots.min() >= 2 and slots.max() <= 2 * n - 1):
+    slots = records.slots
+    interior = range(2, 2 * n)
+    if slots and (slots[0] not in interior or slots[-1] not in interior):
         raise ParameterError("record slots outside interior range")
-    a_adj, b_adj = _adjacent_pairs(a.bits, b.bits)
-    keep = np.asarray(records.outcomes) != Outcome.NO_CLICK
-    kept_slots = slots[keep]
-    flip = (kept_slots & 1).astype(np.uint8)  # odd slots
-    c = (np.asarray(records.resolved)[keep] ^ flip).astype(np.uint8)
-    pos = kept_slots - 2  # interior slot j lives at array position j-2
+    clicked = np.flatnonzero(np.asarray(records.outcomes) != Outcome.NO_CLICK)
+    kept_slots = slots.start + slots.step * clicked
     return SiftedKeys(
         slots=kept_slots,
-        a_bits=a_adj[pos],
-        b_bits=b_adj[pos],
-        c_bits=c,
+        a_bits=a.bits[(kept_slots - 1) >> 1],
+        b_bits=b.bits[(kept_slots >> 1) - 1],
+        c_bits=np.asarray(records.resolved)[clicked] ^ (kept_slots & 1),
     )
 
 

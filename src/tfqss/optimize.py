@@ -10,7 +10,6 @@ against dense brute-force grids.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from .bounds import dps_qss_baseline, plob_bound, repeaterless_bound
@@ -132,10 +131,10 @@ def scan_distances(
 ) -> dict[float, list[RatePoint]]:
     """Optimized rate and reference bounds on a distance grid.
 
-    Returns {e_d: [RatePoint at l_min, l_min+step, ..., <= l_max]}.
-    Points are independent pure computations; with threads > 1 they are
-    evaluated concurrently and reassembled in order, so the result does
-    not depend on the thread count.
+    Returns {e_d: [RatePoint at l_min, l_min+step, ..., <= l_max]}; an
+    e_d listed twice gets its sweep twice under one key. threads is
+    validated (>= 1) but has no effect: points are evaluated in order
+    in this thread, since the GIL leaves a thread pool no faster.
     """
     if l_min < 0.0 or l_max < l_min:
         raise ParameterError("need 0 <= l_min <= l_max")
@@ -147,25 +146,13 @@ def scan_distances(
         raise ParameterError(f"threads={threads!r} must be >= 1")
     n_pts = int((l_max - l_min) / step + 1e-9) + 1
     distances = [l_min + i * step for i in range(n_pts)]
-    jobs = [
-        (e_d, distance, replace(params, misalignment=e_d))
-        for e_d in e_d_list
-        for distance in distances
-    ]
-    if threads == 1:
-        points = [
-            _scan_point(distance, p, grid_size, refine_iters)
-            for _, distance, p in jobs
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(
-                lambda job: _scan_point(job[1], job[2],
-                                        grid_size, refine_iters),
-                jobs))
     result: dict[float, list[RatePoint]] = {e_d: [] for e_d in e_d_list}
-    for (e_d, _, _), point in zip(jobs, points):
-        result[e_d].append(point)
+    for e_d in e_d_list:
+        p = replace(params, misalignment=e_d)
+        result[e_d] += [
+            _scan_point(distance, p, grid_size, refine_iters)
+            for distance in distances
+        ]
     return result
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from tfqss.attacks import (
-    LeakageChannel,
     beta_bound,
     external_leakage,
     internal_leakage,
@@ -81,7 +80,6 @@ def test_leakage_report_frozen_row():
         SPLIT_005_300, rel=1e-12)
     assert rep.internal_general_leakage == pytest.approx(0.1, rel=1e-15)
     assert rep.external_leakage == pytest.approx(EXTERNAL_005_300, rel=1e-12)
-    assert rep.dominant is LeakageChannel.INTERNAL_GENERAL
 
 
 def test_general_leakage_is_distance_independent():
@@ -98,12 +96,3 @@ def test_leakage_complement_is_the_privacy_factor():
     for mu in (0.05, 0.2, 0.45):
         rep = leakage_report(mu, 100.0, DEFAULTS)
         assert 1.0 - rep.internal_general_leakage == 1.0 - 2.0 * mu
-
-
-def test_dominant_channel_across_settings():
-    rng = np.random.default_rng(15)
-    for _ in range(30):
-        mu = rng.uniform(1e-3, 0.499)
-        distance = rng.uniform(0.0, 500.0)
-        assert leakage_report(
-            mu, distance, DEFAULTS).dominant is LeakageChannel.INTERNAL_GENERAL

@@ -74,6 +74,8 @@ def test_channel_state_bounds_and_constructor():
         ChannelState(eta=0.0, params=DEFAULTS)
     with pytest.raises(ParameterError, match="eta"):
         ChannelState(eta=0.57, params=DEFAULTS)  # above detector efficiency
+    with pytest.raises(ParameterError, match="100000.0 km: link too long"):
+        ChannelState.for_distance(1e5, DEFAULTS)  # transmittance underflows
 
 
 def test_detect_slots_argument_validation():

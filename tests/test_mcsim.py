@@ -205,10 +205,33 @@ def test_sift_violation_fraction_matches_analytic_qber():
     assert abs(frac - e) <= 3.0 * sigma
 
 
+def test_sift_sliced_records_keep_each_slots_own_bits():
+    # slices starting on an odd slot, on an even slot, stepped and
+    # reversed: every kept slot still carries its own sender bits
+    params = SystemParams(detector_efficiency=1.0, dark_count_rate=0.0,
+                          misalignment=0.0)
+    a, b = _trains(300, 0.499, 44)
+    state = ChannelState(eta=1.0, params=params)
+    records = run_measurement(a, b, state, np.random.default_rng(45))
+    for part in (records[3:], records[4:], records[1::3], records[::-2]):
+        keys = sift(part, a, b)
+        clicked = [r.slot for r in part if r.outcome is not Outcome.NO_CLICK]
+        assert keys.slots.tolist() == clicked
+        assert len(clicked) > 30
+        for slot, a_bit, b_bit, c_bit in zip(keys.slots, keys.a_bits,
+                                             keys.b_bits, keys.c_bits):
+            k = (slot + 1) // 2
+            b_index = k - 1 if slot % 2 == 0 else k - 2
+            assert a_bit == a.bits[k - 1] and b_bit == b.bits[b_index]
+            ideal = _ideal_phase_bit(slot, a.bits, b.bits)
+            assert a_bit ^ b_bit ^ slot % 2 == ideal
+            assert c_bit ^ slot % 2 == ideal
+
+
 def test_sift_rejects_out_of_range_slots():
     a, b = _trains(4, 0.1, 42)
     bad = DetectionRecords(
-        slots=np.array([8], dtype=np.int64),  # interior range is [2, 7]
+        slots=range(8, 9),  # interior range is [2, 7]
         outcomes=np.array([Outcome.D1], dtype=np.uint8),
         resolved=np.array([0], dtype=np.uint8),
     )
