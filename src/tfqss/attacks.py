@@ -92,8 +92,12 @@ def leakage_report(
     general = min(1.0, 2.0 * mu)
     external = external_leakage(mu, eta)
     # measuring everything dominates any split for beta <= 1
-    assert general >= split - 1e-15
-    assert general >= external - 1e-15
+    for name, leak in (("internal_split_leakage", split),
+                       ("external_leakage", external)):
+        if general < leak - 1e-15:
+            raise ArithmeticError(
+                f"leakage ordering violated: internal_general_leakage="
+                f"{general!r} < {name}={leak!r}")
     return LeakageReport(
         beta=beta,
         internal_split_leakage=split,

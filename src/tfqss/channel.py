@@ -9,9 +9,24 @@ probability p_d per slot. Photon numbers are Poissonian, detectors are
 threshold (click on >= 1 photon or a dark count), and double clicks are
 kept and later resolved to a fair coin bit.
 
-The exact per-slot click probability is 1 - (1-p_d)^2 e^(-mu*eta),
-which differs from the linearized analytic gain 1 - (1-2 p_d) e^(-mu*eta)
-by p_d^2 e^(-mu*eta), i.e. below 1e-12 for p_d <= 1e-6.
+The matching detector sees mean photon number lam_m = (1-e_d) mu eta and
+the wrong one lam_w = e_d mu eta. Detector x stays silent with
+probability q_x = (1-p_d) e^(-lam_x) and fires with p_x = 1 - q_x, so a
+slot clicks with probability
+
+    P_click = 1 - q_m q_w = 1 - (1-p_d)^2 e^(-mu*eta),
+
+which does not depend on the phase bit. Given a click the slot falls in
+one of three cases:
+
+    matching detector only    p_m q_w / P_click
+    wrong detector only       q_m p_w / P_click
+    both (double click)       p_m p_w / P_click
+
+and the phase bit only decides which of D1 and D2 is the matching one.
+The exact P_click differs from the linearized analytic gain
+1 - (1-2 p_d) e^(-mu*eta) by p_d^2 e^(-mu*eta), i.e. below 1e-12 for
+p_d <= 1e-6.
 """
 
 from __future__ import annotations
@@ -23,10 +38,9 @@ import numpy as np
 
 from .core import MAX_INTENSITY, Outcome, ParameterError, SystemParams
 
-# Slot draws are consumed from the generator in fixed-size chunks so that
-# the random stream layout (and thus every outcome) is reproducible for a
-# given seed regardless of how many slots one call processes.
-_CHUNK = 1 << 20
+# Click positions are drawn in batches of at most this many geometric
+# gaps, which bounds the per-batch temporaries however many slots click.
+_CHUNK = 1 << 18
 
 
 def transmittance(distance: float, params: SystemParams) -> float:
@@ -42,9 +56,13 @@ def transmittance(distance: float, params: SystemParams) -> float:
 
 
 def click_probability(mu: float, eta: float, params: SystemParams) -> float:
-    """Exact model probability that at least one detector clicks."""
+    """Exact model probability that at least one detector clicks.
+
+    Evaluated as -expm1(2 log1p(-p_d) - mu*eta), which keeps full
+    relative precision when both dark counts and light are tiny.
+    """
     p_d = params.dark_count_rate
-    return 1.0 - (1.0 - p_d) ** 2 * math.exp(-mu * eta)
+    return -math.expm1(2.0 * math.log1p(-p_d) - mu * eta)
 
 
 @dataclass(frozen=True)
@@ -91,10 +109,14 @@ def detect_slots(
     Outcome values, resolved holds the announced bit (0 for D1, 1 for
     D2, a fair coin for DOUBLE) and 0 where nothing clicked.
 
-    Per chunk the generator is consumed in a fixed order: matching-port
-    photon counts, wrong-port photon counts, D1 dark uniforms, D2 dark
-    uniforms, coin bits. The same seed therefore reproduces the same
-    outcome stream bit for bit.
+    Only the slots that click are drawn (module docstring). Click
+    positions are i.i.d. Bernoulli(P_click), so the gaps between them
+    are geometric. Per batch the generator is consumed in a fixed order:
+    up to _CHUNK geometric gaps, one category uniform per click that
+    lands inside the array, then one coin bit per double click. The
+    phase bits only map each category to D1 or D2, so they never move a
+    click. The same seed therefore reproduces the same outcome stream
+    bit for bit, and the click positions do not depend on phase_bits.
     """
     _check_detection_args(mu, eta)
     bits = np.asarray(phase_bits, dtype=np.uint8)
@@ -103,33 +125,45 @@ def detect_slots(
     if bits.size and bits.max() > 1:
         raise ParameterError("phase_bits must contain only 0/1 values")
 
+    n = bits.size
+    outcomes = np.zeros(n, dtype=np.uint8)
+    resolved = np.zeros(n, dtype=np.uint8)
+    p_click = click_probability(mu, eta, params)
+    if p_click == 0.0:
+        return outcomes, resolved
+
     e_d = params.misalignment
-    p_d = params.dark_count_rate
-    lam_match = (1.0 - e_d) * mu * eta
-    lam_wrong = e_d * mu * eta
+    dark_silent = math.log1p(-params.dark_count_rate)
+    log_q_match = dark_silent - (1.0 - e_d) * mu * eta
+    log_q_wrong = dark_silent - e_d * mu * eta
+    q_match, p_match = math.exp(log_q_match), -math.expm1(log_q_match)
+    q_wrong, p_wrong = math.exp(log_q_wrong), -math.expm1(log_q_wrong)
+    # category thresholds on a click's uniform: below the first the
+    # matching detector fires alone, below the second the wrong one
+    # does, otherwise both fire
+    match_only = p_match * q_wrong / p_click
+    single = (p_match * q_wrong + q_match * p_wrong) / p_click
 
-    outcomes = np.empty(bits.size, dtype=np.uint8)
-    resolved = np.empty(bits.size, dtype=np.uint8)
-    for start in range(0, bits.size, _CHUNK):
-        stop = min(start + _CHUNK, bits.size)
-        ph = bits[start:stop].astype(bool)
-        m = ph.size
-        sig_match = rng.poisson(lam_match, m) > 0
-        sig_wrong = rng.poisson(lam_wrong, m) > 0
-        dark1 = rng.random(m) < p_d
-        dark2 = rng.random(m) < p_d
-        coins = rng.integers(0, 2, m, dtype=np.uint8)
+    last = -1  # position of the last click drawn so far
+    while last < n - 1:
+        gaps = rng.geometric(p_click, min(_CHUNK, n - 1 - last))
+        # any gap reaching past the end only ends the loop; clipping it
+        # there keeps the running sum clear of int64 overflow when
+        # p_click is tiny
+        np.minimum(gaps, n - last, out=gaps)
+        pos = last + np.cumsum(gaps)
+        last = int(pos[-1])
+        pos = pos[:np.searchsorted(pos, n)]
 
-        click1 = np.where(ph, sig_wrong, sig_match) | dark1
-        click2 = np.where(ph, sig_match, sig_wrong) | dark2
-        out = click1.astype(np.uint8) + 2 * click2.astype(np.uint8)
-
-        res = coins  # double clicks keep the coin
-        res[out == Outcome.NO_CLICK] = 0
-        res[out == Outcome.D1] = 0
-        res[out == Outcome.D2] = 1
-        outcomes[start:stop] = out
-        resolved[start:stop] = res
+        u = rng.random(pos.size)
+        port = bits[pos] ^ (u >= match_only)  # 0 for D1, 1 for D2
+        double = u >= single
+        out = port + 1
+        out[double] = Outcome.DOUBLE
+        port[double] = rng.integers(0, 2, np.count_nonzero(double),
+                                    dtype=np.uint8)
+        outcomes[pos] = out
+        resolved[pos] = port
     return outcomes, resolved
 
 

@@ -39,14 +39,19 @@ class DegenerateChannelError(ValueError):
 
 
 def gain(mu: float, eta: float, p_d: float) -> float:
-    """Per-slot click probability Q = 1 - (1 - 2 p_d) e^(-mu*eta)."""
+    """Per-slot click probability Q = 1 - (1 - 2 p_d) e^(-mu*eta).
+
+    Evaluated as (1 - e^(-mu*eta)) (1 - 2 p_d) + 2 p_d with expm1: both
+    terms are non-negative, so Q keeps full relative precision on long
+    links where it would otherwise cancel to 0.
+    """
     if mu < 0.0:
         raise ParameterError(f"mu={mu!r} must be >= 0")
     if not 0.0 <= eta <= 1.0:
         raise ParameterError(f"eta={eta!r} outside [0, 1]")
     if not 0.0 <= p_d < 0.5:
         raise ParameterError(f"p_d={p_d!r} outside [0, 0.5)")
-    return 1.0 - (1.0 - 2.0 * p_d) * math.exp(-mu * eta)
+    return -math.expm1(-mu * eta) * (1.0 - 2.0 * p_d) + 2.0 * p_d
 
 
 def qber(mu: float, eta: float, p_d: float, e_d: float) -> float:

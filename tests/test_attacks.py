@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tfqss import attacks
 from tfqss.attacks import (
     beta_bound,
     external_leakage,
@@ -80,6 +81,20 @@ def test_leakage_report_frozen_row():
         SPLIT_005_300, rel=1e-12)
     assert rep.internal_general_leakage == pytest.approx(0.1, rel=1e-15)
     assert rep.external_leakage == pytest.approx(EXTERNAL_005_300, rel=1e-12)
+
+
+@pytest.mark.parametrize("name, field", [
+    ("internal_leakage", "internal_split_leakage"),
+    ("external_leakage", "external_leakage"),
+])
+def test_leakage_report_raises_when_an_ordering_breaks(monkeypatch, name,
+                                                       field):
+    # the ordering holds for every admitted input, so break one leakage
+    # term to show the check is a real raise (python -O keeps it)
+    monkeypatch.setattr(attacks, name, lambda *args: 1.0)
+    with pytest.raises(ArithmeticError,
+                       match=f"internal_general_leakage=0.1 < {field}=1.0"):
+        leakage_report(0.05, 300.0, DEFAULTS)
 
 
 def test_general_leakage_is_distance_independent():

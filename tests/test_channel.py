@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from tfqss.channel import (
+    _CHUNK,
     ChannelState,
     click_probability,
     detect_slot,
@@ -24,6 +25,10 @@ DEFAULTS = SystemParams()
 
 # eta_d * 10^(-0.167 * 300 / 20), 50-digit evaluation
 ETA_300 = 1.75060444558941e-3
+
+# 0.999 quantiles of the chi-square distribution by degrees of freedom
+CHI2_999 = {1: 10.828, 2: 13.816, 3: 16.266, 4: 18.467, 5: 20.515,
+            6: 22.458, 7: 24.322, 8: 26.124}
 
 
 def test_transmittance_at_zero_is_detector_efficiency():
@@ -99,9 +104,12 @@ def test_no_light_no_dark_counts_means_no_clicks():
     params = SystemParams(dark_count_rate=0.0)
     rng = np.random.default_rng(1)
     bits = rng.integers(0, 2, 10_000, dtype=np.uint8)
+    state = rng.bit_generator.state
     outcomes, resolved = detect_slots(bits, 0.1, 0.0, params, rng)
     assert np.all(outcomes == Outcome.NO_CLICK)
     assert np.all(resolved == 0)
+    # click probability 0: not even one geometric gap is drawn
+    assert rng.bit_generator.state == state
 
 
 def test_noiseless_clicks_land_on_the_matching_detector():
@@ -185,3 +193,127 @@ def test_detect_slot_scalar_view():
     assert out in (Outcome.NO_CLICK, Outcome.D1)
     with pytest.raises(ParameterError, match="phase_bit"):
         detect_slot(2, 0.1, 0.5, DEFAULTS, rng)
+
+
+def _outcome_probabilities(mu, eta, params):
+    """[NO_CLICK, D1, D2, DOUBLE] probabilities of a phase-0 slot.
+
+    Each detector fires independently: the matching one (D1 for phase 0)
+    on (1-e_d) mu eta mean photons or a dark count, the wrong one on
+    e_d mu eta photons or a dark count.
+    """
+    p_d, e_d = params.dark_count_rate, params.misalignment
+    silent_match = (1.0 - p_d) * math.exp(-(1.0 - e_d) * mu * eta)
+    silent_wrong = (1.0 - p_d) * math.exp(-e_d * mu * eta)
+    fire_match, fire_wrong = 1.0 - silent_match, 1.0 - silent_wrong
+    return np.array([silent_match * silent_wrong, fire_match * silent_wrong,
+                     silent_match * fire_wrong, fire_match * fire_wrong])
+
+
+def _pearson(observed, expected):
+    """Pearson statistic and degrees of freedom over one multinomial.
+
+    Cells expecting fewer than 5 counts are pooled into one cell.
+    """
+    small = expected < 5.0
+    if small.any():
+        observed = np.append(observed[~small], observed[small].sum())
+        expected = np.append(expected[~small], expected[small].sum())
+    return float(np.sum((observed - expected) ** 2 / expected)), \
+        observed.size - 1
+
+
+@pytest.mark.parametrize("params, mu, eta, n", [
+    pytest.param(SystemParams(misalignment=0.05), 0.4, 0.9, 200_000,
+                 id="signal_dominated"),
+    pytest.param(SystemParams(dark_count_rate=0.1), 0.01, 0.01, 200_000,
+                 id="dark_dominated"),
+    pytest.param(SystemParams(misalignment=0.0, dark_count_rate=1e-3),
+                 0.3, 0.5, 200_000, id="no_misalignment"),
+    # dark counts make a sixth of the clicks and the error rate is ~0.1,
+    # where the key rate runs out; doubles are too rare to expect one
+    pytest.param(SystemParams(dark_count_rate=2e-5), 0.1, 2e-3, 2_000_000,
+                 id="near_cutoff"),
+])
+def test_outcome_frequencies_match_the_closed_forms(params, mu, eta, n):
+    rng = np.random.default_rng(20)
+    bits = rng.integers(0, 2, n, dtype=np.uint8)
+    outcomes, resolved = detect_slots(bits, mu, eta, params, rng)
+    probs = _outcome_probabilities(mu, eta, params)
+    stat, df = 0.0, 0
+    # phase 1 sends the light to D2, which swaps the two single cells
+    for bit, cells in ((0, probs), (1, probs[[0, 2, 1, 3]])):
+        mask = bits == bit
+        observed = np.bincount(outcomes[mask], minlength=4)
+        s, d = _pearson(observed, cells * np.count_nonzero(mask))
+        stat, df = stat + s, df + d
+    assert stat <= CHI2_999[df], (stat, df)
+    assert not np.any(resolved[outcomes <= Outcome.D1])
+    assert np.all(resolved[outcomes == Outcome.D2] == 1)
+
+
+def test_highest_admitted_click_probability_over_several_batches():
+    # p_d and mu just below 1/2 on a lossless arm: P_click ~ 0.848, the
+    # largest the validators admit, so 3 batches cover the slots
+    params = SystemParams(dark_count_rate=0.4999)
+    mu, eta, n = 0.4999, 1.0, 3 * _CHUNK + 1
+    p = click_probability(mu, eta, params)
+    assert p > 0.84
+    rng = np.random.default_rng(22)
+    bits = rng.integers(0, 2, n, dtype=np.uint8)
+    clicked = detect_slots(bits, mu, eta, params, rng)[0] != Outcome.NO_CLICK
+    assert abs(clicked.mean() - p) <= 4.0 * math.sqrt(p * (1 - p) / n)
+    # clicks are independent slot to slot, batch joins included
+    pairs = np.mean(clicked[1:] & clicked[:-1])
+    assert abs(pairs - p * p) <= 4.0 * math.sqrt(p * p * (1 - p * p) / n)
+
+
+@pytest.mark.parametrize("n", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+def test_slot_counts_around_the_batch_size(n):
+    params = SystemParams(dark_count_rate=0.3)
+    p = click_probability(0.4, 1.0, params)
+    rng = np.random.default_rng(23)
+    bits = rng.integers(0, 2, n, dtype=np.uint8)
+    outcomes, resolved = detect_slots(bits, 0.4, 1.0, params, rng)
+    assert outcomes.shape == resolved.shape == (n,)
+    assert outcomes.dtype == resolved.dtype == np.uint8
+    assert outcomes.max(initial=0) <= Outcome.DOUBLE
+    assert not np.any(resolved[outcomes <= Outcome.D1])
+    assert np.all(resolved[outcomes == Outcome.D2] == 1)
+    if n > 1:
+        frac = np.count_nonzero(outcomes) / n
+        assert abs(frac - p) <= 4.0 * math.sqrt(p * (1 - p) / n)
+
+
+def test_single_slot_clicks_with_the_model_probability():
+    params = SystemParams(dark_count_rate=0.3)
+    p = click_probability(0.4, 1.0, params)
+    rng = np.random.default_rng(24)
+    trials = 4000
+    clicks = sum(detect_slot(1, 0.4, 1.0, params, rng) != Outcome.NO_CLICK
+                 for _ in range(trials))
+    assert abs(clicks / trials - p) <= 4.0 * math.sqrt(p * (1 - p) / trials)
+
+
+def test_click_positions_do_not_depend_on_phase_bits():
+    params = SystemParams(dark_count_rate=0.05, misalignment=0.1)
+    bits = np.random.default_rng(25).integers(0, 2, 100_000, dtype=np.uint8)
+    out, res = detect_slots(bits, 0.3, 0.5, params,
+                            np.random.default_rng(26))
+    flip_out, flip_res = detect_slots(1 - bits, 0.3, 0.5, params,
+                                      np.random.default_rng(26))
+    zero_out, _ = detect_slots(np.zeros_like(bits), 0.3, 0.5, params,
+                               np.random.default_rng(26))
+    clicked = out != Outcome.NO_CLICK
+    assert np.array_equal(flip_out != Outcome.NO_CLICK, clicked)
+    assert np.array_equal(zero_out != Outcome.NO_CLICK, clicked)
+    # flipping every phase bit swaps D1 and D2 and keeps each double and
+    # its coin
+    swap = np.array([Outcome.NO_CLICK, Outcome.D2, Outcome.D1,
+                     Outcome.DOUBLE], dtype=np.uint8)
+    assert np.array_equal(flip_out, swap[out])
+    double = out == Outcome.DOUBLE
+    assert double.any()
+    assert np.array_equal(flip_res[double], res[double])
+    single = clicked & ~double
+    assert np.array_equal(flip_res[single], 1 - res[single])

@@ -144,6 +144,23 @@ def test_scan_output_file_matches_stdout(tmp_path, capsys):
 # --------------------------------------------------------------- simulate
 
 
+def test_scan_without_dark_counts_reaches_thousands_of_km(capsys):
+    # with p_d = 0 the gain is ~mu*eta, about 1e-16 here; computed as
+    # 1 - e^(-mu*eta) it cancelled to 0 and the scan exited 1
+    code, out, err = _run(["scan", "--p_d", "0", "--l_min", "1800",
+                           "--l_max", "2000"], capsys)
+    assert code == 0, err
+    rows = [[float(t) for t in line.split(",")]
+            for line in out.strip().split("\n")[1:]]
+    assert len(rows) == 3 * 21
+    for distance, e_d, mu, gain, qber, rate, *bounds in rows:
+        assert all(np.isfinite([mu, gain, qber, rate, *bounds]))
+        eta = 0.56 * 10.0 ** (-0.167 * distance / 20.0)
+        assert gain == pytest.approx(mu * eta, rel=1e-8)
+        assert qber == pytest.approx(e_d, rel=1e-8)  # no dark counts
+        assert rate > 0.0
+
+
 def test_simulate_report_fields_and_determinism(capsys):
     argv = ["simulate", "--n_pairs", "200000", "--seed", "9"]
     code, out, _ = _run(argv, capsys)

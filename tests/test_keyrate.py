@@ -114,7 +114,7 @@ def test_rate_noiseless_composition_is_exact():
         bd = key_rate(mu, 0.0, params)
         assert bd.qber == 0.0
         assert bd.collision == 0.5
-        assert bd.rate == (1.0 - math.exp(-mu)) * (1.0 - 2.0 * mu)
+        assert bd.rate == -math.expm1(-mu) * (1.0 - 2.0 * mu)
 
 
 def test_rate_clamps_to_zero_in_hostile_regimes():

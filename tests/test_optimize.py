@@ -33,7 +33,7 @@ def test_ideal_channel_optimum_matches_brute_force_oracle():
     assert mu_opt == pytest.approx(IDEAL_MU_STAR, abs=1e-6)
     assert bd.rate == pytest.approx(IDEAL_RATE, rel=1e-9)
     # the closed form at the returned point agrees with the breakdown
-    assert bd.rate == (1.0 - math.exp(-mu_opt)) * (1.0 - 2.0 * mu_opt)
+    assert bd.rate == -math.expm1(-mu_opt) * (1.0 - 2.0 * mu_opt)
 
 
 def test_optimum_is_stable_across_grid_sizes():
