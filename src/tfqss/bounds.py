@@ -1,16 +1,17 @@
 """Reference curves the protocol's rate is compared against.
 
 All three are expressed in bits per channel use over the same distance
-axis as the protocol rate (total sender-sender distance L in km):
+axis as the protocol rate (total sender-sender distance L in km), and
+all three derive from channel.transmittance:
 
 * plob_bound: secret-key capacity of the direct end-to-end channel,
-  -log2(1 - eta_d * 10^(-alpha*L/10)).
-* repeaterless_bound: linear single-arm transmittance
-  eta_d * 10^(-alpha*L/20), the scaling a measuring middle node buys.
+  -log2(1 - transmittance(2L)).
+* repeaterless_bound: the single-arm transmittance transmittance(L),
+  the linear scaling a measuring middle node buys.
 * dps_qss_baseline: the same rate formula evaluated as if one sender
-  had to cover the full distance alone (transmittance exponent
-  alpha*L/10), with the intensity re-optimized independently. This is
-  the "no twin-field advantage" yardstick.
+  had to cover the full distance alone (transmittance(2L)), with the
+  intensity re-optimized independently: the "no twin-field advantage"
+  yardstick, equal to the optimized protocol rate at 2L.
 
 Note the first two cross near 19 km at default parameters: they take
 different exponents, so neither dominates the other for all L. The
@@ -22,14 +23,15 @@ from __future__ import annotations
 
 import math
 
+from .channel import transmittance
 from .core import ParameterError, SystemParams
 
 
 def _full_path_transmittance(distance: float, params: SystemParams) -> float:
-    if distance < 0.0:
+    # checked here so that errors name the caller's distance, not 2L
+    if not distance >= 0.0:
         raise ParameterError(f"distance={distance!r} must be >= 0 km")
-    return params.detector_efficiency * 10.0 ** (
-        -params.attenuation * distance / 10.0)
+    return transmittance(2.0 * distance, params)
 
 
 def plob_bound(distance: float, params: SystemParams) -> float:
@@ -48,10 +50,7 @@ def plob_bound(distance: float, params: SystemParams) -> float:
 
 def repeaterless_bound(distance: float, params: SystemParams) -> float:
     """Single-arm linear transmittance eta_d * 10^(-alpha*L/20)."""
-    if distance < 0.0:
-        raise ParameterError(f"distance={distance!r} must be >= 0 km")
-    return params.detector_efficiency * 10.0 ** (
-        -params.attenuation * distance / 20.0)
+    return transmittance(distance, params)
 
 
 def dps_qss_baseline(

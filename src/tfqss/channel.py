@@ -49,7 +49,7 @@ def transmittance(distance: float, params: SystemParams) -> float:
     distance is the total sender-to-sender length in km; each arm covers
     half of it, hence the /20 in the exponent.
     """
-    if distance < 0.0:
+    if not distance >= 0.0:
         raise ParameterError(f"distance={distance!r} must be >= 0 km")
     return params.detector_efficiency * 10.0 ** (
         -params.attenuation * distance / 20.0)

@@ -10,6 +10,7 @@ shares the parameter records and result containers defined here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
@@ -68,12 +69,12 @@ def validate_params(params: SystemParams) -> None:
     if not 0.0 <= p_d < 0.5:
         raise ParameterError(
             f"dark_count_rate={p_d!r} outside [0, 0.5)")
-    if not params.attenuation > 0.0:
+    if not 0.0 < params.attenuation < math.inf:
         raise ParameterError(
-            f"attenuation={params.attenuation!r} must be > 0 dB/km")
-    if not params.ec_efficiency >= 1.0:
+            f"attenuation={params.attenuation!r} must be finite and > 0 dB/km")
+    if not 1.0 <= params.ec_efficiency < math.inf:
         raise ParameterError(
-            f"ec_efficiency={params.ec_efficiency!r} must be >= 1")
+            f"ec_efficiency={params.ec_efficiency!r} must be finite and >= 1")
     e_d = params.misalignment
     if not 0.0 <= e_d < 0.5:
         raise ParameterError(

@@ -45,7 +45,7 @@ def gain(mu: float, eta: float, p_d: float) -> float:
     terms are non-negative, so Q keeps full relative precision on long
     links where it would otherwise cancel to 0.
     """
-    if mu < 0.0:
+    if not mu >= 0.0:
         raise ParameterError(f"mu={mu!r} must be >= 0")
     if not 0.0 <= eta <= 1.0:
         raise ParameterError(f"eta={eta!r} outside [0, 1]")

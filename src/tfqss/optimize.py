@@ -96,28 +96,6 @@ def optimize_mu(
         grid_size=grid_size, refine_iters=refine_iters)
 
 
-def _scan_point(
-    distance: float,
-    params: SystemParams,
-    grid_size: int,
-    refine_iters: int,
-) -> RatePoint:
-    mu_opt, bd = optimize_mu(
-        distance, params, grid_size=grid_size, refine_iters=refine_iters)
-    return RatePoint(
-        distance=distance,
-        mu_opt=mu_opt,
-        gain=bd.gain,
-        qber=bd.qber,
-        rate=bd.rate,
-        plob=plob_bound(distance, params),
-        repeaterless=repeaterless_bound(distance, params),
-        dps_baseline=dps_qss_baseline(
-            distance, params, grid_size=grid_size,
-            refine_iters=refine_iters),
-    )
-
-
 def scan_distances(
     l_min: float,
     l_max: float,
@@ -132,10 +110,15 @@ def scan_distances(
     """Optimized rate and reference bounds on a distance grid.
 
     Returns {e_d: [RatePoint at l_min, l_min+step, ..., <= l_max]}; an
-    e_d listed twice gets its sweep twice under one key. threads is
-    validated (>= 1) but has no effect: points are evaluated in order
-    in this thread, since the GIL leaves a thread pool no faster.
+    e_d listed twice gets its sweep twice under one key. Each distance
+    is optimized once per e_d; dps_baseline is read from the row at 2L
+    where the grid has one. threads is validated (>= 1) but has no
+    effect: points are evaluated in order in this thread, since the GIL
+    leaves a thread pool no faster.
     """
+    for name, value in (("l_min", l_min), ("l_max", l_max), ("step", step)):
+        if not math.isfinite(value):
+            raise ParameterError(f"{name}={value!r} must be finite")
     if l_min < 0.0 or l_max < l_min:
         raise ParameterError("need 0 <= l_min <= l_max")
     if step <= 0.0:
@@ -149,10 +132,18 @@ def scan_distances(
     result: dict[float, list[RatePoint]] = {e_d: [] for e_d in e_d_list}
     for e_d in e_d_list:
         p = replace(params, misalignment=e_d)
-        result[e_d] += [
-            _scan_point(distance, p, grid_size, refine_iters)
-            for distance in distances
-        ]
+        rows = {distance: optimize_mu(distance, p, grid_size=grid_size,
+                                      refine_iters=refine_iters)
+                for distance in distances}
+        for distance in distances:
+            mu_opt, bd = rows[distance]
+            doubled = rows.get(2.0 * distance)
+            baseline = doubled[1].rate if doubled else dps_qss_baseline(
+                distance, p, grid_size=grid_size, refine_iters=refine_iters)
+            result[e_d].append(RatePoint(
+                distance, mu_opt, bd.gain, bd.qber, bd.rate,
+                plob_bound(distance, p), repeaterless_bound(distance, p),
+                baseline))
     return result
 
 
@@ -171,6 +162,11 @@ def find_crossover(
     optimized_rate - plob, then bisects the bracket down to tol km.
     Returns None when the rate never beats the bound on [0, l_max].
     """
+    if not 0.0 <= l_max < math.inf:
+        raise ParameterError(f"l_max={l_max!r} must be >= 0 and finite")
+    for name, value in (("coarse_step", coarse_step), ("tol", tol)):
+        if not value > 0.0:
+            raise ParameterError(f"{name}={value!r} must be > 0")
 
     def excess(distance: float) -> float:
         _, bd = optimize_mu(distance, params, grid_size=grid_size,
@@ -193,6 +189,8 @@ def find_crossover(
     lo, hi = bracket
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # bracket at float resolution
+            break
         if excess(mid) > 0.0:
             hi = mid
         else:

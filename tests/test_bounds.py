@@ -46,6 +46,12 @@ def test_bounds_reject_negative_distance():
         repeaterless_bound(-1.0, DEFAULTS)
     with pytest.raises(ParameterError):
         dps_qss_baseline(-1.0, DEFAULTS)
+    # the full-path curves evaluate transmittance(2L) but name L
+    for bound in (plob_bound, dps_qss_baseline):
+        with pytest.raises(ParameterError, match=r"distance=-1\.0 "):
+            bound(-1.0, DEFAULTS)
+        with pytest.raises(ParameterError, match="distance=nan"):
+            bound(float("nan"), DEFAULTS)
 
 
 def test_both_bounds_strictly_decrease_in_distance():

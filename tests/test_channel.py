@@ -46,6 +46,12 @@ def test_transmittance_rejects_negative_distance():
         transmittance(-1.0, DEFAULTS)
 
 
+def test_transmittance_rejects_nan_distance():
+    # NaN fails every comparison, so the check must be "not >= 0"
+    with pytest.raises(ParameterError, match="distance=nan"):
+        transmittance(float("nan"), DEFAULTS)
+
+
 def test_click_probability_closed_form():
     rng = np.random.default_rng(42)
     for _ in range(20):

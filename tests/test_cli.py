@@ -259,6 +259,22 @@ def test_invalid_parameter_value_exits_1(capsys):
     assert "intensity" in err
 
 
+@pytest.mark.parametrize("argv,key", [
+    (["scan", "--l_max", "inf"], "l_max"),  # was an OverflowError traceback
+    (["scan", "--l_min", "nan"], "l_min"),
+    (["scan", "--l_max", "nan"], "l_max"),
+    (["scan", "--l_step", "nan"], "step"),
+    (["scan", "--alpha", "inf"], "attenuation"),
+    (["attack", "--distance", "nan"], "distance"),
+    (["simulate", "--distance", "nan"], "distance"),
+])
+def test_non_finite_values_exit_1_naming_the_key(argv, key, capsys):
+    code, out, err = _run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {key}=")
+
+
 def test_missing_subcommand_exits_1(capsys):
     code, _, err = _run([], capsys)
     assert code == 1

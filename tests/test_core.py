@@ -38,6 +38,8 @@ def test_defaults_are_valid():
     (dict(ec_efficiency=0.99), "ec_efficiency"),
     (dict(misalignment=-0.01), "misalignment"),
     (dict(misalignment=0.5), "misalignment"),
+    (dict(attenuation=float("inf")), "attenuation"),
+    (dict(ec_efficiency=float("inf")), "ec_efficiency"),
 ])
 def test_system_params_rejects_bad_fields(kwargs, fragment):
     with pytest.raises(ParameterError, match=fragment):

@@ -49,6 +49,8 @@ def test_gain_frozen_value():
 def test_gain_domain_errors():
     with pytest.raises(ParameterError, match="mu"):
         gain(-0.1, 0.5, 1e-8)
+    with pytest.raises(ParameterError, match="mu=nan"):
+        gain(float("nan"), 0.5, 1e-8)
     with pytest.raises(ParameterError, match="eta"):
         gain(0.1, 1.5, 1e-8)
     with pytest.raises(ParameterError, match="p_d"):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tfqss.bounds import plob_bound, repeaterless_bound
+from tfqss.bounds import dps_qss_baseline, plob_bound, repeaterless_bound
 from tfqss.core import ParameterError, SystemParams
 from tfqss.keyrate import key_rate, rate_at_transmittance
 from tfqss.optimize import (
@@ -99,16 +99,22 @@ def test_scan_rate_column_positive_then_zero():
 
 
 def test_scan_columns_match_reference_curves():
-    table = scan_distances(0.0, 200.0, 100.0, DEFAULTS, [0.02, 0.052])
-    for e_d, points in table.items():
-        params = SystemParams(misalignment=e_d)
-        for p in points:
-            assert p.plob == plob_bound(p.distance, params)
-            assert p.repeaterless == repeaterless_bound(p.distance, params)
-            bd = key_rate(p.mu_opt, p.distance, params)
-            assert p.rate == bd.rate
-            assert p.gain == bd.gain
-            assert p.qber == bd.qber
+    # with step 37.5 the doubled distances 0, 75, 150, 225 and 300 are
+    # rows of the scan and the other four are not
+    for grid in ((0.0, 200.0, 100.0), (0.0, 300.0, 37.5)):
+        table = scan_distances(*grid, DEFAULTS, [0.02, 0.052])
+        for e_d, points in table.items():
+            params = SystemParams(misalignment=e_d)
+            for p in points:
+                assert p.plob == plob_bound(p.distance, params)
+                assert p.repeaterless == repeaterless_bound(
+                    p.distance, params)
+                assert p.dps_baseline == dps_qss_baseline(
+                    p.distance, params)
+                bd = key_rate(p.mu_opt, p.distance, params)
+                assert p.rate == bd.rate
+                assert p.gain == bd.gain
+                assert p.qber == bd.qber
 
 
 def test_scan_is_thread_count_invariant():
@@ -128,6 +134,16 @@ def test_scan_validates_arguments():
         scan_distances(0.0, 100.0, 10.0, DEFAULTS, [])
     with pytest.raises(ParameterError, match="threads"):
         scan_distances(0.0, 100.0, 10.0, DEFAULTS, [0.02], threads=0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("name", ["l_min", "l_max", "step"])
+def test_scan_rejects_non_finite_grid_bounds(name, bad):
+    grid = dict(l_min=0.0, l_max=100.0, step=10.0)
+    grid[name] = bad
+    with pytest.raises(ParameterError, match=f"^{name}="):
+        scan_distances(grid["l_min"], grid["l_max"], grid["step"],
+                       DEFAULTS, [0.02])
 
 
 def test_find_crossover_exists_at_low_misalignment():
@@ -151,6 +167,35 @@ def test_find_crossover_none_at_high_misalignment():
 
 def test_find_crossover_is_deterministic():
     assert find_crossover(DEFAULTS) == find_crossover(DEFAULTS)
+
+
+@pytest.mark.parametrize("kwargs,name", [
+    (dict(tol=0.0), "tol"),  # bisected forever
+    (dict(tol=-1.0), "tol"),
+    (dict(tol=math.nan), "tol"),
+    (dict(coarse_step=0.0), "coarse_step"),  # divided by zero
+    (dict(coarse_step=-5.0), "coarse_step"),  # claimed no crossover
+    (dict(coarse_step=math.nan), "coarse_step"),
+    (dict(l_max=-1.0), "l_max"),
+    (dict(l_max=math.inf), "l_max"),
+])
+def test_find_crossover_validates_arguments(kwargs, name):
+    with pytest.raises(ParameterError, match=f"^{name}="):
+        find_crossover(DEFAULTS, **kwargs)
+
+
+def test_find_crossover_stops_at_float_resolution():
+    # a tolerance below the float spacing near the crossing ends with
+    # the bracket at two adjacent floats instead of looping
+    crossing = find_crossover(DEFAULTS, tol=1e-300)
+
+    def excess(distance):
+        return optimize_mu(distance, DEFAULTS)[1].rate - plob_bound(
+            distance, DEFAULTS)
+
+    assert excess(crossing) > 0.0
+    assert excess(math.nextafter(crossing, 0.0)) <= 0.0
+    assert abs(crossing - find_crossover(DEFAULTS)) <= 1e-2
 
 
 def test_maximize_rate_handles_raw_transmittance():

@@ -1,0 +1,72 @@
+"""Invariants of the closed forms over the whole admitted domain.
+
+Hypothesis draws the inputs; derandomize=True makes every run draw the
+same examples, so the suite stays reproducible.
+"""
+
+import math
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from tfqss.bounds import plob_bound, repeaterless_bound
+from tfqss.channel import transmittance
+from tfqss.core import MAX_INTENSITY, SystemParams
+from tfqss.keyrate import gain, qber
+from tfqss.optimize import optimize_mu
+
+PROPERTY = settings(derandomize=True, deadline=None)
+
+mus = st.floats(0.0, MAX_INTENSITY, exclude_max=True)
+etas = st.floats(0.0, 1.0)
+dark_rates = st.one_of(st.just(0.0), st.floats(0.0, 0.5, exclude_max=True))
+misalignments = st.floats(0.0, 0.5, exclude_max=True)
+# links of thousands of km: at 0.167 dB/km the arm transmittance at
+# 8000 km is about 1e-67, far below the dark-count floor
+distances = st.floats(0.0, 8000.0)
+system_params = st.builds(
+    SystemParams,
+    detector_efficiency=st.floats(1e-3, 1.0),
+    dark_count_rate=dark_rates,
+    attenuation=st.floats(1e-3, 1.0),
+    misalignment=misalignments,
+)
+
+
+@PROPERTY
+@given(mu=mus, eta=etas, p_d=dark_rates)
+def test_gain_lies_between_the_dark_floor_and_one(mu, eta, p_d):
+    assert 2.0 * p_d <= gain(mu, eta, p_d) <= 1.0
+
+
+@PROPERTY
+@given(mu=st.floats(1e-9, MAX_INTENSITY, exclude_max=True),
+       distance=distances, p_d=dark_rates, e_d=misalignments)
+# dark counts dominate: the unclamped quotient rounds to 1/2 + 1 ulp
+@example(mu=0.05, distance=3000.0, p_d=1e-9, e_d=0.1)
+def test_qber_is_at_most_one_half_on_long_links(mu, distance, p_d, e_d):
+    eta = transmittance(distance, SystemParams())
+    assert 0.0 <= qber(mu, eta, p_d, e_d) <= 0.5
+
+
+@PROPERTY
+@given(params=system_params, near=st.floats(0.0, 400.0),
+       farther=st.floats(0.0, 400.0))
+def test_optimized_rate_is_non_negative_and_non_increasing(
+        params, near, farther):
+    near, far = sorted((near, farther))
+    rate_near = optimize_mu(near, params)[1].rate
+    rate_far = optimize_mu(far, params)[1].rate
+    assert rate_far >= 0.0
+    assert rate_far <= rate_near
+
+
+@PROPERTY
+@given(params=system_params, distance=st.floats(0.0, 1e6))
+def test_bounds_are_the_channel_transmittance_exactly(params, distance):
+    assert repeaterless_bound(distance, params) == transmittance(
+        distance, params)
+    full_path = transmittance(2.0 * distance, params)
+    expected = (math.inf if full_path >= 1.0
+                else -math.log1p(-full_path) / math.log(2.0))
+    assert plob_bound(distance, params) == expected
