@@ -24,11 +24,21 @@ the bound is saturated and no privacy credit remains; without this cut
 the -log2(P_co) term would diverge to +infinity as E approaches the
 root of the quadratic near 0.3843, manufacturing key in a regime where
 the eavesdropper already knows everything.
+
+Each formula is written once, as a numpy expression: the functions
+here take scalars or arrays that broadcast against each other (only
+key_rate's distance must be a scalar) and return floats for scalar
+input and arrays otherwise. The optimizer
+evaluates a whole (lanes x grid) block of (mu, eta) points per call of
+rate_at_transmittance; each element goes through exactly the arithmetic
+of a scalar call, so an array result equals the elementwise scalar
+results bit for bit. Domain errors name the first offending element
+in C order.
 """
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 from .channel import transmittance
 from .core import MAX_INTENSITY, ParameterError, RateBreakdown, SystemParams
@@ -38,88 +48,138 @@ class DegenerateChannelError(ValueError):
     """Gain is exactly zero, so conditional rates are undefined."""
 
 
-def gain(mu: float, eta: float, p_d: float) -> float:
+def _require(value: np.ndarray, ok, message: str) -> None:
+    """Raise ParameterError naming the first element of value not ok.
+
+    message holds one {!r} field for that element.
+    """
+    if not ok.all():
+        bad = value[np.logical_not(ok)].flat[0]
+        raise ParameterError(message.format(bad.item()))
+
+
+def _float_or_array(value):
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def _check_eta(eta) -> None:
+    _require(eta, (eta >= 0.0) & (eta <= 1.0), "eta={!r} outside [0, 1]")
+
+
+def _check_gain_args(mu, eta, p_d) -> None:
+    _require(mu, mu >= 0.0, "mu={!r} must be >= 0")
+    _check_eta(eta)
+    _require(p_d, (p_d >= 0.0) & (p_d < 0.5), "p_d={!r} outside [0, 0.5)")
+
+
+def _gain(mu, eta, p_d):
+    """Q and the exponent mu*eta."""
+    x = mu * eta
+    return -np.expm1(-x) * (1.0 - 2.0 * p_d) + 2.0 * p_d, x
+
+
+def _qber(q, x, p_d, e_d):
+    """E from Q and mu*eta; DegenerateChannelError where Q = 0."""
+    if (q == 0.0).any():
+        raise DegenerateChannelError(
+            "gain is zero (p_d = 0 and mu*eta = 0); QBER undefined")
+    dark = 2.0 * p_d * np.exp(-x)
+    # dark <= q holds exactly (their difference is 1 - e^(-mu*eta)), so
+    # the true value is <= 1/2; division rounding can poke an ulp above
+    # when dark counts dominate, which would escape the QBER domain.
+    return np.minimum(0.5, (e_d * q + (0.5 - e_d) * dark) / q)
+
+
+def _binary_entropy(x):
+    inside = (x > 0.0) & (x < 1.0)
+    y = np.where(inside, x, 0.5)  # keeps log2 away from 0
+    return np.where(
+        inside, -y * np.log2(y) - (1.0 - y) * np.log2(1.0 - y), 0.0)
+
+
+def _collision_probability(e):
+    return 1.0 - e * e - (1.0 - 6.0 * e) ** 2 / 2.0
+
+
+def gain(mu, eta, p_d):
     """Per-slot click probability Q = 1 - (1 - 2 p_d) e^(-mu*eta).
 
     Evaluated as (1 - e^(-mu*eta)) (1 - 2 p_d) + 2 p_d with expm1: both
     terms are non-negative, so Q keeps full relative precision on long
     links where it would otherwise cancel to 0.
     """
-    if not mu >= 0.0:
-        raise ParameterError(f"mu={mu!r} must be >= 0")
-    if not 0.0 <= eta <= 1.0:
-        raise ParameterError(f"eta={eta!r} outside [0, 1]")
-    if not 0.0 <= p_d < 0.5:
-        raise ParameterError(f"p_d={p_d!r} outside [0, 0.5)")
-    return -math.expm1(-mu * eta) * (1.0 - 2.0 * p_d) + 2.0 * p_d
+    mu, eta, p_d = np.asarray(mu), np.asarray(eta), np.asarray(p_d)
+    _check_gain_args(mu, eta, p_d)
+    q, _ = _gain(mu, eta, p_d)
+    return _float_or_array(q)
 
 
-def qber(mu: float, eta: float, p_d: float, e_d: float) -> float:
+def qber(mu, eta, p_d, e_d):
     """Error fraction of detected slots.
 
     Misaligned signal photons contribute e_d of the gain; dark counts
     are wrong half the time. Raises DegenerateChannelError when the
     gain vanishes (p_d = 0 and mu*eta = 0): no clicks, no error rate.
     """
-    if not 0.0 <= e_d < 0.5:
-        raise ParameterError(f"e_d={e_d!r} outside [0, 0.5)")
-    q = gain(mu, eta, p_d)
-    if q == 0.0:
-        raise DegenerateChannelError(
-            "gain is zero (p_d = 0 and mu*eta = 0); QBER undefined")
-    dark = 2.0 * p_d * math.exp(-mu * eta)
-    # dark <= q holds exactly (their difference is 1 - e^(-mu*eta)), so
-    # the true value is <= 1/2; division rounding can poke an ulp above
-    # when dark counts dominate, which would escape the QBER domain.
-    return min(0.5, (e_d * q + (0.5 - e_d) * dark) / q)
+    mu, eta, p_d, e_d = (np.asarray(v) for v in (mu, eta, p_d, e_d))
+    _require(e_d, (e_d >= 0.0) & (e_d < 0.5), "e_d={!r} outside [0, 0.5)")
+    _check_gain_args(mu, eta, p_d)
+    q, x = _gain(mu, eta, p_d)
+    e = _qber(q, x, p_d, e_d)
+    return _float_or_array(e)
 
 
-def binary_entropy(x: float) -> float:
+def binary_entropy(x):
     """h(x) = -x log2(x) - (1-x) log2(1-x), with h(0) = h(1) = 0."""
-    if not 0.0 <= x <= 1.0:
-        raise ParameterError(f"binary entropy argument {x!r} outside [0, 1]")
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    x = np.asarray(x)
+    _require(x, (x >= 0.0) & (x <= 1.0),
+             "binary entropy argument {!r} outside [0, 1]")
+    return _float_or_array(_binary_entropy(x))
 
 
-def collision_probability(e: float) -> float:
+def collision_probability(e):
     """Eavesdropper collision-probability bound 1 - e^2 - (1-6e)^2/2.
 
     Increasing for e < 3/19, decreasing beyond; callers must treat
     results below 1/2 (e > 6/19) as "no privacy left" rather than
     evaluate a logarithm of them.
     """
-    if not 0.0 <= e <= 0.5:
-        raise ParameterError(f"collision argument {e!r} outside [0, 0.5]")
-    return 1.0 - e * e - (1.0 - 6.0 * e) ** 2 / 2.0
+    e = np.asarray(e)
+    _require(e, (e >= 0.0) & (e <= 0.5),
+             "collision argument {!r} outside [0, 0.5]")
+    return _float_or_array(_collision_probability(e))
 
 
-def rate_at_transmittance(
-    mu: float, eta: float, params: SystemParams
-) -> RateBreakdown:
-    """Rate breakdown at an explicit arm transmittance."""
-    if not 0.0 < mu < MAX_INTENSITY:
-        raise ParameterError(f"mu={mu!r} outside (0, {MAX_INTENSITY})")
+def rate_at_transmittance(mu, eta, params: SystemParams) -> RateBreakdown:
+    """Rate breakdown at explicit arm transmittances: the rate kernel.
+
+    mu and eta broadcast against each other; the breakdown's fields
+    have their common shape (floats when both are scalars). Raises
+    ParameterError naming the first mu outside (0, 0.5) or eta outside
+    [0, 1], and DegenerateChannelError if any point has zero gain.
+    """
+    mu, eta = np.asarray(mu), np.asarray(eta)
+    _require(mu, (mu > 0.0) & (mu < MAX_INTENSITY),
+             f"mu={{!r}} outside (0, {MAX_INTENSITY})")
+    _check_eta(eta)
+    # p_d and e_d need no check: SystemParams validated them
     p_d = params.dark_count_rate
-    q = gain(mu, eta, p_d)
-    e = qber(mu, eta, p_d, params.misalignment)
-    p_co = collision_probability(e)
-    ec_term = params.ec_efficiency * binary_entropy(e)
-    if p_co < 0.5:
-        # A collision probability below 1/2 is outside the bound's
-        # validity (E > 6/19): treat it as saturated rather than credit
-        # the diverging -log2(P_co) with nonphysical privacy.
-        return RateBreakdown(gain=q, qber=e, collision=p_co,
-                             privacy_term=float("-inf"), ec_term=ec_term,
-                             rate=0.0)
-    privacy = -(1.0 - 2.0 * mu) * math.log2(p_co)
-    rate = q * (privacy - ec_term)
-    return RateBreakdown(gain=q, qber=e, collision=p_co,
-                         privacy_term=privacy, ec_term=ec_term,
-                         rate=max(0.0, rate))
+    q, x = _gain(mu, eta, p_d)
+    e = _qber(q, x, p_d, params.misalignment)
+    p_co = _collision_probability(e)
+    ec_term = params.ec_efficiency * _binary_entropy(e)
+    # A collision probability below 1/2 is outside the bound's validity
+    # (E > 6/19): treat it as saturated rather than credit the diverging
+    # -log2(P_co) with nonphysical privacy. The -inf term gives rate 0.
+    saturated = p_co < 0.5
+    privacy = np.where(
+        saturated, -np.inf,
+        -(1.0 - 2.0 * mu) * np.log2(np.where(saturated, 1.0, p_co)))
+    rate = np.maximum(0.0, q * (privacy - ec_term))
+    return RateBreakdown(*(_float_or_array(v)
+                           for v in (q, e, p_co, privacy, ec_term, rate)))
 
 
-def key_rate(mu: float, distance: float, params: SystemParams) -> RateBreakdown:
+def key_rate(mu, distance: float, params: SystemParams) -> RateBreakdown:
     """Rate breakdown at a total sender-sender distance in km."""
     return rate_at_transmittance(mu, transmittance(distance, params), params)

@@ -1,10 +1,20 @@
-"""Deterministic intensity optimization and distance scans.
+"""Deterministic intensity optimization, distance scans and crossovers.
 
 The rate is maximized over mu with a coarse logarithmic grid followed
 by golden-section refinement inside the best grid cell. Both stages
 are derivative-free and deterministic (no stochastic search), so
 repeated runs give bit-identical optima; tests audit the result
 against dense brute-force grids.
+
+The optimizer works on lanes: a 1-D array of arm transmittances, one
+independent maximization each. The grid takes one (lanes x grid) call
+of the rate kernel keyrate.rate_at_transmittance per block of 16
+lanes, and the golden section then runs all lanes in lockstep, one
+kernel call per iteration, with np.where choosing each lane's branch. A lane does exactly the
+arithmetic of a one-lane run, so results match one-lane calls bit for
+bit. scan_distances puts every distance of one e_d into one call, and
+find_crossover its whole coarse walk, then five bisection levels (31
+midpoints) per call.
 """
 
 from __future__ import annotations
@@ -12,7 +22,15 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
-from .bounds import dps_qss_baseline, plob_bound, repeaterless_bound
+import numpy as np
+
+# dps_qss_baseline is not called here; it stays bound as
+# tfqss.optimize.dps_qss_baseline, which bench/tracing.py wraps
+from .bounds import (  # noqa: F401
+    dps_qss_baseline,
+    plob_bound,
+    repeaterless_bound,
+)
 from .channel import transmittance
 from .core import (
     MAX_INTENSITY,
@@ -26,61 +44,68 @@ from .keyrate import rate_at_transmittance
 MU_MIN = 1e-6
 MU_MAX = MAX_INTENSITY - 1e-6
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_section_max(f, lo: float, hi: float, iters: int):
-    """Maximize a unimodal f on [lo, hi]; returns the best point seen."""
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc, fd = f(c), f(d)
-    best_x, best_v = (c, fc) if fc >= fd else (d, fd)
-    for _ in range(iters):
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = f(c)
-            if fc > best_v:
-                best_x, best_v = c, fc
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = f(d)
-            if fd > best_v:
-                best_x, best_v = d, fd
-    return best_x, best_v
+# lanes per kernel call on the grid: bounds each (lanes x grid) temporary
+# to a few kB, which keeps the peak memory of long walks flat
+_GRID_BLOCK = 16
+# bisection levels find_crossover evaluates per optimizer call
+_BISECT_LEVELS = 5
 
 
 def maximize_rate_at_transmittance(
-    eta: float,
+    eta,
     params: SystemParams,
     *,
     grid_size: int = 64,
     refine_iters: int = 60,
-) -> tuple[float, RateBreakdown]:
-    """Best (mu, rate breakdown) at a fixed arm transmittance.
+) -> tuple[float | np.ndarray, RateBreakdown]:
+    """Best (mu, rate breakdown) at fixed arm transmittances.
 
     Coarse logarithmic grid over (1e-6, 0.5 - 1e-6), then golden-section
     refinement between the best grid point's neighbors. If every grid
     point yields rate 0 the channel supports no key and (1e-6, zero-rate
     breakdown) is returned.
+
+    eta is a scalar or an array of lanes, each maximized independently;
+    for an array, mu and the breakdown's fields are arrays of its shape.
     """
     if grid_size < 16:
         raise ParameterError(f"grid_size={grid_size!r} must be >= 16")
     if refine_iters < 1:
         raise ParameterError(f"refine_iters={refine_iters!r} must be >= 1")
+    shape = np.shape(eta)
+    lanes = np.asarray(eta).reshape(-1)
     ratio = (MU_MAX / MU_MIN) ** (1.0 / (grid_size - 1))
-    grid = [MU_MIN * ratio**i for i in range(grid_size - 1)] + [MU_MAX]
-    rates = [rate_at_transmittance(mu, eta, params).rate for mu in grid]
-    best = max(range(grid_size), key=rates.__getitem__)
-    if rates[best] <= 0.0:
-        return MU_MIN, rate_at_transmittance(MU_MIN, eta, params)
-    lo = grid[best - 1] if best > 0 else grid[0]
-    hi = grid[best + 1] if best < grid_size - 1 else grid[-1]
-    mu_ref, rate_ref = _golden_section_max(
-        lambda mu: rate_at_transmittance(mu, eta, params).rate,
-        lo, hi, refine_iters)
-    mu_opt = mu_ref if rate_ref >= rates[best] else grid[best]
-    return mu_opt, rate_at_transmittance(mu_opt, eta, params)
+    grid = np.array([MU_MIN * ratio**i for i in range(grid_size - 1)]
+                    + [MU_MAX])
+    blocks = range(0, lanes.size, _GRID_BLOCK)
+    rates = np.concatenate([rate_at_transmittance(
+        grid, lanes[i:i + _GRID_BLOCK, None], params).rate for i in blocks])
+    best = rates.argmax(axis=1)
+    grid_best = rates.max(axis=1)
+    lo = grid[np.maximum(best - 1, 0)]
+    hi = grid[np.minimum(best + 1, grid_size - 1)]
+    # golden section, every lane in lockstep
+    c = hi - _GOLDEN * (hi - lo)
+    d = lo + _GOLDEN * (hi - lo)
+    fc = rate_at_transmittance(c, lanes, params).rate
+    fd = rate_at_transmittance(d, lanes, params).rate
+    first = fc >= fd
+    best_x, best_v = np.where(first, c, d), np.where(first, fc, fd)
+    for _ in range(refine_iters):
+        left = fc >= fd  # the maximum lies in [lo, d]: probe a new c
+        hi = np.where(left, d, hi)
+        lo = np.where(left, lo, c)
+        x = np.where(left, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo))
+        fx = rate_at_transmittance(x, lanes, params).rate
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+        gained = fx > best_v
+        best_x = np.where(gained, x, best_x)
+        best_v = np.where(gained, fx, best_v)
+    mu_opt = np.where(best_v >= grid_best, best_x, grid[best])
+    mu_opt = np.where(grid_best > 0.0, mu_opt, MU_MIN).reshape(shape)
+    breakdown = rate_at_transmittance(mu_opt, lanes.reshape(shape), params)
+    return (float(mu_opt) if shape == () else mu_opt), breakdown
 
 
 def optimize_mu(
@@ -110,11 +135,11 @@ def scan_distances(
     """Optimized rate and reference bounds on a distance grid.
 
     Returns {e_d: [RatePoint at l_min, l_min+step, ..., <= l_max]}; an
-    e_d listed twice gets its sweep twice under one key. Each distance
-    is optimized once per e_d; dps_baseline is read from the row at 2L
-    where the grid has one. threads is validated (>= 1) but has no
-    effect: points are evaluated in order in this thread, since the GIL
-    leaves a thread pool no faster.
+    e_d listed twice gets its sweep twice under one key. Per e_d, one
+    optimizer call takes the lanes transmittance(L) for every grid
+    distance and transmittance(2L), whose rate is dps_baseline (see
+    bounds.dps_qss_baseline). threads is validated (>= 1) but has no
+    effect: the lanes run in lockstep in this thread.
     """
     for name, value in (("l_min", l_min), ("l_max", l_max), ("step", step)):
         if not math.isfinite(value):
@@ -132,19 +157,36 @@ def scan_distances(
     result: dict[float, list[RatePoint]] = {e_d: [] for e_d in e_d_list}
     for e_d in e_d_list:
         p = replace(params, misalignment=e_d)
-        rows = {distance: optimize_mu(distance, p, grid_size=grid_size,
-                                      refine_iters=refine_iters)
-                for distance in distances}
-        for distance in distances:
-            mu_opt, bd = rows[distance]
-            doubled = rows.get(2.0 * distance)
-            baseline = doubled[1].rate if doubled else dps_qss_baseline(
-                distance, p, grid_size=grid_size, refine_iters=refine_iters)
+        etas = [transmittance(scale * distance, p)
+                for scale in (1.0, 2.0) for distance in distances]
+        mu_opt, bd = maximize_rate_at_transmittance(
+            etas, p, grid_size=grid_size, refine_iters=refine_iters)
+        for i, distance in enumerate(distances):
             result[e_d].append(RatePoint(
-                distance, mu_opt, bd.gain, bd.qber, bd.rate,
+                distance, float(mu_opt[i]), float(bd.gain[i]),
+                float(bd.qber[i]), float(bd.rate[i]),
                 plob_bound(distance, p), repeaterless_bound(distance, p),
-                baseline))
+                float(bd.rate[n_pts + i])))
     return result
+
+
+def _midpoints(lo: float, hi: float, levels: int) -> list[float]:
+    """Midpoints of the next `levels` bisection steps of [lo, hi].
+
+    Heap order: node k bisects its bracket, its lower half continues at
+    node 2k + 1 and its upper half at node 2k + 2. Each midpoint is
+    0.5 * (a + b) of its own bracket, as a sequential bisection has it.
+    """
+    brackets = [(lo, hi)]
+    mids = []
+    for _ in range(levels):
+        halves = []
+        for a, b in brackets:
+            mid = 0.5 * (a + b)
+            mids.append(mid)
+            halves += [(a, mid), (mid, b)]
+        brackets = halves
+    return mids
 
 
 def find_crossover(
@@ -158,9 +200,14 @@ def find_crossover(
 ) -> float | None:
     """Smallest distance where the optimized rate exceeds the PLOB bound.
 
-    Walks [0, l_max] in coarse steps to bracket the first sign change of
-    optimized_rate - plob, then bisects the bracket down to tol km.
-    Returns None when the rate never beats the bound on [0, l_max].
+    Walks [0, l_max] in coarse steps, ending exactly at l_max, to
+    bracket the first sign change of optimized_rate - plob, then bisects
+    the bracket down to tol km (or to two adjacent floats). Returns
+    None when the rate never beats the bound on the walk.
+
+    The whole walk is one optimizer call; the bisection takes the 31
+    midpoints of its next five levels per call and walks them in order,
+    so it returns the float a one-point-at-a-time bisection returns.
     """
     if not 0.0 <= l_max < math.inf:
         raise ParameterError(f"l_max={l_max!r} must be >= 0 and finite")
@@ -168,31 +215,44 @@ def find_crossover(
         if not value > 0.0:
             raise ParameterError(f"{name}={value!r} must be > 0")
 
-    def excess(distance: float) -> float:
-        _, bd = optimize_mu(distance, params, grid_size=grid_size,
-                            refine_iters=refine_iters)
-        return bd.rate - plob_bound(distance, params)
+    def excess(distances: list[float]) -> np.ndarray:
+        etas = [transmittance(distance, params) for distance in distances]
+        _, bd = maximize_rate_at_transmittance(
+            etas, params, grid_size=grid_size, refine_iters=refine_iters)
+        return bd.rate - [plob_bound(d, params) for d in distances]
 
     n_steps = int(l_max / coarse_step + 1e-9)
-    bracket = None
-    prev = 0.0
-    for i in range(n_steps + 1):
-        distance = min(i * coarse_step, l_max)
-        if excess(distance) > 0.0:
-            if i == 0:
-                return 0.0
-            bracket = (prev, distance)
-            break
-        prev = distance
-    if bracket is None:
+    walk = [min(i * coarse_step, l_max) for i in range(n_steps + 1)]
+    if walk[-1] < l_max:
+        walk.append(l_max)
+    # Without dark counts the rate is undefined (DegenerateChannelError)
+    # once mu*eta underflows to 0. Those lanes form a tail of the walk,
+    # evaluated only if the walk crosses nowhere before it, which is
+    # where a point-by-point walk would first meet one.
+    live = len(walk)
+    if params.dark_count_rate == 0.0:
+        live = sum(MU_MIN * transmittance(d, params) > 0.0 for d in walk)
+    crossed = np.flatnonzero(excess(walk[:live]) > 0.0)
+    if crossed.size == 0:
+        if live < len(walk):
+            excess(walk[live:])  # raises DegenerateChannelError
         return None
-    lo, hi = bracket
+    i = int(crossed[0])
+    if i == 0:
+        return 0.0
+    lo, hi = walk[i - 1], walk[i]
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # bracket at float resolution
-            break
-        if excess(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
+        mids = _midpoints(lo, hi, _BISECT_LEVELS)
+        above = excess(mids) > 0.0
+        node = 0
+        for _ in range(_BISECT_LEVELS):
+            mid = mids[node]
+            if not lo < mid < hi:  # bracket at float resolution
+                return hi
+            if above[node]:
+                hi, node = mid, 2 * node + 1
+            else:
+                lo, node = mid, 2 * node + 2
+            if not hi - lo > tol:
+                break
     return hi

@@ -185,3 +185,38 @@ def test_rate_breakdown_internal_consistency():
         else:
             assert bd.privacy_term == float("-inf")
             assert bd.rate == 0.0
+
+
+def test_array_kernel_matches_scalar_calls_bit_for_bit():
+    # a (mu x eta) broadcast over signal-dominated, dark-dominated,
+    # zero-rate and saturated (E > 6/19, privacy -inf) cells
+    params = SystemParams(misalignment=0.05)
+    mus = np.array([1e-6, 0.003, 0.05, 0.2, 0.35, 0.499])
+    etas = np.array([[1.0], [0.56], [0.03], [1e-4], [1e-7], [1e-9], [0.0]])
+    grid = rate_at_transmittance(mus, etas, params)
+    fields = ("gain", "qber", "collision", "privacy_term", "ec_term", "rate")
+    for field in fields:
+        assert getattr(grid, field).shape == (7, 6)
+    for i, eta in enumerate(etas[:, 0]):
+        for j, mu in enumerate(mus):
+            one = rate_at_transmittance(float(mu), float(eta), params)
+            for field in fields:
+                value = getattr(one, field)
+                assert type(value) is float
+                assert value == getattr(grid, field)[i, j], (field, mu, eta)
+    assert np.any(grid.privacy_term == -np.inf)
+    assert np.any((grid.rate == 0.0) & np.isfinite(grid.privacy_term))
+    assert np.any(grid.rate > 0.0)
+
+
+def test_array_kernel_raises_the_scalar_errors():
+    with pytest.raises(ParameterError, match=r"^mu=0\.5 outside"):
+        rate_at_transmittance([0.1, 0.5, 0.7], 0.5, DEFAULTS)
+    with pytest.raises(ParameterError, match=r"^mu=nan outside"):
+        rate_at_transmittance(np.array([[0.1], [np.nan]]), 0.5, DEFAULTS)
+    with pytest.raises(ParameterError, match=r"^eta=1\.5 outside \[0, 1\]"):
+        rate_at_transmittance(0.1, [0.5, 1.5, -1.0], DEFAULTS)
+    # one lane with p_d = 0 and eta = 0 has no clicks at all
+    with pytest.raises(DegenerateChannelError):
+        rate_at_transmittance([0.1, 0.2], [[0.5], [0.0]],
+                              SystemParams(dark_count_rate=0.0))

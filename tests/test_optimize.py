@@ -1,5 +1,6 @@
 """Intensity optimization, distance scans, and crossover search."""
 
+import functools
 import math
 
 import numpy as np
@@ -7,7 +8,11 @@ import pytest
 
 from tfqss.bounds import dps_qss_baseline, plob_bound, repeaterless_bound
 from tfqss.core import ParameterError, SystemParams
-from tfqss.keyrate import key_rate, rate_at_transmittance
+from tfqss.keyrate import (
+    DegenerateChannelError,
+    key_rate,
+    rate_at_transmittance,
+)
 from tfqss.optimize import (
     MU_MAX,
     MU_MIN,
@@ -111,6 +116,8 @@ def test_scan_columns_match_reference_curves():
                     p.distance, params)
                 assert p.dps_baseline == dps_qss_baseline(
                     p.distance, params)
+                # a lane of the scan is a one-lane optimization
+                assert p.mu_opt == optimize_mu(p.distance, params)[0]
                 bd = key_rate(p.mu_opt, p.distance, params)
                 assert p.rate == bd.rate
                 assert p.gain == bd.gain
@@ -201,5 +208,84 @@ def test_find_crossover_stops_at_float_resolution():
 def test_maximize_rate_handles_raw_transmittance():
     mu_opt, bd = maximize_rate_at_transmittance(0.3, DEFAULTS)
     audit = np.linspace(MU_MIN, MU_MAX, 20_001)
-    best = max(rate_at_transmittance(m, 0.3, DEFAULTS).rate for m in audit)
+    best = rate_at_transmittance(audit, 0.3, DEFAULTS).rate.max()
     assert bd.rate >= best - 1e-12
+
+
+def test_find_crossover_walks_up_to_l_max():
+    # 174.9 is no multiple of the 5 km step: the walk used to end at 170
+    # and miss the crossing near 172.79 km
+    crossing = find_crossover(DEFAULTS, l_max=174.9)
+    assert crossing is not None
+    assert 170.0 < crossing <= 174.9
+    assert abs(crossing - find_crossover(DEFAULTS)) <= 1e-2
+    assert find_crossover(DEFAULTS, l_max=170.0) is None
+
+
+def _cached_excess(params):
+    @functools.cache
+    def excess(distance):
+        return optimize_mu(distance, params)[1].rate - plob_bound(
+            distance, params)
+
+    return excess
+
+
+def _sequential_crossover(excess, l_max=800.0, coarse_step=5.0, tol=1e-2):
+    """Point-by-point walk, then one-midpoint-at-a-time bisection."""
+    n_steps = int(l_max / coarse_step + 1e-9)
+    walk = [min(i * coarse_step, l_max) for i in range(n_steps + 1)]
+    if walk[-1] < l_max:
+        walk.append(l_max)
+    for i, distance in enumerate(walk):
+        if excess(distance) > 0.0:
+            break
+    else:
+        return None
+    if i == 0:
+        return 0.0
+    lo, hi = walk[i - 1], walk[i]
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if excess(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("e_d", [0.02, 0.04, 0.05])
+def test_find_crossover_matches_a_sequential_search(e_d):
+    # tol 0.3 stops with the first five-level round, 1.0 inside it, 1e-2
+    # inside the second, and 1e-300 only at float resolution
+    params = SystemParams(misalignment=e_d)
+    excess = _cached_excess(params)
+    for tol in (1e-2, 0.3, 1.0, 1e-300):
+        expected = _sequential_crossover(excess, tol=tol)
+        assert expected is not None
+        assert find_crossover(params, tol=tol) == expected, tol
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(coarse_step=200.0),  # the crossing lies in the first cell
+    dict(l_max=100.0),  # no crossing on the walk
+    dict(l_max=174.9),  # the crossing lies in the clamped last cell
+])
+def test_find_crossover_matches_a_sequential_search_at_the_walk_ends(kwargs):
+    assert find_crossover(DEFAULTS, **kwargs) == _sequential_crossover(
+        _cached_excess(DEFAULTS), **kwargs)
+
+
+def test_find_crossover_leaves_lanes_without_clicks_for_last():
+    # without dark counts the gain underflows to 0 beyond about 636 km at
+    # 10 dB/km, where the rate is undefined; the walk crosses at 2.9 km
+    params = SystemParams(attenuation=10.0, dark_count_rate=0.0)
+    assert find_crossover(params) == _sequential_crossover(
+        _cached_excess(params))
+    # with no crossing before them, those lanes raise as a sequential
+    # walk does
+    with pytest.raises(DegenerateChannelError):
+        find_crossover(SystemParams(attenuation=10.0, dark_count_rate=0.0,
+                                    misalignment=0.3))

@@ -6,14 +6,16 @@ same examples, so the suite stays reproducible.
 
 import math
 
-from hypothesis import example, given, settings
+import numpy as np
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from tfqss.attacks import leakage_report
 from tfqss.bounds import plob_bound, repeaterless_bound
 from tfqss.channel import transmittance
 from tfqss.core import MAX_INTENSITY, SystemParams
-from tfqss.keyrate import gain, qber
-from tfqss.optimize import optimize_mu
+from tfqss.keyrate import gain, key_rate, qber
+from tfqss.optimize import MU_MAX, MU_MIN, optimize_mu
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -70,3 +72,26 @@ def test_bounds_are_the_channel_transmittance_exactly(params, distance):
     expected = (math.inf if full_path >= 1.0
                 else -math.log1p(-full_path) / math.log(2.0))
     assert plob_bound(distance, params) == expected
+
+
+@PROPERTY
+@given(distance=st.floats(0.0, 1000.0), e_d=misalignments, p_d=dark_rates)
+def test_optimize_mu_beats_its_own_grid(distance, e_d, p_d):
+    params = SystemParams(dark_count_rate=p_d, misalignment=e_d)
+    mu_opt, bd = optimize_mu(distance, params)
+    ratio = (MU_MAX / MU_MIN) ** (1.0 / 63)
+    grid = [MU_MIN * ratio**i for i in range(63)] + [MU_MAX]
+    assert MU_MIN <= mu_opt <= MU_MAX
+    assert bd.rate >= key_rate(np.array(grid), distance, params).rate.max()
+
+
+@PROPERTY
+@given(mu=mus, distance=distances, params=system_params)
+def test_leakage_report_ordering_holds(mu, distance, params):
+    eta = transmittance(distance, params)
+    assume(gain(mu, eta, params.dark_count_rate) > 0.0)  # QBER defined
+    report = leakage_report(mu, distance, params)
+    general = report.internal_general_leakage
+    assert general == min(1.0, 2.0 * mu)
+    assert 0.0 <= report.internal_split_leakage <= general + 1e-15
+    assert 0.0 <= report.external_leakage <= general + 1e-15
