@@ -184,8 +184,11 @@ def _emit(text: str, output: str | None) -> None:
 def cmd_scan(settings: dict) -> int:
     """Write the rate-vs-distance CSV, rows sorted by e_d then distance."""
     params = _system_params(settings)
+    step = settings["l_step"]
+    if not 0.0 < step < math.inf:
+        raise ParameterError(f"l_step={step!r} must be > 0 and finite")
     result = scan_distances(
-        settings["l_min"], settings["l_max"], settings["l_step"],
+        settings["l_min"], settings["l_max"], step,
         params, settings["e_d_list"],
         grid_size=settings["grid_size"],
         refine_iters=settings["refine_iters"],

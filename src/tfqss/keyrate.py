@@ -33,15 +33,22 @@ evaluates a whole (lanes x grid) block of (mu, eta) points per call of
 rate_at_transmittance; each element goes through exactly the arithmetic
 of a scalar call, so an array result equals the elementwise scalar
 results bit for bit. Domain errors name the first offending element
-in C order.
+in C order. The optimizer's root search calls _rate_and_slope, which
+returns the same rate together with dR/dmu from one pass over the
+same expressions and checks nothing.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .channel import transmittance
 from .core import MAX_INTENSITY, ParameterError, RateBreakdown, SystemParams
+
+
+_LN2 = math.log(2.0)
 
 
 class DegenerateChannelError(ValueError):
@@ -150,19 +157,12 @@ def collision_probability(e):
     return _float_or_array(_collision_probability(e))
 
 
-def rate_at_transmittance(mu, eta, params: SystemParams) -> RateBreakdown:
-    """Rate breakdown at explicit arm transmittances: the rate kernel.
+def _rate_terms(mu, eta, params: SystemParams):
+    """mu*eta and the breakdown's fields (Q, E, P_co, privacy, ec, R).
 
-    mu and eta broadcast against each other; the breakdown's fields
-    have their common shape (floats when both are scalars). Raises
-    ParameterError naming the first mu outside (0, 0.5) or eta outside
-    [0, 1], and DegenerateChannelError if any point has zero gain.
+    mu and eta are validated arrays; p_d and e_d need no check, because
+    SystemParams validated them.
     """
-    mu, eta = np.asarray(mu), np.asarray(eta)
-    _require(mu, (mu > 0.0) & (mu < MAX_INTENSITY),
-             f"mu={{!r}} outside (0, {MAX_INTENSITY})")
-    _check_eta(eta)
-    # p_d and e_d need no check: SystemParams validated them
     p_d = params.dark_count_rate
     q, x = _gain(mu, eta, p_d)
     e = _qber(q, x, p_d, params.misalignment)
@@ -176,8 +176,57 @@ def rate_at_transmittance(mu, eta, params: SystemParams) -> RateBreakdown:
         saturated, -np.inf,
         -(1.0 - 2.0 * mu) * np.log2(np.where(saturated, 1.0, p_co)))
     rate = np.maximum(0.0, q * (privacy - ec_term))
-    return RateBreakdown(*(_float_or_array(v)
-                           for v in (q, e, p_co, privacy, ec_term, rate)))
+    return x, q, e, p_co, privacy, ec_term, rate
+
+
+def rate_at_transmittance(mu, eta, params: SystemParams) -> RateBreakdown:
+    """Rate breakdown at explicit arm transmittances: the rate kernel.
+
+    mu and eta broadcast against each other; the breakdown's fields
+    have their common shape (floats when both are scalars). Raises
+    ParameterError naming the first mu outside (0, 0.5) or eta outside
+    [0, 1], and DegenerateChannelError if any point has zero gain.
+    """
+    mu, eta = np.asarray(mu), np.asarray(eta)
+    _require(mu, (mu > 0.0) & (mu < MAX_INTENSITY),
+             f"mu={{!r}} outside (0, {MAX_INTENSITY})")
+    _check_eta(eta)
+    _, *terms = _rate_terms(mu, eta, params)
+    return RateBreakdown(*(_float_or_array(v) for v in terms))
+
+
+def _rate_and_slope(mu, eta, params: SystemParams):
+    """R and dR/dmu at validated (mu, eta) arrays, in one pass.
+
+    R is rate_at_transmittance's rate bit for bit. With D = 2 p_d
+    e^(-mu*eta) the pieces are
+
+        dQ/dmu  = (1 - 2 p_d) eta e^(-mu*eta)
+        dE/dmu  = -(1/2 - e_d) (D/Q) (eta/Q)
+        dP_co/dE = 6 - 38 E,    h'(E) = log2((1 - E)/E)
+
+    (dE/dmu uses Q + (1 - 2 p_d) e^(-mu*eta) = 1). D/Q <= 1 and
+    eta/Q <= 2/mu, so neither factor overflows, and Q*Q, which
+    underflows to 0 on long links without dark counts, is never
+    formed. The slope is 0 wherever the rate is clamped to 0 or P_co
+    is saturated.
+    """
+    x, q, e, p_co, privacy, ec_term, rate = _rate_terms(mu, eta, params)
+    p_d, e_d = params.dark_count_rate, params.misalignment
+    keyed = rate > 0.0  # so P_co >= 1/2 and E < 1/2
+    decay = np.exp(-x)
+    dq = (1.0 - 2.0 * p_d) * eta * decay
+    de = -(0.5 - e_d) * (2.0 * p_d * decay / q) * (eta / q)
+    p = np.where(keyed, p_co, 1.0)
+    d_privacy = (2.0 * np.log2(p) - (1.0 - 2.0 * mu) * (6.0 - 38.0 * e)
+                 * de / (p * _LN2))
+    # h'(E) as a difference of logs: (1 - E)/E overflows for subnormal
+    # E. E = 0 only where D/Q = 0, and then dE/dmu = 0 as well.
+    y = np.where(e > 0.0, e, 0.5)
+    d_entropy = np.where(e > 0.0, np.log2(1.0 - y) - np.log2(y), 0.0)
+    slope = (dq * np.where(keyed, privacy - ec_term, 0.0)
+             + q * (d_privacy - params.ec_efficiency * d_entropy * de))
+    return rate, np.where(keyed, slope, 0.0)
 
 
 def key_rate(mu, distance: float, params: SystemParams) -> RateBreakdown:

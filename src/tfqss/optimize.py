@@ -1,20 +1,22 @@
 """Deterministic intensity optimization, distance scans and crossovers.
 
-The rate is maximized over mu with a coarse logarithmic grid followed
-by golden-section refinement inside the best grid cell. Both stages
-are derivative-free and deterministic (no stochastic search), so
-repeated runs give bit-identical optima; tests audit the result
-against dense brute-force grids.
+The rate is maximized over mu with a coarse logarithmic grid, then the
+root of the analytic slope dR/dmu between the best grid point's
+neighbors, found by Illinois regula falsi (keyrate._rate_and_slope
+gives R and dR/dmu in one pass). No stage is stochastic, so repeated
+runs give bit-identical optima; tests audit the result against dense
+brute-force grids and a 50-digit optimum.
 
 The optimizer works on lanes: a 1-D array of arm transmittances, one
 independent maximization each. The grid takes one (lanes x grid) call
 of the rate kernel keyrate.rate_at_transmittance per block of 16
-lanes, and the golden section then runs all lanes in lockstep, one
-kernel call per iteration, with np.where choosing each lane's branch. A lane does exactly the
-arithmetic of a one-lane run, so results match one-lane calls bit for
-bit. scan_distances puts every distance of one e_d into one call, and
-find_crossover its whole coarse walk, then five bisection levels (31
-midpoints) per call.
+lanes, and the root search then runs all lanes in lockstep, one slope
+call per step, with np.where choosing each lane's branch; a lane stops
+at a zero slope or once its bracket is a few ulps wide. A lane does
+exactly the arithmetic of a one-lane run, so results match one-lane
+calls bit for bit. scan_distances puts every distance of one e_d into
+one call, and find_crossover its whole coarse walk, then five
+bisection levels (31 midpoints) per call.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from dataclasses import replace
 import numpy as np
 
 # dps_qss_baseline is not called here; it stays bound as
-# tfqss.optimize.dps_qss_baseline, which bench/tracing.py wraps
+# tfqss.optimize.dps_qss_baseline, which bench/tracing.py wraps (the
+# benchmark's traced run fails without it)
 from .bounds import (  # noqa: F401
     dps_qss_baseline,
     plob_bound,
@@ -39,11 +42,12 @@ from .core import (
     RatePoint,
     SystemParams,
 )
-from .keyrate import rate_at_transmittance
+from .keyrate import _rate_and_slope, rate_at_transmittance
 
 MU_MIN = 1e-6
 MU_MAX = MAX_INTENSITY - 1e-6
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# a lane stops once its slope bracket is this many ulps wide
+_ULPS = 4
 # lanes per kernel call on the grid: bounds each (lanes x grid) temporary
 # to a few kB, which keeps the peak memory of long walks flat
 _GRID_BLOCK = 16
@@ -60,10 +64,12 @@ def maximize_rate_at_transmittance(
 ) -> tuple[float | np.ndarray, RateBreakdown]:
     """Best (mu, rate breakdown) at fixed arm transmittances.
 
-    Coarse logarithmic grid over (1e-6, 0.5 - 1e-6), then golden-section
-    refinement between the best grid point's neighbors. If every grid
-    point yields rate 0 the channel supports no key and (1e-6, zero-rate
-    breakdown) is returned.
+    Coarse logarithmic grid over (1e-6, 0.5 - 1e-6), then the root of
+    dR/dmu between the best grid point's neighbors, found by Illinois
+    regula falsi; refine_iters caps its steps. A lane whose slope has
+    no sign change there, or whose root rates below the grid, keeps the
+    best grid point. If every grid point yields rate 0 the channel
+    supports no key and (1e-6, zero-rate breakdown) is returned.
 
     eta is a scalar or an array of lanes, each maximized independently;
     for an array, mu and the breakdown's fields are arrays of its shape.
@@ -77,33 +83,57 @@ def maximize_rate_at_transmittance(
     ratio = (MU_MAX / MU_MIN) ** (1.0 / (grid_size - 1))
     grid = np.array([MU_MIN * ratio**i for i in range(grid_size - 1)]
                     + [MU_MAX])
+    # the grid validates eta (and raises where the gain is 0) for the
+    # slope calls below, which check nothing
     blocks = range(0, lanes.size, _GRID_BLOCK)
     rates = np.concatenate([rate_at_transmittance(
         grid, lanes[i:i + _GRID_BLOCK, None], params).rate for i in blocks])
     best = rates.argmax(axis=1)
     grid_best = rates.max(axis=1)
+    mu_best = grid[best]
+    keyed = grid_best > 0.0
+
+    def slope(mu):
+        rate, d_rate = _rate_and_slope(mu, lanes, params)
+        # Where the rate is clamped to 0 its slope is 0, yet the maximum
+        # lies toward the best grid point: take the secant to it
+        np.divide(grid_best, mu_best - mu, out=d_rate,
+                  where=keyed & (rate == 0.0))
+        return rate, d_rate
+
     lo = grid[np.maximum(best - 1, 0)]
     hi = grid[np.minimum(best + 1, grid_size - 1)]
-    # golden section, every lane in lockstep
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc = rate_at_transmittance(c, lanes, params).rate
-    fd = rate_at_transmittance(d, lanes, params).rate
-    first = fc >= fd
-    best_x, best_v = np.where(first, c, d), np.where(first, fc, fd)
+    _, ends = slope(np.stack([lo, hi]))
+    running = keyed & (ends[0] > 0.0) & (ends[1] < 0.0)
+    # lanes without a sign change keep (lo, hi) and slopes (1, -1), so
+    # their frozen arithmetic stays finite
+    g_lo = np.where(running, ends[0], 1.0)
+    g_hi = np.where(running, ends[1], -1.0)
+    mu_opt, mu_rate = mu_best, grid_best
+    moved_lo = moved_hi = np.zeros(lanes.size, dtype=bool)
     for _ in range(refine_iters):
-        left = fc >= fd  # the maximum lies in [lo, d]: probe a new c
-        hi = np.where(left, d, hi)
-        lo = np.where(left, lo, c)
-        x = np.where(left, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo))
-        fx = rate_at_transmittance(x, lanes, params).rate
-        c, d = np.where(left, x, d), np.where(left, c, x)
-        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-        gained = fx > best_v
-        best_x = np.where(gained, x, best_x)
-        best_v = np.where(gained, fx, best_v)
-    mu_opt = np.where(best_v >= grid_best, best_x, grid[best])
-    mu_opt = np.where(grid_best > 0.0, mu_opt, MU_MIN).reshape(shape)
+        if not running.any():
+            break
+        x = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
+        # at least one ulp inside the bracket, so every probe shrinks it
+        ulp = np.spacing(hi)
+        x = np.clip(x, lo + ulp, hi - ulp)
+        rate, g = slope(x)
+        # the answer is the last probe with key: where the rate jumps
+        # from 0 at the saturation edge, the root is that edge
+        keyed_x = running & (rate > 0.0)
+        mu_opt = np.where(keyed_x, x, mu_opt)
+        mu_rate = np.where(keyed_x, rate, mu_rate)
+        up = running & (g > 0.0)  # the root lies above x
+        down = running & (g < 0.0)
+        # Illinois: an end kept twice in a row has its slope halved
+        g_lo = np.where(up, g, np.where(down & moved_hi, 0.5 * g_lo, g_lo))
+        g_hi = np.where(down, g, np.where(up & moved_lo, 0.5 * g_hi, g_hi))
+        lo, hi = np.where(up, x, lo), np.where(down, x, hi)
+        moved_lo, moved_hi = up, down
+        running = (up | down) & (hi - lo > _ULPS * np.spacing(hi))
+    # rounding can leave the root a hair below a grid point's rate
+    mu_opt = np.where(mu_rate >= grid_best, mu_opt, mu_best).reshape(shape)
     breakdown = rate_at_transmittance(mu_opt, lanes.reshape(shape), params)
     return (float(mu_opt) if shape == () else mu_opt), breakdown
 

@@ -263,10 +263,13 @@ def test_invalid_parameter_value_exits_1(capsys):
     (["scan", "--l_max", "inf"], "l_max"),  # was an OverflowError traceback
     (["scan", "--l_min", "nan"], "l_min"),
     (["scan", "--l_max", "nan"], "l_max"),
-    (["scan", "--l_step", "nan"], "step"),
+    (["scan", "--l_step", "nan"], "l_step"),
     (["scan", "--alpha", "inf"], "attenuation"),
     (["attack", "--distance", "nan"], "distance"),
     (["simulate", "--distance", "nan"], "distance"),
+    (["scan", "--l_step", "inf"], "l_step"),
+    (["scan", "--l_step", "0"], "l_step"),
+    (["scan", "--l_step", "-5"], "l_step"),
 ])
 def test_non_finite_values_exit_1_naming_the_key(argv, key, capsys):
     code, out, err = _run(argv, capsys)

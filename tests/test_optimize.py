@@ -3,13 +3,17 @@
 import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+import tfqss.optimize
 from tfqss.bounds import dps_qss_baseline, plob_bound, repeaterless_bound
+from tfqss.channel import transmittance
 from tfqss.core import ParameterError, SystemParams
 from tfqss.keyrate import (
     DegenerateChannelError,
+    _rate_and_slope,
     key_rate,
     rate_at_transmittance,
 )
@@ -289,3 +293,180 @@ def test_find_crossover_leaves_lanes_without_clicks_for_last():
     with pytest.raises(DegenerateChannelError):
         find_crossover(SystemParams(attenuation=10.0, dark_count_rate=0.0,
                                     misalignment=0.3))
+
+
+def _mp_rate(mu, eta, params):
+    """The rate's closed form in mpmath (no clamp: callers keep R > 0)."""
+    p_d = mpmath.mpf(params.dark_count_rate)
+    e_d = mpmath.mpf(params.misalignment)
+    decay = mpmath.exp(-mu * eta)
+    q = 1 - (1 - 2 * p_d) * decay
+    e = (e_d * q + (mpmath.mpf(1) / 2 - e_d) * 2 * p_d * decay) / q
+    p_co = 1 - e**2 - (1 - 6 * e) ** 2 / 2
+    h = 0 if e == 0 else -e * mpmath.log(e, 2) - (1 - e) * mpmath.log(1 - e, 2)
+    return q * (-(1 - 2 * mu) * mpmath.log(p_co, 2)
+                - params.ec_efficiency * h)
+
+
+def _mp_slope(mu, eta, params):
+    """dR/dmu by 50-digit numerical differentiation."""
+    with mpmath.workdps(50):
+        return mpmath.diff(lambda m: _mp_rate(m, eta, params), mpmath.mpf(mu))
+
+
+def _mp_optimum(distance, params, start):
+    """Root of the 50-digit slope found from start, apart from the
+    optimizer's own slope."""
+    eta = transmittance(distance, params)
+    with mpmath.workdps(50):
+        return mpmath.findroot(lambda m: _mp_slope(m, eta, params),
+                               mpmath.mpf(start))
+
+
+@pytest.mark.parametrize("p_d", [0.0, 1e-8, 1e-4])
+# a subnormal e_d makes E subnormal, where (1 - E)/E overflows
+@pytest.mark.parametrize("e_d", [0.0, 2.2e-311, 0.02, 0.052])
+def test_slope_matches_a_50_digit_derivative(e_d, p_d):
+    params = SystemParams(dark_count_rate=p_d, misalignment=e_d)
+    for distance in (0.0, 100.0, 300.0, 500.0):
+        mu_opt, bd = optimize_mu(distance, params)
+        if bd.rate == 0.0:
+            continue
+        eta = transmittance(distance, params)
+        # away from the optimum, where the slope itself is not ~0
+        mu = np.array([0.01, 0.3, 0.7, 1.4]) * mu_opt
+        rate, slope = _rate_and_slope(mu, np.asarray(eta), params)
+        assert (rate == rate_at_transmittance(mu, eta, params).rate).all()
+        for m, g in zip(mu, slope):
+            with mpmath.workdps(50):
+                if _mp_rate(mpmath.mpf(m), eta, params) <= 0:
+                    continue
+            expected = _mp_slope(m, eta, params)
+            assert abs(g - expected) <= 1e-9 * abs(expected), (distance, m)
+
+
+def test_slope_is_zero_where_the_rate_is():
+    # beyond the cutoff (rate clamped to 0) and at E > 6/19 (P_co
+    # saturated) the rate is flat at 0
+    params = SystemParams(misalignment=0.052)
+    mu = np.array([0.05, 0.2])
+    for eta in (transmittance(1000.0, params), 0.0):
+        rate, slope = _rate_and_slope(mu, np.asarray(eta), params)
+        assert (rate == 0.0).all() and (slope == 0.0).all()
+
+
+def test_slope_without_dark_counts_on_long_links():
+    # Q = 1e-171: Q*Q underflows to 0, and D = 0, so a slope computed
+    # with D / (Q*Q) is 0/0 (a RuntimeWarning, an error in this suite)
+    params = SystemParams(dark_count_rate=0.0)
+    mu, eta = np.array([0.05, 0.25]), np.asarray(1e-170)
+    _, slope = _rate_and_slope(mu, eta, params)
+    # without dark counts E = e_d, so only Q and the (1 - 2 mu) factor
+    # depend on mu
+    e = params.misalignment
+    log_p_co = math.log2(1.0 - e * e - (1.0 - 6.0 * e) ** 2 / 2.0)
+    h = -e * math.log2(e) - (1.0 - e) * math.log2(1.0 - e)
+    for m, g in zip(mu, slope):
+        q = -math.expm1(-m * 1e-170)
+        expected = (1e-170 * math.exp(-m * 1e-170)
+                    * (-(1.0 - 2.0 * m) * log_p_co - params.ec_efficiency * h)
+                    + q * 2.0 * log_p_co)
+        assert g == pytest.approx(expected, rel=1e-12)
+    # the same links through the optimizer: 10 dB/km, 600 km
+    mu_opt, bd = optimize_mu(600.0, SystemParams(attenuation=10.0,
+                                                 dark_count_rate=0.0))
+    assert bd.rate > 0.0 and MU_MIN < mu_opt < MU_MAX
+
+
+@pytest.mark.parametrize("e_d", [0.0, 0.02, 0.04, 0.052])
+def test_mu_opt_is_the_50_digit_optimum(e_d):
+    params = SystemParams(misalignment=e_d)
+    for distance in range(0, 601, 100):
+        mu_opt, bd = optimize_mu(float(distance), params)
+        if bd.rate == 0.0:  # no key, no interior optimum
+            continue
+        assert MU_MIN < mu_opt < MU_MAX
+        expected = _mp_optimum(float(distance), params, mu_opt)
+        assert abs(mu_opt - expected) <= 1e-12 * expected, distance
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """List that grows by one per rate or slope kernel call of the
+    optimizer."""
+    calls = []
+    for name in ("rate_at_transmittance", "_rate_and_slope"):
+        kernel = getattr(tfqss.optimize, name)
+
+        def counted(*args, kernel=kernel):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(tfqss.optimize, name, counted)
+    return calls
+
+
+def test_zero_rate_bracket_end_keeps_the_optimum(kernel_calls):
+    # at e_d = 0.04 and 570 km the rate is 0 at the grid bracket's upper
+    # end; its slope there must point back into the bracket with the
+    # size of the secant to the best grid point (a unit slope drags the
+    # search out: 31 kernel calls instead of 11)
+    params = SystemParams(misalignment=0.04)
+    eta = transmittance(570.0, params)
+    ratio = (MU_MAX / MU_MIN) ** (1.0 / 63)
+    grid = np.array([MU_MIN * ratio**i for i in range(63)] + [MU_MAX])
+    rates = rate_at_transmittance(grid, eta, params).rate
+    best = int(rates.argmax())
+    assert rates[best + 1] == 0.0 < rates[best - 1]
+    kernel_calls.clear()
+    mu_opt, bd = optimize_mu(570.0, params)
+    assert len(kernel_calls) <= 13
+    expected = _mp_optimum(570.0, params, mu_opt)
+    assert abs(mu_opt - expected) <= 1e-12 * expected
+    with mpmath.workdps(50):
+        best_rate = _mp_rate(expected, eta, params)
+    assert bd.rate == pytest.approx(float(best_rate), rel=1e-12)
+    assert bd.rate > 1.01 * rates[best]
+
+
+def test_root_next_to_a_grid_point_keeps_the_grid_rate():
+    # Near e_d = 0.0130751275592 at 300 km the slope root lies within
+    # rounding of the grid point mu = 0.2173...: the rate is flat to an
+    # ulp there, and the root's rate can round below the grid point's.
+    # The optimizer then keeps the grid point.
+    ratio = (MU_MAX / MU_MIN) ** (1.0 / 63)
+    grid = np.array([MU_MIN * ratio**i for i in range(63)] + [MU_MAX])
+    e_0 = 0.013075127559210946
+    for k in range(-32, 32):
+        params = SystemParams(dark_count_rate=1e-6,
+                              misalignment=e_0 + k * math.ulp(e_0))
+        _, bd = optimize_mu(300.0, params)
+        assert bd.rate >= key_rate(grid, 300.0, params).rate.max(), k
+
+
+@pytest.mark.parametrize("distance", [140.0, 400.0])
+def test_optimum_on_the_saturation_edge(distance):
+    # with f = 1 and e_d = 0.08 the rate jumps from 0 to its maximum
+    # where P_co reaches 1/2 and falls beyond: the slope has no root and
+    # the search closes in on the edge from both sides
+    params = SystemParams(misalignment=0.08, dark_count_rate=1e-6,
+                          ec_efficiency=1.0)
+    mu_opt, bd = optimize_mu(distance, params)
+    assert bd.collision == pytest.approx(0.5, abs=1e-12)
+    audit = np.linspace(0.5 * mu_opt, 2.0 * mu_opt, 20_001)
+    eta = transmittance(distance, params)
+    assert bd.rate >= rate_at_transmittance(audit, eta, params).rate.max()
+
+
+def test_optimize_mu_makes_few_kernel_calls(kernel_calls):
+    # grid, bracket ends, regula falsi steps and the final breakdown; an
+    # Illinois step that halves the slope of the end it just replaced,
+    # not of the end kept twice in a row, needs up to 49 calls
+    counts = []
+    for e_d in (0.0, 0.02, 0.04, 0.052):
+        for distance in range(0, 701, 10):
+            kernel_calls.clear()
+            optimize_mu(float(distance), SystemParams(misalignment=e_d))
+            counts.append(len(kernel_calls))
+    assert max(counts) <= 26
+    assert sum(counts) / len(counts) <= 11.0
