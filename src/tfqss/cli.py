@@ -31,22 +31,24 @@ class ConfigError(ValueError):
 
 
 # key -> (coercion kind, default); insertion order is the canonical
-# serialization order for format_config.
+# serialization order for format_config. The channel and run defaults
+# are those of SystemParams and ProtocolConfig.
+_SYSTEM, _RUN = SystemParams(), ProtocolConfig()
 _SCHEMA: dict[str, tuple[str, object]] = {
-    "eta_d": ("float", 0.56),
-    "p_d": ("float", 1e-8),
-    "alpha": ("float", 0.167),
-    "f": ("float", 1.16),
+    "eta_d": ("float", _SYSTEM.detector_efficiency),
+    "p_d": ("float", _SYSTEM.dark_count_rate),
+    "alpha": ("float", _SYSTEM.attenuation),
+    "f": ("float", _SYSTEM.ec_efficiency),
     "e_d_list": ("float_list", [0.02, 0.04, 0.052]),
-    "mu": ("float", 0.05),
+    "mu": ("float", _RUN.intensity),
     "mu_list": ("float_list", [0.05, 0.1, 0.2]),
-    "n_pairs": ("int", 10**6),
-    "distance": ("float", 100.0),
+    "n_pairs": ("int", _RUN.n_pairs),
+    "distance": ("float", _RUN.distance),
     "l_min": ("float", 0.0),
     "l_max": ("float", 700.0),
     "l_step": ("float", 10.0),
-    "seed": ("int", 1),
-    "test_fraction": ("float", 0.1),
+    "seed": ("int", _RUN.rng_seed),
+    "test_fraction": ("float", _RUN.test_fraction),
     "qber_abort_threshold": ("float", 0.11),
     "grid_size": ("int", 64),
     "refine_iters": ("int", 60),
@@ -123,31 +125,6 @@ def format_config(settings: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="tfqss",
-        description="Twin-field differential-phase-shift QSS tools")
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "scan": "optimized rate vs distance CSV with reference bounds",
-        "simulate": "one seeded Monte Carlo run with analytic comparison",
-        "attack": "leakage table across intensities at a fixed distance",
-    }
-    for name, help_text in commands.items():
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", metavar="PATH",
-                         help="flat key=value settings file")
-        for key in _SCHEMA:
-            cmd.add_argument(f"--{key}", dest=key, default=None,
-                             metavar="VALUE", help=argparse.SUPPRESS)
-    return parser
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # exit 1, not argparse's 2
-        raise ConfigError(message)
-
-
 def _merge_settings(args: argparse.Namespace) -> dict:
     settings = default_settings()
     if args.config:
@@ -173,12 +150,18 @@ def _sci(value: float) -> str:
     return f"{value:.9e}"
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(lines: list[str], output: str | None) -> None:
+    text = "\n".join(lines) + "\n"
     if output:
         with open(output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_csv(header: str, rows, output: str | None) -> None:
+    _emit([header] + [",".join(_sci(v) for v in row) for row in rows],
+          output)
 
 
 def cmd_scan(settings: dict) -> int:
@@ -187,23 +170,21 @@ def cmd_scan(settings: dict) -> int:
     step = settings["l_step"]
     if not 0.0 < step < math.inf:
         raise ParameterError(f"l_step={step!r} must be > 0 and finite")
+    span = settings["l_max"] - settings["l_min"]
+    if math.isfinite(span) and span / step == math.inf:
+        raise ParameterError(f"l_step={step!r} is too small: "
+                             "(l_max - l_min) / l_step overflows")
     result = scan_distances(
         settings["l_min"], settings["l_max"], step,
         params, settings["e_d_list"],
         grid_size=settings["grid_size"],
         refine_iters=settings["refine_iters"],
         threads=settings["threads"])
-    rows = [
-        (e_d, point)
-        for e_d in sorted(result)
-        for point in result[e_d]
-    ]
-    lines = [CSV_HEADER]
-    for e_d, pt in rows:
-        lines.append(",".join(_sci(v) for v in (
-            pt.distance, e_d, pt.mu_opt, pt.gain, pt.qber, pt.rate,
-            pt.plob, pt.repeaterless, pt.dps_baseline)))
-    _emit("\n".join(lines) + "\n", settings["output"])
+    _emit_csv(CSV_HEADER, (
+        (pt.distance, e_d, pt.mu_opt, pt.gain, pt.qber, pt.rate,
+         pt.plob, pt.repeaterless, pt.dps_baseline)
+        for e_d in sorted(result) for pt in result[e_d]),
+        settings["output"])
     return 0
 
 
@@ -247,35 +228,52 @@ def cmd_simulate(settings: dict) -> int:
         f"sifted_remaining={len(report.sifted)}",
         f"abort={'true' if report.abort else 'false'}",
     ]
-    _emit("\n".join(lines) + "\n", settings["output"])
+    _emit(lines, settings["output"])
     return 2 if report.abort else 0
 
 
 def cmd_attack(settings: dict) -> int:
     """Leakage table across the configured intensities at one distance."""
     params = _system_params(settings)
-    lines = [ATTACK_HEADER]
+    rows = []
     for mu in settings["mu_list"]:
         rep = leakage_report(mu, settings["distance"], params)
-        lines.append(",".join(_sci(v) for v in (
-            mu, rep.beta, rep.internal_split_leakage,
-            rep.internal_general_leakage, rep.external_leakage)))
-    _emit("\n".join(lines) + "\n", settings["output"])
+        rows.append((mu, rep.beta, rep.internal_split_leakage,
+                     rep.internal_general_leakage, rep.external_leakage))
+    _emit_csv(ATTACK_HEADER, rows, settings["output"])
     return 0
 
 
+_COMMANDS = {"scan": cmd_scan, "simulate": cmd_simulate,
+             "attack": cmd_attack}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # exit 1, not argparse's 2
+        raise ConfigError(message)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="tfqss",
+        description="Twin-field differential-phase-shift QSS tools",
+        epilog="commands:\n" + "".join(
+            f"  {name:<10}{handler.__doc__}\n"
+            for name, handler in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", metavar="PATH",
+                        help="flat key=value settings file")
+    for key in _SCHEMA:
+        parser.add_argument(f"--{key}", help=argparse.SUPPRESS)
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        settings = _merge_settings(args)
-        handler = {"scan": cmd_scan, "simulate": cmd_simulate,
-                   "attack": cmd_attack}[args.command]
-        return handler(settings)
-    except (ConfigError, ParameterError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command](_merge_settings(args))
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -178,11 +178,15 @@ def scan_distances(
         raise ParameterError("need 0 <= l_min <= l_max")
     if step <= 0.0:
         raise ParameterError(f"step={step!r} must be > 0")
+    span = (l_max - l_min) / step
+    if span == math.inf:
+        raise ParameterError(
+            f"step={step!r} is too small: (l_max - l_min) / step overflows")
     if not e_d_list:
         raise ParameterError("at least one e_d required")
     if threads < 1:
         raise ParameterError(f"threads={threads!r} must be >= 1")
-    n_pts = int((l_max - l_min) / step + 1e-9) + 1
+    n_pts = int(span + 1e-9) + 1
     distances = [l_min + i * step for i in range(n_pts)]
     result: dict[float, list[RatePoint]] = {e_d: [] for e_d in e_d_list}
     for e_d in e_d_list:
@@ -244,6 +248,9 @@ def find_crossover(
     for name, value in (("coarse_step", coarse_step), ("tol", tol)):
         if not value > 0.0:
             raise ParameterError(f"{name}={value!r} must be > 0")
+    if l_max / coarse_step == math.inf:
+        raise ParameterError(f"coarse_step={coarse_step!r} is too small: "
+                             "l_max / coarse_step overflows")
 
     def excess(distances: list[float]) -> np.ndarray:
         etas = [transmittance(distance, params) for distance in distances]

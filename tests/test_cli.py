@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tfqss import cli
-from tfqss.core import SystemParams
+from tfqss.core import ProtocolConfig, SystemParams
 from tfqss.optimize import scan_distances
 
 SCI_WIDTH = len("1.000000000e-01")
@@ -30,6 +30,15 @@ def test_defaults_cover_every_key():
     assert settings["eta_d"] == 0.56
     assert settings["e_d_list"] == [0.02, 0.04, 0.052]
     assert settings["threads"] >= 1
+    system, run = SystemParams(), ProtocolConfig()
+    assert (settings["eta_d"], settings["p_d"], settings["alpha"],
+            settings["f"]) == (
+        system.detector_efficiency, system.dark_count_rate,
+        system.attenuation, system.ec_efficiency)
+    assert (settings["mu"], settings["n_pairs"], settings["distance"],
+            settings["seed"], settings["test_fraction"]) == (
+        run.intensity, run.n_pairs, run.distance, run.rng_seed,
+        run.test_fraction)
 
 
 def test_config_text_round_trip_is_exact():
@@ -270,6 +279,9 @@ def test_invalid_parameter_value_exits_1(capsys):
     (["scan", "--l_step", "inf"], "l_step"),
     (["scan", "--l_step", "0"], "l_step"),
     (["scan", "--l_step", "-5"], "l_step"),
+    # the grid's point count overflowed: an OverflowError traceback
+    (["scan", "--l_step", "5e-324"], "l_step"),
+    (["scan", "--l_max", "1e300", "--l_step", "1e-10"], "l_step"),
 ])
 def test_non_finite_values_exit_1_naming_the_key(argv, key, capsys):
     code, out, err = _run(argv, capsys)
@@ -282,3 +294,19 @@ def test_missing_subcommand_exits_1(capsys):
     code, _, err = _run([], capsys)
     assert code == 1
     assert "error:" in err
+
+
+def test_unknown_command_exits_1(capsys):
+    code, out, err = _run(["bogus"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["-h"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    for command in ("scan", "simulate", "attack"):
+        assert command in out

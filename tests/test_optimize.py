@@ -157,6 +157,14 @@ def test_scan_rejects_non_finite_grid_bounds(name, bad):
                        DEFAULTS, [0.02])
 
 
+def test_scan_rejects_a_step_whose_grid_size_overflows():
+    with pytest.raises(ParameterError, match="^step="):
+        scan_distances(0.0, 700.0, 5e-324, DEFAULTS, [0.02])
+    # a one-point grid has a finite size at any step
+    (point,) = scan_distances(0.0, 0.0, 5e-324, DEFAULTS, [0.02])[0.02]
+    assert point.distance == 0.0
+
+
 def test_find_crossover_exists_at_low_misalignment():
     crossing = find_crossover(DEFAULTS)
     assert crossing is not None
@@ -189,6 +197,7 @@ def test_find_crossover_is_deterministic():
     (dict(coarse_step=math.nan), "coarse_step"),
     (dict(l_max=-1.0), "l_max"),
     (dict(l_max=math.inf), "l_max"),
+    (dict(coarse_step=5e-324), "coarse_step"),  # walk length overflowed
 ])
 def test_find_crossover_validates_arguments(kwargs, name):
     with pytest.raises(ParameterError, match=f"^{name}="):
