@@ -27,11 +27,22 @@ and the phase bit only decides which of D1 and D2 is the matching one.
 The exact P_click differs from the linearized analytic gain
 1 - (1-2 p_d) e^(-mu*eta) by p_d^2 e^(-mu*eta), i.e. below 1e-12 for
 p_d <= 1e-6.
+
+Because P_click does not depend on the phase bit, sample_clicks draws
+only the slots that click: geometric gaps between clicks, then a
+category per click. Per batch it consumes the generator in this order:
+the gap uniforms, one category uniform per click, one coin bit per
+double click. It reads a slot's phase bit only at the clicks, through
+a lookup the caller passes in, so the phase bits never move a click and
+a seed reproduces the same clicks bit for bit. It returns per-click
+positions, outcomes and announced bits; detect_slots scatters them
+into dense arrays.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,42 +106,31 @@ def _check_detection_args(mu: float, eta: float) -> None:
         raise ParameterError(f"eta={eta!r} outside [0, 1]")
 
 
-def detect_slots(
-    phase_bits: np.ndarray,
+def sample_clicks(
+    n: int,
+    phase_at: Callable[[np.ndarray], np.ndarray],
     mu: float,
     eta: float,
     params: SystemParams,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw detection outcomes for a batch of slots.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw the clicks among n slots; the sampler behind detect_slots.
 
-    phase_bits[i] in {0, 1} encodes the ideal phase difference (0 or pi)
-    of slot i. Returns (outcomes, resolved) uint8 arrays: outcomes hold
-    Outcome values, resolved holds the announced bit (0 for D1, 1 for
-    D2, a fair coin for DOUBLE) and 0 where nothing clicked.
-
-    Only the slots that click are drawn (module docstring). Click
-    positions are i.i.d. Bernoulli(P_click), so the gaps between them
-    are geometric. Per batch the generator is consumed in a fixed order:
-    up to _CHUNK geometric gaps, one category uniform per click that
-    lands inside the array, then one coin bit per double click. The
-    phase bits only map each category to D1 or D2, so they never move a
-    click. The same seed therefore reproduces the same outcome stream
-    bit for bit, and the click positions do not depend on phase_bits.
+    phase_at maps an ascending int64 array of slot positions in [0, n)
+    to their uint8 phase bits; it is called only with positions that
+    click. Returns the ascending int64 positions of the clicks, their
+    Outcome values and their announced bits (0 for D1, 1 for D2, a fair
+    coin for DOUBLE). A gap between clicks is
+    floor(log1p(-u) / log1p(-P_click)) + 1 for a uniform u; each batch
+    draws about as many gaps as clicks are expected in the slots left,
+    at most _CHUNK. The stream order is in the module docstring. When
+    P_click is 0 the generator is not touched.
     """
     _check_detection_args(mu, eta)
-    bits = np.asarray(phase_bits, dtype=np.uint8)
-    if bits.ndim != 1:
-        raise ParameterError("phase_bits must be one-dimensional")
-    if bits.size and bits.max() > 1:
-        raise ParameterError("phase_bits must contain only 0/1 values")
-
-    n = bits.size
-    outcomes = np.zeros(n, dtype=np.uint8)
-    resolved = np.zeros(n, dtype=np.uint8)
     p_click = click_probability(mu, eta, params)
-    if p_click == 0.0:
-        return outcomes, resolved
+    if n < 1 or p_click == 0.0:
+        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8),
+                np.empty(0, dtype=np.uint8))
 
     e_d = params.misalignment
     dark_silent = math.log1p(-params.dark_count_rate)
@@ -143,27 +143,66 @@ def detect_slots(
     # does, otherwise both fire
     match_only = p_match * q_wrong / p_click
     single = (p_match * q_wrong + q_match * p_wrong) / p_click
+    log_stay = math.log1p(-p_click)  # < 0; subnormal if p_click is
 
+    parts = []
     last = -1  # position of the last click drawn so far
     while last < n - 1:
-        gaps = rng.geometric(p_click, min(_CHUNK, n - 1 - last))
-        # any gap reaching past the end only ends the loop; clipping it
-        # there keeps the running sum clear of int64 overflow when
-        # p_click is tiny
-        np.minimum(gaps, n - last, out=gaps)
-        pos = last + np.cumsum(gaps)
+        left = n - 1 - last
+        mean = left * p_click  # clicks expected in the slots left
+        gaps = rng.random(
+            min(_CHUNK, left, int(mean + 4.0 * math.sqrt(mean)) + 1))
+        np.log1p(-gaps, out=gaps)
+        # a gap reaching past the end only ends the loop; clipping it
+        # there, in float before the cast, keeps the quotient finite
+        # for a subnormal P_click and the running sum far from overflow
+        np.maximum(gaps, (left + 1) * log_stay, out=gaps)
+        gaps /= log_stay
+        pos = gaps.astype(np.int64)
+        pos += 1
+        np.cumsum(pos, out=pos)
+        pos += last
         last = int(pos[-1])
         pos = pos[:np.searchsorted(pos, n)]
 
         u = rng.random(pos.size)
-        port = bits[pos] ^ (u >= match_only)  # 0 for D1, 1 for D2
+        port = phase_at(pos) ^ (u >= match_only)  # 0 for D1, 1 for D2
         double = u >= single
         out = port + 1
         out[double] = Outcome.DOUBLE
         port[double] = rng.integers(0, 2, np.count_nonzero(double),
                                     dtype=np.uint8)
-        outcomes[pos] = out
-        resolved[pos] = port
+        parts.append((pos, out, port))
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def detect_slots(
+    phase_bits: np.ndarray,
+    mu: float,
+    eta: float,
+    params: SystemParams,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw detection outcomes for a batch of slots.
+
+    phase_bits[i] in {0, 1} encodes the ideal phase difference (0 or pi)
+    of slot i. Returns (outcomes, resolved) uint8 arrays: outcomes hold
+    Outcome values, resolved holds the announced bit (0 for D1, 1 for
+    D2, a fair coin for DOUBLE) and 0 where nothing clicked. This is the
+    dense view of sample_clicks, which draws the clicks and consumes the
+    generator; the click positions do not depend on phase_bits.
+    """
+    bits = np.asarray(phase_bits, dtype=np.uint8)
+    if bits.ndim != 1:
+        raise ParameterError("phase_bits must be one-dimensional")
+    if bits.size and bits.max() > 1:
+        raise ParameterError("phase_bits must contain only 0/1 values")
+    pos, clicked, announced = sample_clicks(
+        bits.size, bits.take, mu, eta, params, rng)
+    outcomes = np.zeros(bits.size, dtype=np.uint8)
+    resolved = np.zeros(bits.size, dtype=np.uint8)
+    outcomes[pos] = clicked
+    resolved[pos] = announced
     return outcomes, resolved
 
 

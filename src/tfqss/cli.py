@@ -58,7 +58,9 @@ _SCHEMA: dict[str, tuple[str, object]] = {
 
 
 def default_settings() -> dict:
-    return {key: default for key, (_, default) in _SCHEMA.items()}
+    """A fresh settings dict; its lists are copies, safe to edit."""
+    return {key: list(default) if isinstance(default, list) else default
+            for key, (_, default) in _SCHEMA.items()}
 
 
 def _coerce(key: str, raw: str):

@@ -20,6 +20,15 @@ Sifting keeps clicked slots, flips the dealer's bit on odd slots (which
 cancels that pi shift), and reads the sender bits by the same rule, so
 that c = a XOR b holds exactly on every retained slot of a noiseless
 run, for both slot parities.
+
+The run is click-indexed: apart from the two N-bit trains nothing is
+stored per slot. run_measurement draws the click positions first
+(channel.sample_clicks) and applies the rule above only there;
+DetectionRecords keeps the slot range plus one entry index, outcome and
+announced bit per click, and sift gathers the sender bits at the
+clicks. One seeded generator is consumed in this order: Alice's packed
+phase bytes, Bob's, then per sampler batch the gap uniforms, category
+uniforms and coins, then the QBER test sample.
 """
 
 from __future__ import annotations
@@ -29,7 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelState, detect_slots
+# detect_slots is not called here; it stays importable as
+# tfqss.mcsim.detect_slots, which bench/tracing.py wraps (the
+# benchmark's traced run fails without it)
+from .channel import ChannelState, detect_slots, sample_clicks  # noqa: F401
 from .core import (
     DetectionRecord,
     Outcome,
@@ -46,34 +58,70 @@ from .core import (
 def prepare_train(
     owner: Owner, n: int, mu: float, rng: np.random.Generator
 ) -> PulseTrain:
-    """Draw n fair phase bits for one sender at intensity mu."""
+    """Draw n fair phase bits for one sender at intensity mu.
+
+    The bits are the first n bits of ceil(n/8) random bytes, unpacked
+    most significant bit first.
+    """
     if n < 1:
         raise ParameterError(f"n={n!r} must be >= 1")
-    bits = rng.integers(0, 2, n, dtype=np.uint8)
-    return PulseTrain(owner=owner, bits=bits, intensity=mu)
+    packed = np.frombuffer(rng.bytes(-(-n // 8)), dtype=np.uint8)
+    return PulseTrain(owner=owner, bits=np.unpackbits(packed, count=n),
+                      intensity=mu)
 
 
 @dataclass(frozen=True, eq=False)
 class DetectionRecords:
-    """Array-backed sequence of DetectionRecord, one per interior slot.
+    """Sequence of DetectionRecord, one per slot, stored per click.
 
     slots is a range (the slot of entry i is implied by its index), so
-    slicing with any step stays a range and stores nothing per slot.
+    slicing with any step stays a range. clicks holds the ascending
+    entry indices of the slots that clicked, with their Outcome values
+    in click_outcomes and announced bits in click_resolved; every other
+    entry is a no-click. The dense outcomes/resolved arrays are built
+    on access.
     """
 
-    slots: range          # combined-slot indices
-    outcomes: np.ndarray  # uint8 Outcome values
-    resolved: np.ndarray  # uint8 announced bits; 0 placeholder at no-clicks
+    slots: range                # combined-slot indices
+    clicks: np.ndarray          # int64 entry indices of the clicks
+    click_outcomes: np.ndarray  # uint8 Outcome values
+    click_resolved: np.ndarray  # uint8 announced bits
 
     def __len__(self) -> int:
-        return len(self.outcomes)
+        return len(self.slots)
+
+    def _dense(self, values: np.ndarray) -> np.ndarray:
+        dense = np.zeros(len(self), dtype=np.uint8)
+        dense[self.clicks] = values
+        return dense
+
+    @property
+    def outcomes(self) -> np.ndarray:
+        """uint8 Outcome value of every entry."""
+        return self._dense(self.click_outcomes)
+
+    @property
+    def resolved(self) -> np.ndarray:
+        """Announced bit of every entry; 0 placeholder at no-clicks."""
+        return self._dense(self.click_resolved)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
+            start, stop, step = i.indices(len(self))
+            k, off = np.divmod(self.clicks - start, step)
+            keep = (off == 0) & (k >= 0) & (k < len(range(start, stop, step)))
+            order = slice(None, None, 1 if step > 0 else -1)
             return DetectionRecords(
-                self.slots[i], self.outcomes[i], self.resolved[i])
-        outcome = Outcome(int(self.outcomes[i]))
-        bit = None if outcome is Outcome.NO_CLICK else int(self.resolved[i])
+                self.slots[i], k[keep][order],
+                self.click_outcomes[keep][order],
+                self.click_resolved[keep][order])
+        i = range(len(self))[i]
+        at = int(np.searchsorted(self.clicks, i))
+        if at < self.clicks.size and self.clicks[at] == i:
+            outcome = Outcome(int(self.click_outcomes[at]))
+            bit = int(self.click_resolved[at])
+        else:
+            outcome, bit = Outcome.NO_CLICK, None
         return DetectionRecord(
             slot=self.slots[i], outcome=outcome, resolved_bit=bit)
 
@@ -91,9 +139,9 @@ def run_measurement(
     """Interfere the two trains and record every interior slot.
 
     Slot outcomes follow the channel's threshold-detector model applied
-    to each slot's ideal phase difference, built by the module
-    docstring's rule (vectorized form of channel.detect_slot). N = 1
-    yields no interior slots.
+    to each slot's ideal phase difference. The clicks are drawn first
+    (channel.sample_clicks), and the module docstring's rule gives the
+    phase bits at the clicks only. N = 1 yields no interior slots.
     """
     if a.owner is not Owner.ALICE or b.owner is not Owner.BOB:
         raise ParameterError("expected trains in (alice, bob) order")
@@ -102,14 +150,17 @@ def run_measurement(
             f"train lengths differ: {len(a)} != {len(b)}")
     if a.intensity != b.intensity:
         raise ParameterError("senders must use the same intensity")
+
+    def phase_at(entries: np.ndarray) -> np.ndarray:
+        # entry e is slot j = e + 2: a[(j-1)>>1] = a[(e+1)>>1],
+        # b[(j>>1)-1] = b[e>>1], and j is odd where e is
+        odd = entries.astype(np.uint8) & 1
+        return a.bits[(entries + 1) >> 1] ^ b.bits[entries >> 1] ^ odd
+
     n = len(a)
-    ideal = np.empty(2 * n - 2, dtype=np.uint8)
-    np.bitwise_xor(a.bits[:-1], b.bits[:-1], out=ideal[0::2])  # j = 2k
-    np.bitwise_xor(a.bits[1:], b.bits[:-1], out=ideal[1::2])   # j = 2k-1
-    ideal[1::2] ^= 1  # pi shift on Alice's delayed pulses (odd slots)
-    outcomes, resolved = detect_slots(
-        ideal, a.intensity, state.eta, state.params, rng)
-    return DetectionRecords(range(2, 2 * n), outcomes, resolved)
+    clicks, outcomes, resolved = sample_clicks(
+        2 * n - 2, phase_at, a.intensity, state.eta, state.params, rng)
+    return DetectionRecords(range(2, 2 * n), clicks, outcomes, resolved)
 
 
 def sift(
@@ -128,13 +179,12 @@ def sift(
     interior = range(2, 2 * n)
     if slots and (slots[0] not in interior or slots[-1] not in interior):
         raise ParameterError("record slots outside interior range")
-    clicked = np.flatnonzero(np.asarray(records.outcomes) != Outcome.NO_CLICK)
-    kept_slots = slots.start + slots.step * clicked
+    kept_slots = slots.start + slots.step * records.clicks
     return SiftedKeys(
         slots=kept_slots,
         a_bits=a.bits[(kept_slots - 1) >> 1],
         b_bits=b.bits[(kept_slots >> 1) - 1],
-        c_bits=np.asarray(records.resolved)[clicked] ^ (kept_slots & 1),
+        c_bits=records.click_resolved ^ kept_slots.astype(np.uint8) & 1,
     )
 
 

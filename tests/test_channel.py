@@ -6,6 +6,7 @@ results against them at 1e-12 relative tolerance.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from tfqss.channel import (
     click_probability,
     detect_slot,
     detect_slots,
+    sample_clicks,
     transmittance,
 )
 from tfqss.core import Outcome, ParameterError, SystemParams
@@ -323,3 +325,56 @@ def test_click_positions_do_not_depend_on_phase_bits():
     assert np.array_equal(flip_res[double], res[double])
     single = clicked & ~double
     assert np.array_equal(flip_res[single], 1 - res[single])
+
+
+@pytest.mark.parametrize("mu_eta", [1e-300, 1e-322])
+def test_sampler_without_dark_counts_on_a_vanishing_click_probability(
+        mu_eta):
+    # P_click = mu*eta, down to a subnormal: the gap quotient is clipped
+    # before the int cast, so nothing overflows, and the clipped gap
+    # ends past the last slot whatever the rounding, so no click lands
+    params = SystemParams(dark_count_rate=0.0)
+    assert 0.0 < click_probability(0.1, mu_eta / 0.1, params) <= 1e-300
+    rng = np.random.default_rng(27)
+    asked = []
+
+    def lookup(positions):
+        asked.extend(positions.tolist())
+        return np.zeros(positions.size, dtype=np.uint8)
+
+    with warnings.catch_warnings(), np.errstate(
+            over="raise", divide="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        for n in (*range(1, 100), 10**6):
+            pos, outcomes, resolved = sample_clicks(
+                n, lookup, 0.1, mu_eta / 0.1, params, rng)
+            assert pos.size == outcomes.size == resolved.size == 0
+    assert asked == []
+    assert pos.dtype == np.int64
+
+
+def test_sampler_reads_phase_bits_only_at_the_clicks():
+    # P_click ~ 0.85, so over many short runs clicks land on the first
+    # and the last slot; the lookup sees exactly the click positions
+    params = SystemParams(dark_count_rate=0.4999, misalignment=0.0)
+    n = 5
+    rng = np.random.default_rng(28)
+    ends = set()
+    for _ in range(50):
+        bits = rng.integers(0, 2, n, dtype=np.uint8)
+        asked = []
+
+        def lookup(positions, bits=bits, asked=asked):
+            asked.append(positions.copy())
+            return bits[positions]
+
+        pos, outcomes, resolved = sample_clicks(
+            n, lookup, 0.4999, 1.0, params, rng)
+        assert np.array_equal(np.concatenate(asked), pos)
+        assert np.all(np.diff(pos) > 0)
+        assert pos.size == 0 or 0 <= pos[0] and pos[-1] <= n - 1
+        assert outcomes.min(initial=1) >= Outcome.D1
+        single = outcomes != Outcome.DOUBLE
+        assert np.array_equal(resolved[single], outcomes[single] - 1)
+        ends.update({0, n - 1} & set(pos.tolist()))
+    assert ends == {0, n - 1}

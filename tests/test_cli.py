@@ -41,6 +41,15 @@ def test_defaults_cover_every_key():
         run.test_fraction)
 
 
+def test_default_settings_hand_out_fresh_lists():
+    settings = cli.default_settings()
+    settings["e_d_list"].append(0.3)
+    settings["mu_list"].append(0.4)
+    again = cli.default_settings()
+    assert again["e_d_list"] == [0.02, 0.04, 0.052]
+    assert again["mu_list"] == [0.05, 0.1, 0.2]
+
+
 def test_config_text_round_trip_is_exact():
     settings = cli.default_settings()
     settings["p_d"] = 3.7e-9

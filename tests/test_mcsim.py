@@ -1,6 +1,7 @@
 """Monte Carlo protocol run: preparation, measurement, sifting, QBER."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,18 @@ def test_prepare_train_single_pulse():
 def test_prepare_train_bits_are_fair():
     train = prepare_train(Owner.ALICE, 10**6, 0.1, np.random.default_rng(22))
     assert 0.497 <= train.bits.mean() <= 0.503
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 100003])
+def test_prepare_train_unpacks_exactly_n_fair_bits(n):
+    train = prepare_train(Owner.BOB, n, 0.1, np.random.default_rng(n))
+    again = prepare_train(Owner.BOB, n, 0.1, np.random.default_rng(n))
+    assert len(train) == train.bits.size == n
+    assert train.bits.dtype == np.uint8
+    assert not train.bits.flags.writeable
+    assert set(np.unique(train.bits).tolist()) <= {0, 1}
+    assert abs(int(train.bits.sum()) - n / 2) <= 4.0 * math.sqrt(n / 4)
+    assert np.array_equal(train.bits, again.bits)
 
 
 def test_prepare_train_rejects_empty():
@@ -160,6 +173,48 @@ def test_empirical_gain_matches_analytic_gain():
     assert abs(detected / interior - q) <= 3.0 * sigma
 
 
+def test_clicks_on_the_first_and_last_interior_slot():
+    # noiseless and lossless, so every click resolves to its slot's
+    # ideal phase; seeds are tried until both end slots click
+    params = SystemParams(detector_efficiency=1.0, dark_count_rate=0.0,
+                          misalignment=0.0)
+    state = ChannelState(eta=1.0, params=params)
+    n = 3  # interior slots 2..5
+    for seed in range(200):
+        a, b = _trains(n, 0.499, seed)
+        records = run_measurement(a, b, state, np.random.default_rng(seed))
+        if records.clicks.size and records.clicks[0] == 0 \
+                and records.clicks[-1] == 2 * n - 3:
+            break
+    else:
+        pytest.fail("no run clicked on both end slots")
+    for i in (0, -1):
+        record = records[i]
+        assert record.slot == (2, 2 * n - 1)[i]
+        assert record.resolved_bit == _ideal_phase_bit(
+            record.slot, a.bits, b.bits)
+    keys = sift(records, a, b)
+    assert keys.slots[0] == 2 and keys.slots[-1] == 2 * n - 1
+    assert np.array_equal(keys.c_bits, keys.a_bits ^ keys.b_bits)
+
+
+def test_measurement_and_sift_use_under_a_byte_per_pulse_pair():
+    # simulate_sparse's point: 0.41 % of the 2e7 slots click, so a
+    # click-indexed run needs far less than one byte per pulse pair
+    n = 10**7
+    a, b = _trains(n, 0.05, 46)
+    state = ChannelState.for_distance(100.0, DEFAULTS)
+    rng = np.random.default_rng(47)
+    tracemalloc.start()
+    try:
+        keys = sift(run_measurement(a, b, state, rng), a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(keys) > 50_000
+    assert peak < n, peak
+
+
 # ----------------------------------------------------------------- sifting
 
 
@@ -232,8 +287,9 @@ def test_sift_rejects_out_of_range_slots():
     a, b = _trains(4, 0.1, 42)
     bad = DetectionRecords(
         slots=range(8, 9),  # interior range is [2, 7]
-        outcomes=np.array([Outcome.D1], dtype=np.uint8),
-        resolved=np.array([0], dtype=np.uint8),
+        clicks=np.array([0], dtype=np.int64),
+        click_outcomes=np.array([Outcome.D1], dtype=np.uint8),
+        click_resolved=np.array([0], dtype=np.uint8),
     )
     with pytest.raises(ParameterError, match="interior"):
         sift(bad, a, b)

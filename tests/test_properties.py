@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from tfqss.attacks import leakage_report
 from tfqss.bounds import plob_bound, repeaterless_bound
-from tfqss.channel import transmittance
+from tfqss.channel import click_probability, transmittance
 from tfqss.core import MAX_INTENSITY, SystemParams
 from tfqss.keyrate import gain, key_rate, qber
 from tfqss.optimize import MU_MAX, MU_MIN, optimize_mu
@@ -39,6 +39,17 @@ system_params = st.builds(
 @given(mu=mus, eta=etas, p_d=dark_rates)
 def test_gain_lies_between_the_dark_floor_and_one(mu, eta, p_d):
     assert 2.0 * p_d <= gain(mu, eta, p_d) <= 1.0
+
+
+@PROPERTY
+@given(mu=mus, eta=etas, p_d=dark_rates)
+def test_gain_exceeds_the_sampled_click_probability_by_the_double_dark(
+        mu, eta, p_d):
+    # the linearized gain and the detector model's exact P_click differ
+    # by exactly p_d^2 e^(-mu eta), both double-dark terms
+    q = gain(mu, eta, p_d)
+    gap = q - click_probability(mu, eta, SystemParams(dark_count_rate=p_d))
+    assert abs(gap - p_d**2 * math.exp(-mu * eta)) <= 4.0 * math.ulp(q)
 
 
 @PROPERTY
