@@ -114,7 +114,7 @@ def sample_clicks(
     params: SystemParams,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw the clicks among n slots; the sampler behind detect_slots.
+    """Draw the clicks among n slots; the one detection sampler.
 
     phase_at maps an ascending int64 array of slot positions in [0, n)
     to their uint8 phase bits; it is called only with positions that
@@ -205,17 +205,3 @@ def detect_slots(
     resolved[pos] = announced
     return outcomes, resolved
 
-
-def detect_slot(
-    phase_bit: int,
-    mu: float,
-    eta: float,
-    params: SystemParams,
-    rng: np.random.Generator,
-) -> Outcome:
-    """Draw one slot's outcome; single-slot view of detect_slots."""
-    if phase_bit not in (0, 1):
-        raise ParameterError(f"phase_bit={phase_bit!r} must be 0 or 1")
-    outcomes, _ = detect_slots(
-        np.array([phase_bit], dtype=np.uint8), mu, eta, params, rng)
-    return Outcome(int(outcomes[0]))

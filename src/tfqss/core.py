@@ -152,36 +152,6 @@ class PulseTrain:
         return int(self.bits.size)
 
 
-@dataclass(frozen=True)
-class DetectionRecord:
-    """Dealer's record for one interior combined slot.
-
-    resolved_bit is the announced phase-difference bit: 0 for D1, 1 for
-    D2, a fair coin for DOUBLE, and None when nothing clicked.
-    """
-
-    slot: int
-    outcome: Outcome
-    resolved_bit: int | None
-
-    def __post_init__(self) -> None:
-        if self.slot < 2:
-            raise ParameterError("slot must be an interior index >= 2")
-        out, bit = self.outcome, self.resolved_bit
-        if out is Outcome.NO_CLICK:
-            if bit is not None:
-                raise ParameterError("no-click slots carry no resolved bit")
-        elif out is Outcome.D1:
-            if bit != 0:
-                raise ParameterError("D1 resolves to bit 0")
-        elif out is Outcome.D2:
-            if bit != 1:
-                raise ParameterError("D2 resolves to bit 1")
-        else:
-            if bit not in (0, 1):
-                raise ParameterError("double clicks resolve to a coin bit")
-
-
 @dataclass(frozen=True, eq=False)
 class SiftedKeys:
     """Post-sifting aligned bits, one entry per retained slot.

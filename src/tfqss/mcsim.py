@@ -23,12 +23,13 @@ run, for both slot parities.
 
 The run is click-indexed: apart from the two N-bit trains nothing is
 stored per slot. run_measurement draws the click positions first
-(channel.sample_clicks) and applies the rule above only there;
+(channel.sample_clicks) and applies the rule above only there. The
+record of a run is its clicks, as the dealer announces them:
 DetectionRecords keeps the slot range plus one entry index, outcome and
-announced bit per click, and sift gathers the sender bits at the
-clicks. One seeded generator is consumed in this order: Alice's packed
-phase bytes, Bob's, then per sampler batch the gap uniforms, category
-uniforms and coins, then the QBER test sample.
+announced bit per click, with no per-slot view, and sift gathers the
+sender bits at the clicks. One seeded generator is consumed in this
+order: Alice's packed phase bytes, Bob's, then per sampler batch the
+gap uniforms, category uniforms and coins, then the QBER test sample.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ import numpy as np
 # benchmark's traced run fails without it)
 from .channel import ChannelState, detect_slots, sample_clicks  # noqa: F401
 from .core import (
-    DetectionRecord,
-    Outcome,
     Owner,
     ParameterError,
     ProtocolConfig,
@@ -72,14 +71,13 @@ def prepare_train(
 
 @dataclass(frozen=True, eq=False)
 class DetectionRecords:
-    """Sequence of DetectionRecord, one per slot, stored per click.
+    """The dealer's record of one run: its clicks, nothing per slot.
 
-    slots is a range (the slot of entry i is implied by its index), so
-    slicing with any step stays a range. clicks holds the ascending
-    entry indices of the slots that clicked, with their Outcome values
-    in click_outcomes and announced bits in click_resolved; every other
-    entry is a no-click. The dense outcomes/resolved arrays are built
-    on access.
+    slots is the range of combined slots the run covers; entry i of it
+    is slot slots[i]. clicks holds the ascending entry indices of the
+    slots that clicked, click_outcomes their Outcome values and
+    click_resolved their announced bits (0 for D1, 1 for D2, a fair
+    coin for DOUBLE). Every other slot of the range did not click.
     """
 
     slots: range                # combined-slot indices
@@ -87,47 +85,17 @@ class DetectionRecords:
     click_outcomes: np.ndarray  # uint8 Outcome values
     click_resolved: np.ndarray  # uint8 announced bits
 
+    def __post_init__(self) -> None:
+        n = self.clicks.size
+        if not self.click_outcomes.size == self.click_resolved.size == n:
+            raise ParameterError("per-click arrays must have equal length")
+        if n and (self.clicks.min() < 0
+                  or self.clicks.max() >= len(self.slots)):
+            raise ParameterError(
+                f"click entries outside [0, {len(self.slots)})")
+
     def __len__(self) -> int:
         return len(self.slots)
-
-    def _dense(self, values: np.ndarray) -> np.ndarray:
-        dense = np.zeros(len(self), dtype=np.uint8)
-        dense[self.clicks] = values
-        return dense
-
-    @property
-    def outcomes(self) -> np.ndarray:
-        """uint8 Outcome value of every entry."""
-        return self._dense(self.click_outcomes)
-
-    @property
-    def resolved(self) -> np.ndarray:
-        """Announced bit of every entry; 0 placeholder at no-clicks."""
-        return self._dense(self.click_resolved)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            start, stop, step = i.indices(len(self))
-            k, off = np.divmod(self.clicks - start, step)
-            keep = (off == 0) & (k >= 0) & (k < len(range(start, stop, step)))
-            order = slice(None, None, 1 if step > 0 else -1)
-            return DetectionRecords(
-                self.slots[i], k[keep][order],
-                self.click_outcomes[keep][order],
-                self.click_resolved[keep][order])
-        i = range(len(self))[i]
-        at = int(np.searchsorted(self.clicks, i))
-        if at < self.clicks.size and self.clicks[at] == i:
-            outcome = Outcome(int(self.click_outcomes[at]))
-            bit = int(self.click_resolved[at])
-        else:
-            outcome, bit = Outcome.NO_CLICK, None
-        return DetectionRecord(
-            slot=self.slots[i], outcome=outcome, resolved_bit=bit)
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
 
 def run_measurement(
@@ -136,7 +104,7 @@ def run_measurement(
     state: ChannelState,
     rng: np.random.Generator,
 ) -> DetectionRecords:
-    """Interfere the two trains and record every interior slot.
+    """Interfere the two trains and record the interior slots' clicks.
 
     Slot outcomes follow the channel's threshold-detector model applied
     to each slot's ideal phase difference. The clicks are drawn first

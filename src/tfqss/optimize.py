@@ -187,7 +187,7 @@ def scan_distances(
     if threads < 1:
         raise ParameterError(f"threads={threads!r} must be >= 1")
     n_pts = int(span + 1e-9) + 1
-    distances = [l_min + i * step for i in range(n_pts)]
+    distances = [min(l_min + i * step, l_max) for i in range(n_pts)]
     result: dict[float, list[RatePoint]] = {e_d: [] for e_d in e_d_list}
     for e_d in e_d_list:
         p = replace(params, misalignment=e_d)

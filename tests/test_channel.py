@@ -15,7 +15,6 @@ from tfqss.channel import (
     _CHUNK,
     ChannelState,
     click_probability,
-    detect_slot,
     detect_slots,
     sample_clicks,
     transmittance,
@@ -193,16 +192,6 @@ def test_outcome_stream_is_reproducible():
     assert not np.array_equal(a[0], c[0])
 
 
-def test_detect_slot_scalar_view():
-    rng = np.random.default_rng(9)
-    out = detect_slot(0, 0.499, 1.0,
-                      SystemParams(misalignment=0.0, dark_count_rate=0.0,
-                                   detector_efficiency=1.0), rng)
-    assert out in (Outcome.NO_CLICK, Outcome.D1)
-    with pytest.raises(ParameterError, match="phase_bit"):
-        detect_slot(2, 0.1, 0.5, DEFAULTS, rng)
-
-
 def _outcome_probabilities(mu, eta, params):
     """[NO_CLICK, D1, D2, DOUBLE] probabilities of a phase-0 slot.
 
@@ -298,8 +287,14 @@ def test_single_slot_clicks_with_the_model_probability():
     p = click_probability(0.4, 1.0, params)
     rng = np.random.default_rng(24)
     trials = 4000
-    clicks = sum(detect_slot(1, 0.4, 1.0, params, rng) != Outcome.NO_CLICK
-                 for _ in range(trials))
+    clicks = 0
+    for _ in range(trials):
+        pos, outcomes, _ = sample_clicks(
+            1, lambda at: np.ones(at.size, dtype=np.uint8),
+            0.4, 1.0, params, rng)
+        assert pos.tolist() in ([], [0])
+        assert outcomes.min(initial=Outcome.D1) >= Outcome.D1
+        clicks += pos.size
     assert abs(clicks / trials - p) <= 4.0 * math.sqrt(p * (1 - p) / trials)
 
 

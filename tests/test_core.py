@@ -5,8 +5,6 @@ import pytest
 
 from tfqss.core import (
     MAX_INTENSITY,
-    DetectionRecord,
-    Outcome,
     Owner,
     ParameterError,
     ProtocolConfig,
@@ -94,24 +92,6 @@ def test_pulse_train_rejects_non_bits_and_bad_intensity():
                    intensity=0.1)
     with pytest.raises(ParameterError, match="intensity"):
         PulseTrain(owner=Owner.BOB, bits=np.array([0, 1]), intensity=0.5)
-
-
-def test_detection_record_consistency():
-    DetectionRecord(slot=2, outcome=Outcome.NO_CLICK, resolved_bit=None)
-    DetectionRecord(slot=3, outcome=Outcome.D1, resolved_bit=0)
-    DetectionRecord(slot=4, outcome=Outcome.D2, resolved_bit=1)
-    DetectionRecord(slot=5, outcome=Outcome.DOUBLE, resolved_bit=0)
-    DetectionRecord(slot=5, outcome=Outcome.DOUBLE, resolved_bit=1)
-    with pytest.raises(ParameterError, match="interior"):
-        DetectionRecord(slot=1, outcome=Outcome.D1, resolved_bit=0)
-    with pytest.raises(ParameterError):
-        DetectionRecord(slot=2, outcome=Outcome.NO_CLICK, resolved_bit=0)
-    with pytest.raises(ParameterError):
-        DetectionRecord(slot=2, outcome=Outcome.D1, resolved_bit=1)
-    with pytest.raises(ParameterError):
-        DetectionRecord(slot=2, outcome=Outcome.D2, resolved_bit=0)
-    with pytest.raises(ParameterError):
-        DetectionRecord(slot=2, outcome=Outcome.DOUBLE, resolved_bit=None)
 
 
 def test_sifted_keys_validation():

@@ -125,18 +125,26 @@ def test_run_measurement_covers_interior_slots_once():
     assert np.array_equal(records.slots, np.arange(2, 2 * n))
 
 
-def test_run_measurement_record_view():
-    a, b = _trains(10, 0.1, 30)
-    state = ChannelState(eta=0.56, params=DEFAULTS)
+def test_run_measurement_per_click_invariants():
+    # dark counts and misalignment make every outcome occur: clicks
+    # ascend inside the range, D1 announces 0, D2 announces 1 and double
+    # clicks announce both coin values
+    params = SystemParams(dark_count_rate=0.05, misalignment=0.1)
+    a, b = _trains(20_000, 0.3, 30)
+    state = ChannelState(eta=0.5, params=params)
     records = run_measurement(a, b, state, np.random.default_rng(31))
-    record = records[0]
-    assert record.slot == 2
-    assert (record.resolved_bit is None) == (
-        record.outcome is Outcome.NO_CLICK)
-    tail = records[5:]
-    assert isinstance(tail, DetectionRecords)
-    assert len(tail) == len(records) - 5
-    assert len(list(records)) == len(records)
+    clicks, outcomes = records.clicks, records.click_outcomes
+    resolved = records.click_resolved
+    assert clicks.dtype == np.int64
+    assert outcomes.dtype == resolved.dtype == np.uint8
+    assert clicks.size == outcomes.size == resolved.size > 1000
+    assert np.all(np.diff(clicks) > 0)
+    assert 0 <= clicks[0] and clicks[-1] < len(records)
+    assert set(np.unique(outcomes).tolist()) == {
+        Outcome.D1, Outcome.D2, Outcome.DOUBLE}
+    assert np.all(resolved[outcomes == Outcome.D1] == 0)
+    assert np.all(resolved[outcomes == Outcome.D2] == 1)
+    assert set(resolved[outcomes == Outcome.DOUBLE].tolist()) == {0, 1}
 
 
 def test_noiseless_outcomes_match_hand_derived_phases():
@@ -147,16 +155,11 @@ def test_noiseless_outcomes_match_hand_derived_phases():
     a, b = _trains(500, 0.499, 32)
     state = ChannelState(eta=1.0, params=params)
     records = run_measurement(a, b, state, np.random.default_rng(33))
-    clicked = 0
-    for i in range(len(records)):
-        record = records[i]
-        if record.outcome is Outcome.NO_CLICK:
-            continue
-        clicked += 1
-        assert record.outcome in (Outcome.D1, Outcome.D2)
-        assert record.resolved_bit == _ideal_phase_bit(
-            record.slot, a.bits, b.bits)
-    assert clicked > 100
+    assert records.clicks.size > 100
+    assert set(records.click_outcomes.tolist()) <= {Outcome.D1, Outcome.D2}
+    for slot, bit in zip(records.slots[0] + records.clicks,
+                         records.click_resolved):
+        assert bit == _ideal_phase_bit(slot, a.bits, b.bits)
 
 
 def test_empirical_gain_matches_analytic_gain():
@@ -166,7 +169,7 @@ def test_empirical_gain_matches_analytic_gain():
     a, b = _trains(n, mu, 34)
     state = ChannelState.for_distance(100.0, DEFAULTS)
     records = run_measurement(a, b, state, np.random.default_rng(35))
-    detected = int(np.count_nonzero(records.outcomes))
+    detected = records.clicks.size
     interior = 2 * n - 2
     q = gain(mu, state.eta, DEFAULTS.dark_count_rate)
     sigma = math.sqrt(q * (1.0 - q) / interior)
@@ -188,11 +191,10 @@ def test_clicks_on_the_first_and_last_interior_slot():
             break
     else:
         pytest.fail("no run clicked on both end slots")
-    for i in (0, -1):
-        record = records[i]
-        assert record.slot == (2, 2 * n - 1)[i]
-        assert record.resolved_bit == _ideal_phase_bit(
-            record.slot, a.bits, b.bits)
+    for i, slot in ((0, 2), (-1, 2 * n - 1)):
+        assert records.slots[0] + records.clicks[i] == slot
+        assert records.click_resolved[i] == _ideal_phase_bit(
+            slot, a.bits, b.bits)
     keys = sift(records, a, b)
     assert keys.slots[0] == 2 and keys.slots[-1] == 2 * n - 1
     assert np.array_equal(keys.c_bits, keys.a_bits ^ keys.b_bits)
@@ -223,7 +225,7 @@ def test_sift_keeps_only_clicks_and_aligns_bits():
     state = ChannelState.for_distance(30.0, DEFAULTS)
     records = run_measurement(a, b, state, np.random.default_rng(37))
     keys = sift(records, a, b)
-    assert len(keys) == int(np.count_nonzero(records.outcomes))
+    assert len(keys) == records.clicks.size
     # each retained slot's sender bits come from the adjacent pulses
     for slot, a_bit, b_bit in zip(keys.slots[:200], keys.a_bits[:200],
                                   keys.b_bits[:200]):
@@ -260,29 +262,6 @@ def test_sift_violation_fraction_matches_analytic_qber():
     assert abs(frac - e) <= 3.0 * sigma
 
 
-def test_sift_sliced_records_keep_each_slots_own_bits():
-    # slices starting on an odd slot, on an even slot, stepped and
-    # reversed: every kept slot still carries its own sender bits
-    params = SystemParams(detector_efficiency=1.0, dark_count_rate=0.0,
-                          misalignment=0.0)
-    a, b = _trains(300, 0.499, 44)
-    state = ChannelState(eta=1.0, params=params)
-    records = run_measurement(a, b, state, np.random.default_rng(45))
-    for part in (records[3:], records[4:], records[1::3], records[::-2]):
-        keys = sift(part, a, b)
-        clicked = [r.slot for r in part if r.outcome is not Outcome.NO_CLICK]
-        assert keys.slots.tolist() == clicked
-        assert len(clicked) > 30
-        for slot, a_bit, b_bit, c_bit in zip(keys.slots, keys.a_bits,
-                                             keys.b_bits, keys.c_bits):
-            k = (slot + 1) // 2
-            b_index = k - 1 if slot % 2 == 0 else k - 2
-            assert a_bit == a.bits[k - 1] and b_bit == b.bits[b_index]
-            ideal = _ideal_phase_bit(slot, a.bits, b.bits)
-            assert a_bit ^ b_bit ^ slot % 2 == ideal
-            assert c_bit ^ slot % 2 == ideal
-
-
 def test_sift_rejects_out_of_range_slots():
     a, b = _trains(4, 0.1, 42)
     bad = DetectionRecords(
@@ -293,6 +272,33 @@ def test_sift_rejects_out_of_range_slots():
     )
     with pytest.raises(ParameterError, match="interior"):
         sift(bad, a, b)
+
+
+def _records(slots, clicks, outcomes=None, resolved=None):
+    n = len(clicks)
+    return DetectionRecords(
+        slots, np.asarray(clicks, dtype=np.int64),
+        np.asarray(outcomes or [Outcome.D1] * n, dtype=np.uint8),
+        np.asarray(resolved or [0] * n, dtype=np.uint8))
+
+
+def test_records_reject_clicks_outside_their_range():
+    # 4-pulse trains have interior slots 2..7; entry 6 of range(2, 8)
+    # would be boundary slot 8 and entry 7 slot 9
+    a, b = _trains(4, 0.1, 43)
+    for bad in ([6], [7], [-1], [0, 6]):
+        with pytest.raises(ParameterError, match="click entries"):
+            sift(_records(range(2, 8), bad), a, b)
+    with pytest.raises(ParameterError, match="equal length"):
+        _records(range(2, 8), [0, 1], outcomes=[Outcome.D1])
+    with pytest.raises(ParameterError, match="equal length"):
+        _records(range(2, 8), [0, 1], resolved=[0, 1, 1])
+    # a record over part of the interior keeps its own slots' bits
+    keys = sift(_records(range(3, 8, 2), [0, 2], resolved=[1, 0]), a, b)
+    assert keys.slots.tolist() == [3, 7]
+    assert keys.a_bits.tolist() == [a.bits[1], a.bits[3]]
+    assert keys.b_bits.tolist() == [b.bits[0], b.bits[2]]
+    assert keys.c_bits.tolist() == [0, 1]  # odd slots flip the dealer
 
 
 # --------------------------------------------------------- QBER estimation

@@ -96,6 +96,17 @@ def test_scan_grid_and_row_counts():
     assert {len(rows) for rows in single.values()} == {1}
 
 
+@pytest.mark.parametrize("grid", [(0.0, 0.7, 0.1), (0.1, 2.3, 0.1),
+                                  (0.3, 0.9, 0.1)])
+def test_scan_last_point_never_passes_l_max(grid):
+    # l_min + i * step rounds above l_max on these grids (0.7 becomes
+    # 0.7000000000000001); the last point is l_max itself
+    points = scan_distances(*grid, DEFAULTS, [0.02])[0.02]
+    assert points[-1].distance == grid[1]
+    assert all(p.distance <= grid[1] for p in points)
+    assert len(points) == round((grid[1] - grid[0]) / grid[2]) + 1
+
+
 def test_scan_rate_column_positive_then_zero():
     table = scan_distances(0.0, 700.0, 10.0, DEFAULTS, [0.02])
     rates = [p.rate for p in table[0.02]]
