@@ -36,7 +36,11 @@ double click. It reads a slot's phase bit only at the clicks, through
 a lookup the caller passes in, so the phase bits never move a click and
 a seed reproduces the same clicks bit for bit. It returns per-click
 positions, outcomes and announced bits; detect_slots scatters them
-into dense arrays.
+into dense arrays. The outputs are allocated once, sized to the clicks
+expected plus four standard deviations, and grow only if more land.
+Every batch draws its uniforms into one reused float scratch and sums
+its positions where they are kept, which leaves the stream order above
+as it is.
 """
 
 from __future__ import annotations
@@ -124,7 +128,8 @@ def sample_clicks(
     floor(log1p(-u) / log1p(-P_click)) + 1 for a uniform u; each batch
     draws about as many gaps as clicks are expected in the slots left,
     at most _CHUNK. The stream order is in the module docstring. When
-    P_click is 0 the generator is not touched.
+    P_click is 0 the generator is not touched. phase_at is passed a
+    view of the returned positions and must not write to it.
     """
     _check_detection_args(mu, eta)
     p_click = click_probability(mu, eta, params)
@@ -145,35 +150,66 @@ def sample_clicks(
     single = (p_match * q_wrong + q_match * p_wrong) / p_click
     log_stay = math.log1p(-p_click)  # < 0; subnormal if p_click is
 
-    parts = []
+    # the outputs hold the clicks expected in all n slots plus four
+    # standard deviations, the bound of the first batch; they grow only
+    # when more clicks land, and the result is their filled head
+    size = min(n, _click_bound(n * p_click))
+    clicks = np.empty(size, dtype=np.int64)
+    outcomes = np.empty(size, dtype=np.uint8)
+    announced = np.empty(size, dtype=np.uint8)
+    # one float scratch for each batch's gap and category uniforms,
+    # sized to the first batch, the largest
+    scratch = np.empty(min(_CHUNK, size))
+    filled = 0
     last = -1  # position of the last click drawn so far
     while last < n - 1:
         left = n - 1 - last
-        mean = left * p_click  # clicks expected in the slots left
-        gaps = rng.random(
-            min(_CHUNK, left, int(mean + 4.0 * math.sqrt(mean)) + 1))
-        np.log1p(-gaps, out=gaps)
+        k = min(_CHUNK, left, _click_bound(left * p_click))
+        gaps = rng.random(out=scratch[:k])
+        np.negative(gaps, out=gaps)
+        np.log1p(gaps, out=gaps)
         # a gap reaching past the end only ends the loop; clipping it
         # there, in float before the cast, keeps the quotient finite
         # for a subnormal P_click and the running sum far from overflow
         np.maximum(gaps, (left + 1) * log_stay, out=gaps)
         gaps /= log_stay
-        pos = gaps.astype(np.int64)
+        # the batch's positions are summed where they are kept, unless
+        # its gap bound overruns the outputs (its clicks rarely do)
+        aside = filled + k > clicks.size
+        pos = np.empty(k, np.int64) if aside else clicks[filled:filled + k]
+        pos[...] = gaps
         pos += 1
+        pos[0] += last
         np.cumsum(pos, out=pos)
-        pos += last
         last = int(pos[-1])
-        pos = pos[:np.searchsorted(pos, n)]
+        end = filled + int(np.searchsorted(pos, n))
+        if end > clicks.size:
+            # np.resize repeats the entries into the new room; later
+            # batches overwrite it
+            grown = min(n, max(end, 2 * clicks.size))
+            clicks, outcomes, announced = (
+                np.resize(col, grown) for col in (clicks, outcomes, announced))
+        if aside:
+            clicks[filled:end] = pos[:end - filled]
 
-        u = rng.random(pos.size)
-        port = phase_at(pos) ^ (u >= match_only)  # 0 for D1, 1 for D2
+        pos = clicks[filled:end]
+        out = outcomes[filled:end]
+        port = announced[filled:end]
+        u = rng.random(out=scratch[:pos.size])
+        # 0 for D1, 1 for D2
+        np.bitwise_xor(phase_at(pos), u >= match_only, out=port)
+        np.add(port, 1, out=out)
         double = u >= single
-        out = port + 1
         out[double] = Outcome.DOUBLE
         port[double] = rng.integers(0, 2, np.count_nonzero(double),
                                     dtype=np.uint8)
-        parts.append((pos, out, port))
-    return tuple(np.concatenate(col) for col in zip(*parts))
+        filled = end
+    return clicks[:filled], outcomes[:filled], announced[:filled]
+
+
+def _click_bound(mean: float) -> int:
+    """Clicks expected plus four standard deviations, rounded up."""
+    return int(mean + 4.0 * math.sqrt(mean)) + 1
 
 
 def detect_slots(

@@ -30,6 +30,15 @@ announced bit per click, with no per-slot view, and sift gathers the
 sender bits at the clicks. One seeded generator is consumed in this
 order: Alice's packed phase bytes, Bob's, then per sampler batch the
 gap uniforms, category uniforms and coins, then the QBER test sample.
+
+Each per-click stage allocates every array it returns once and does its
+index arithmetic in place. The phase lookup at entry e = j - 2 takes
+one half-index h = e >> 1 for both gathers: Bob's bit at h, Alice's at
+h + (e & 1). sift derives both of its gather indices from the kept
+slots, block by block in one small buffer, and the QBER split gathers
+the four remaining arrays at one index. None of this draws from the
+generator, so the stream order above, and with it each seed's output,
+is untouched.
 """
 
 from __future__ import annotations
@@ -52,6 +61,9 @@ from .core import (
     SimulationReport,
     SystemParams,
 )
+
+# sift gathers the sender bits in blocks of this many clicks
+_BLOCK = 1 << 16
 
 
 def prepare_train(
@@ -120,10 +132,16 @@ def run_measurement(
         raise ParameterError("senders must use the same intensity")
 
     def phase_at(entries: np.ndarray) -> np.ndarray:
-        # entry e is slot j = e + 2: a[(j-1)>>1] = a[(e+1)>>1],
-        # b[(j>>1)-1] = b[e>>1], and j is odd where e is
-        odd = entries.astype(np.uint8) & 1
-        return a.bits[(entries + 1) >> 1] ^ b.bits[entries >> 1] ^ odd
+        # entry e is slot j = e + 2: b[(j>>1)-1] = b[e>>1] and
+        # a[(j-1)>>1] = a[(e>>1) + (e&1)], and j is odd where e is
+        odd = entries.astype(np.uint8)
+        odd &= 1
+        half = entries >> 1
+        bits = b.bits.take(half)
+        half += odd
+        bits ^= a.bits.take(half)
+        bits ^= odd
+        return bits
 
     n = len(a)
     clicks, outcomes, resolved = sample_clicks(
@@ -147,13 +165,27 @@ def sift(
     interior = range(2, 2 * n)
     if slots and (slots[0] not in interior or slots[-1] not in interior):
         raise ParameterError("record slots outside interior range")
-    kept_slots = slots.start + slots.step * records.clicks
-    return SiftedKeys(
-        slots=kept_slots,
-        a_bits=a.bits[(kept_slots - 1) >> 1],
-        b_bits=b.bits[(kept_slots >> 1) - 1],
-        c_bits=records.click_resolved ^ kept_slots.astype(np.uint8) & 1,
-    )
+    kept_slots = records.clicks * slots.step
+    kept_slots += slots.start
+    a_bits = np.empty(kept_slots.size, dtype=np.uint8)
+    b_bits = np.empty(kept_slots.size, dtype=np.uint8)
+    # slot j reads b[(j>>1)-1] and a[(j-1)>>1]; a block's two gather
+    # indices are derived in turn in one small buffer that stays in cache
+    index = np.empty(min(_BLOCK, kept_slots.size), dtype=np.int64)
+    for i in range(0, kept_slots.size, _BLOCK):
+        block = kept_slots[i:i + _BLOCK]
+        at = index[:block.size]
+        np.right_shift(block, 1, out=at)
+        at -= 1
+        b.bits.take(at, out=b_bits[i:i + _BLOCK])
+        np.subtract(block, 1, out=at)
+        at >>= 1
+        a.bits.take(at, out=a_bits[i:i + _BLOCK])
+    c_bits = kept_slots.astype(np.uint8)
+    c_bits &= 1
+    c_bits ^= records.click_resolved
+    return SiftedKeys(slots=kept_slots, a_bits=a_bits, b_bits=b_bits,
+                      c_bits=c_bits)
 
 
 def estimate_qber(
@@ -179,15 +211,22 @@ def estimate_qber(
         raise ValueError("empty sifted key; nothing to sample")
     m = min(n, max(1, math.ceil(test_fraction * n)))
     test_idx = rng.choice(n, size=m, replace=False)
-    mismatch = sifted.c_bits != (sifted.a_bits ^ sifted.b_bits)
-    estimate = float(np.mean(mismatch[test_idx]))
+    mismatch = sifted.c_bits.take(test_idx)
+    mismatch ^= sifted.a_bits.take(test_idx)
+    mismatch ^= sifted.b_bits.take(test_idx)
+    estimate = int(np.count_nonzero(mismatch)) / m
     keep = np.ones(n, dtype=bool)
     keep[test_idx] = False
+    # the sample and the mask go before the key is split off, which
+    # gathers the four arrays at one index of the remaining entries
+    del test_idx, mismatch
+    rest = np.flatnonzero(keep)
+    del keep
     remaining = SiftedKeys(
-        slots=sifted.slots[keep],
-        a_bits=sifted.a_bits[keep],
-        b_bits=sifted.b_bits[keep],
-        c_bits=sifted.c_bits[keep],
+        slots=sifted.slots.take(rest),
+        a_bits=sifted.a_bits.take(rest),
+        b_bits=sifted.b_bits.take(rest),
+        c_bits=sifted.c_bits.take(rest),
     )
     return estimate, remaining, estimate > abort_threshold
 
@@ -210,8 +249,10 @@ def run_protocol(
     a = prepare_train(Owner.ALICE, config.n_pairs, config.intensity, rng)
     b = prepare_train(Owner.BOB, config.n_pairs, config.intensity, rng)
     state = ChannelState.for_distance(config.distance, system)
-    records = run_measurement(a, b, state, rng)
-    sifted_all = sift(records, a, b)
+    # neither the detection record nor the trains outlive the sift, so
+    # they are freed before the QBER split, where the run's memory peaks
+    sifted_all = sift(run_measurement(a, b, state, rng), a, b)
+    del a, b
     detected = len(sifted_all)
     interior = 2 * config.n_pairs - 2
     if detected == 0:

@@ -373,3 +373,65 @@ def test_sampler_reads_phase_bits_only_at_the_clicks():
         assert np.array_equal(resolved[single], outcomes[single] - 1)
         ends.update({0, n - 1} & set(pos.tolist()))
     assert ends == {0, n - 1}
+
+
+def _reference_clicks(n, bits, mu, eta, params, rng):
+    """The stream of the module docstring, drawn into fresh arrays.
+
+    Per batch: the gap uniforms, one category uniform per click, one
+    coin per double click; batches are joined at the end.
+    """
+    p = click_probability(mu, eta, params)
+    silent = math.log1p(-params.dark_count_rate)
+    q_m = math.exp(silent - (1.0 - params.misalignment) * mu * eta)
+    q_w = math.exp(silent - params.misalignment * mu * eta)
+    match_only = (1.0 - q_m) * q_w / p
+    single = ((1.0 - q_m) * q_w + q_m * (1.0 - q_w)) / p
+    log_stay = math.log1p(-p)
+    parts = [(np.empty(0, np.int64), np.empty(0, np.uint8),
+              np.empty(0, np.uint8))]
+    last = -1
+    while last < n - 1:
+        left = n - 1 - last
+        mean = left * p
+        u = rng.random(min(_CHUNK, left, int(mean + 4 * math.sqrt(mean)) + 1))
+        gaps = np.maximum(np.log1p(-u), (left + 1) * log_stay) / log_stay
+        pos = np.cumsum(gaps.astype(np.int64) + 1) + last
+        last = int(pos[-1])
+        pos = pos[pos < n]
+        u = rng.random(pos.size)
+        port = bits[pos] ^ (u >= match_only).astype(np.uint8)
+        double = u >= single
+        out = port + 1
+        out[double] = Outcome.DOUBLE
+        port[double] = rng.integers(0, 2, np.count_nonzero(double),
+                                    dtype=np.uint8)
+        parts.append((pos, out, port))
+    return [np.concatenate(col) for col in zip(*parts)]
+
+
+@pytest.mark.parametrize("params, mu, eta, n, seeds, grows", [
+    # about 6 clicks expected in 500 slots, so the outputs start with
+    # room for 16; seed 12603 draws 20 and they grow
+    (SystemParams(dark_count_rate=1e-3, misalignment=0.1), 0.2, 0.05, 500,
+     [12603, *range(40)], 12603),
+    # 0.05 clicks expected: room for one; seed 828 draws two
+    (SystemParams(dark_count_rate=0.0), 0.1, 5e-3, 100,
+     [828, *range(40)], 828),
+    # P_click ~ 0.85 over several batches, doubles and both detectors
+    (SystemParams(dark_count_rate=0.4999, misalignment=0.2), 0.4999, 1.0,
+     3 * _CHUNK + 1, [22], None),
+])
+def test_sampler_draws_the_documented_stream(params, mu, eta, n, seeds,
+                                             grows):
+    bits = np.random.default_rng(29).integers(0, 2, n, dtype=np.uint8)
+    mean = n * click_probability(mu, eta, params)
+    room = min(n, int(mean + 4.0 * math.sqrt(mean)) + 1)
+    for seed in seeds:
+        got = sample_clicks(n, bits.take, mu, eta, params,
+                            np.random.default_rng(seed))
+        want = _reference_clicks(n, bits, mu, eta, params,
+                                 np.random.default_rng(seed))
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w), seed
+        assert (got[0].size > room) == (seed == grows), seed

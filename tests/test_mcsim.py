@@ -1,5 +1,6 @@
 """Monte Carlo protocol run: preparation, measurement, sifting, QBER."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -217,6 +218,25 @@ def test_measurement_and_sift_use_under_a_byte_per_pulse_pair():
     assert peak < n, peak
 
 
+def test_dense_run_peaks_under_34_bytes_per_click():
+    # simulate_dense's point at half the length: one slot in five
+    # clicks, four sampler batches. The kept slots, the QBER test sample
+    # and the remaining key are 8-byte per-click arrays, so a run that
+    # allocates each once peaks near 29 bytes per click; keeping the
+    # detection record and the trains through the QBER split puts it
+    # past 40
+    config = ProtocolConfig(intensity=0.4, n_pairs=2 * 10**6, distance=0.0,
+                            rng_seed=3)
+    tracemalloc.start()
+    try:
+        report = run_protocol(DEFAULTS, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.detected_slots > 800_000
+    assert peak < 34 * report.detected_slots, peak / report.detected_slots
+
+
 # ----------------------------------------------------------------- sifting
 
 
@@ -392,6 +412,39 @@ def test_run_protocol_is_reproducible():
         intensity=0.05, n_pairs=100_000, distance=100.0, rng_seed=6))
     # totals can collide across seeds; the click pattern cannot
     assert not np.array_equal(other.sifted.slots, one.sifted.slots)
+
+
+@pytest.mark.parametrize("args, detected, printed_qber", [
+    ((4 * 10**6, 0.0, 0.4), 1_606_031, "1.983138652e-02"),
+    ((10**7, 100.0, 0.05), 81_444, "2.160834868e-02"),
+])
+def test_seed_one_reproduces_the_readme_numbers(args, detected, printed_qber):
+    # the simulate_dense and simulate_sparse runs of the benchmark at
+    # seed 1; a change to the random stream moves these numbers
+    n_pairs, distance, mu = args
+    report = run_protocol(DEFAULTS, ProtocolConfig(
+        intensity=mu, n_pairs=n_pairs, distance=distance, rng_seed=1))
+    assert report.detected_slots == detected
+    assert f"{report.empirical_qber:.9e}" == printed_qber
+
+
+def _sifted_digest(keys):
+    digest = hashlib.sha256()
+    for arr in (keys.slots, keys.a_bits, keys.b_bits, keys.c_bits):
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()
+
+
+def test_multi_batch_run_reproduces_its_pinned_keys():
+    # 803,462 clicks take four sampler batches; the digest covers every
+    # remaining key bit, so it pins the whole stream: trains, gaps,
+    # categories, coins and the QBER test sample
+    report = run_protocol(DEFAULTS, ProtocolConfig(
+        intensity=0.4, n_pairs=2 * 10**6, distance=0.0, rng_seed=3))
+    assert report.detected_slots == 803_462
+    assert report.sifted.slots.dtype == np.int64
+    assert _sifted_digest(report.sifted) == (
+        "d3f9660c6a53567aab2908c7f5464b23e1244af2c9710701551b1717d66dd78f")
 
 
 def test_run_protocol_accounting():
