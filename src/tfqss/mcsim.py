@@ -17,28 +17,27 @@ discarded, leaving 2N-2 interior slots; the empirical gain is
 detected/(2N-2).
 
 Sifting keeps clicked slots, flips the dealer's bit on odd slots (which
-cancels that pi shift), and reads the sender bits by the same rule, so
-that c = a XOR b holds exactly on every retained slot of a noiseless
+cancels that pi shift), and keeps the sender bits read by the same rule,
+so that c = a XOR b holds exactly on every retained slot of a noiseless
 run, for both slot parities.
 
 The run is click-indexed: apart from the two N-bit trains nothing is
 stored per slot. run_measurement draws the click positions first
 (channel.sample_clicks) and applies the rule above only there. The
-record of a run is its clicks, as the dealer announces them:
-DetectionRecords keeps the slot range plus one entry index, outcome and
-announced bit per click, with no per-slot view, and sift gathers the
-sender bits at the clicks. One seeded generator is consumed in this
-order: Alice's packed phase bytes, Bob's, then per sampler batch the
-gap uniforms, category uniforms and coins, then the QBER test sample.
+record of a run is its clicks: DetectionRecords keeps the slot range
+plus, per click, its entry index, outcome and announced bit and the
+two sender bits the phase lookup read, with no per-slot view. One
+seeded generator is consumed in this order: Alice's packed phase bytes,
+Bob's, then per sampler batch the gap uniforms, category uniforms and
+coins, then the QBER test sample.
 
-Each per-click stage allocates every array it returns once and does its
-index arithmetic in place. The phase lookup at entry e = j - 2 takes
-one half-index h = e >> 1 for both gathers: Bob's bit at h, Alice's at
-h + (e & 1). sift derives both of its gather indices from the kept
-slots, block by block in one small buffer, and the QBER split gathers
-the four remaining arrays at one index. None of this draws from the
-generator, so the stream order above, and with it each seed's output,
-is untouched.
+Each sender bit is gathered once. The phase lookup at entry e = j - 2
+takes one half-index h = e >> 1 for both gathers, Bob's bit at h and
+Alice's at h + (e & 1), and keeps both per batch; they are joined
+after the sampler returns. sift only forms the slot numbers and the
+dealer's flipped bit, and the QBER split gathers the four remaining
+arrays at one index. None of this draws from the generator, so the
+stream order above, and with it each seed's output, is untouched.
 """
 
 from __future__ import annotations
@@ -62,9 +61,6 @@ from .core import (
     SystemParams,
 )
 
-# sift gathers the sender bits in blocks of this many clicks
-_BLOCK = 1 << 16
-
 
 def prepare_train(
     owner: Owner, n: int, mu: float, rng: np.random.Generator
@@ -87,19 +83,24 @@ class DetectionRecords:
 
     slots is the range of combined slots the run covers; entry i of it
     is slot slots[i]. clicks holds the ascending entry indices of the
-    slots that clicked, click_outcomes their Outcome values and
+    slots that clicked, click_outcomes their Outcome values,
     click_resolved their announced bits (0 for D1, 1 for D2, a fair
-    coin for DOUBLE). Every other slot of the range did not click.
+    coin for DOUBLE), and click_a_bits and click_b_bits Alice's and
+    Bob's bits at each click by the module docstring's rule, as the
+    phase lookup read them. Every other slot of the range did not click.
     """
 
     slots: range                # combined-slot indices
     clicks: np.ndarray          # int64 entry indices of the clicks
     click_outcomes: np.ndarray  # uint8 Outcome values
     click_resolved: np.ndarray  # uint8 announced bits
+    click_a_bits: np.ndarray    # uint8 Alice's bits
+    click_b_bits: np.ndarray    # uint8 Bob's bits
 
     def __post_init__(self) -> None:
         n = self.clicks.size
-        if not self.click_outcomes.size == self.click_resolved.size == n:
+        if not (self.click_outcomes.size == self.click_resolved.size
+                == self.click_a_bits.size == self.click_b_bits.size == n):
             raise ParameterError("per-click arrays must have equal length")
         if n and (self.clicks.min() < 0
                   or self.clicks.max() >= len(self.slots)):
@@ -121,7 +122,8 @@ def run_measurement(
     Slot outcomes follow the channel's threshold-detector model applied
     to each slot's ideal phase difference. The clicks are drawn first
     (channel.sample_clicks), and the module docstring's rule gives the
-    phase bits at the clicks only. N = 1 yields no interior slots.
+    sender bits at the clicks only; the record keeps them for sift.
+    N = 1 yields no interior slots.
     """
     if a.owner is not Owner.ALICE or b.owner is not Owner.BOB:
         raise ParameterError("expected trains in (alice, bob) order")
@@ -131,22 +133,28 @@ def run_measurement(
     if a.intensity != b.intensity:
         raise ParameterError("senders must use the same intensity")
 
+    # each batch's sender bits; the empty heads fix the joined dtype
+    a_at = [np.empty(0, dtype=np.uint8)]
+    b_at = [np.empty(0, dtype=np.uint8)]
+
     def phase_at(entries: np.ndarray) -> np.ndarray:
         # entry e is slot j = e + 2: b[(j>>1)-1] = b[e>>1] and
         # a[(j-1)>>1] = a[(e>>1) + (e&1)], and j is odd where e is
         odd = entries.astype(np.uint8)
         odd &= 1
         half = entries >> 1
-        bits = b.bits.take(half)
+        b_at.append(b.bits.take(half))
         half += odd
-        bits ^= a.bits.take(half)
-        bits ^= odd
-        return bits
+        a_at.append(a.bits.take(half))
+        odd ^= a_at[-1]
+        odd ^= b_at[-1]
+        return odd
 
     n = len(a)
     clicks, outcomes, resolved = sample_clicks(
         2 * n - 2, phase_at, a.intensity, state.eta, state.params, rng)
-    return DetectionRecords(range(2, 2 * n), clicks, outcomes, resolved)
+    return DetectionRecords(range(2, 2 * n), clicks, outcomes, resolved,
+                            np.concatenate(a_at), np.concatenate(b_at))
 
 
 def sift(
@@ -155,8 +163,10 @@ def sift(
     """Keep clicked slots and align the three parties' bits.
 
     The dealer flips his announced bit on odd slots; afterwards every
-    retained slot satisfies c = a XOR b up to channel noise. Sender bits
-    are read only at the clicked slots, by the module docstring's rule.
+    retained slot satisfies c = a XOR b up to channel noise. The sender
+    bits are the record's own, which run_measurement read at the clicks
+    by the module docstring's rule; they are passed on uncopied and
+    nothing is read from the trains.
     """
     n = len(a)
     if len(b) != n:
@@ -167,25 +177,11 @@ def sift(
         raise ParameterError("record slots outside interior range")
     kept_slots = records.clicks * slots.step
     kept_slots += slots.start
-    a_bits = np.empty(kept_slots.size, dtype=np.uint8)
-    b_bits = np.empty(kept_slots.size, dtype=np.uint8)
-    # slot j reads b[(j>>1)-1] and a[(j-1)>>1]; a block's two gather
-    # indices are derived in turn in one small buffer that stays in cache
-    index = np.empty(min(_BLOCK, kept_slots.size), dtype=np.int64)
-    for i in range(0, kept_slots.size, _BLOCK):
-        block = kept_slots[i:i + _BLOCK]
-        at = index[:block.size]
-        np.right_shift(block, 1, out=at)
-        at -= 1
-        b.bits.take(at, out=b_bits[i:i + _BLOCK])
-        np.subtract(block, 1, out=at)
-        at >>= 1
-        a.bits.take(at, out=a_bits[i:i + _BLOCK])
     c_bits = kept_slots.astype(np.uint8)
     c_bits &= 1
     c_bits ^= records.click_resolved
-    return SiftedKeys(slots=kept_slots, a_bits=a_bits, b_bits=b_bits,
-                      c_bits=c_bits)
+    return SiftedKeys(slots=kept_slots, a_bits=records.click_a_bits,
+                      b_bits=records.click_b_bits, c_bits=c_bits)
 
 
 def estimate_qber(
@@ -249,8 +245,9 @@ def run_protocol(
     a = prepare_train(Owner.ALICE, config.n_pairs, config.intensity, rng)
     b = prepare_train(Owner.BOB, config.n_pairs, config.intensity, rng)
     state = ChannelState.for_distance(config.distance, system)
-    # neither the detection record nor the trains outlive the sift, so
-    # they are freed before the QBER split, where the run's memory peaks
+    # the trains and the detection record, bar the sender bits the key
+    # keeps, do not outlive the sift, so they are freed before the QBER
+    # split, where the run's memory peaks
     sifted_all = sift(run_measurement(a, b, state, rng), a, b)
     del a, b
     detected = len(sifted_all)

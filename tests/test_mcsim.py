@@ -201,6 +201,35 @@ def test_clicks_on_the_first_and_last_interior_slot():
     assert np.array_equal(keys.c_bits, keys.a_bits ^ keys.b_bits)
 
 
+def test_records_carry_the_sender_bits_at_every_click():
+    # 803,462 clicks in four sampler batches: the bits each batch's
+    # phase lookup read, joined after the sampler, are the rule's bits at
+    # every click's slot, on both parities
+    n = 2 * 10**6
+    rng = np.random.default_rng(3)
+    a = prepare_train(Owner.ALICE, n, 0.4, rng)
+    b = prepare_train(Owner.BOB, n, 0.4, rng)
+    state = ChannelState.for_distance(0.0, DEFAULTS)
+    records = run_measurement(a, b, state, rng)
+    assert records.clicks.size == 803_462
+    slots = records.slots[0] + records.clicks
+    assert records.click_a_bits.dtype == records.click_b_bits.dtype == np.uint8
+    assert np.array_equal(records.click_a_bits, a.bits[(slots - 1) >> 1])
+    assert np.array_equal(records.click_b_bits, b.bits[(slots >> 1) - 1])
+    odd = slots % 2 == 1
+    assert odd.any() and (~odd).any()
+    # no clicks, with no interior slot or on a silent link: empty uint8
+    # bit arrays
+    silent = ChannelState.for_distance(
+        600.0, SystemParams(dark_count_rate=0.0))
+    for n_pairs in (1, 100):
+        a, b = _trains(n_pairs, 1e-6, 4)
+        records = run_measurement(a, b, silent, np.random.default_rng(5))
+        assert records.clicks.size == 0
+        for bits in (records.click_a_bits, records.click_b_bits):
+            assert bits.dtype == np.uint8 and bits.size == 0
+
+
 def test_measurement_and_sift_use_under_a_byte_per_pulse_pair():
     # simulate_sparse's point: 0.41 % of the 2e7 slots click, so a
     # click-indexed run needs far less than one byte per pulse pair
@@ -289,17 +318,22 @@ def test_sift_rejects_out_of_range_slots():
         clicks=np.array([0], dtype=np.int64),
         click_outcomes=np.array([Outcome.D1], dtype=np.uint8),
         click_resolved=np.array([0], dtype=np.uint8),
+        click_a_bits=np.array([0], dtype=np.uint8),
+        click_b_bits=np.array([0], dtype=np.uint8),
     )
     with pytest.raises(ParameterError, match="interior"):
         sift(bad, a, b)
 
 
-def _records(slots, clicks, outcomes=None, resolved=None):
+def _records(slots, clicks, outcomes=None, resolved=None, a_bits=None,
+             b_bits=None):
     n = len(clicks)
     return DetectionRecords(
         slots, np.asarray(clicks, dtype=np.int64),
         np.asarray(outcomes or [Outcome.D1] * n, dtype=np.uint8),
-        np.asarray(resolved or [0] * n, dtype=np.uint8))
+        np.asarray(resolved or [0] * n, dtype=np.uint8),
+        np.asarray(a_bits or [0] * n, dtype=np.uint8),
+        np.asarray(b_bits or [0] * n, dtype=np.uint8))
 
 
 def test_records_reject_clicks_outside_their_range():
@@ -313,8 +347,17 @@ def test_records_reject_clicks_outside_their_range():
         _records(range(2, 8), [0, 1], outcomes=[Outcome.D1])
     with pytest.raises(ParameterError, match="equal length"):
         _records(range(2, 8), [0, 1], resolved=[0, 1, 1])
-    # a record over part of the interior keeps its own slots' bits
-    keys = sift(_records(range(3, 8, 2), [0, 2], resolved=[1, 0]), a, b)
+    with pytest.raises(ParameterError, match="equal length"):
+        _records(range(2, 8), [0, 1], a_bits=[1])
+    with pytest.raises(ParameterError, match="equal length"):
+        _records(range(2, 8), [0, 1], b_bits=[0, 1, 1])
+    # a record over part of the interior keeps its own slots' bits; slot
+    # j carries a[(j-1)>>1] and b[(j>>1)-1]
+    slots = [3, 7]
+    keys = sift(_records(range(3, 8, 2), [0, 2], resolved=[1, 0],
+                         a_bits=[int(a.bits[(j - 1) >> 1]) for j in slots],
+                         b_bits=[int(b.bits[(j >> 1) - 1]) for j in slots]),
+                a, b)
     assert keys.slots.tolist() == [3, 7]
     assert keys.a_bits.tolist() == [a.bits[1], a.bits[3]]
     assert keys.b_bits.tolist() == [b.bits[0], b.bits[2]]
