@@ -103,13 +103,6 @@ class ChannelState:
         return cls(eta, params)
 
 
-def _check_detection_args(mu: float, eta: float) -> None:
-    if not 0.0 < mu < MAX_INTENSITY:
-        raise ParameterError(f"mu={mu!r} outside (0, {MAX_INTENSITY})")
-    if not 0.0 <= eta <= 1.0:
-        raise ParameterError(f"eta={eta!r} outside [0, 1]")
-
-
 def sample_clicks(
     n: int,
     phase_at: Callable[[np.ndarray], np.ndarray],
@@ -131,7 +124,10 @@ def sample_clicks(
     P_click is 0 the generator is not touched. phase_at is passed a
     view of the returned positions and must not write to it.
     """
-    _check_detection_args(mu, eta)
+    if not 0.0 < mu < MAX_INTENSITY:
+        raise ParameterError(f"mu={mu!r} outside (0, {MAX_INTENSITY})")
+    if not 0.0 <= eta <= 1.0:
+        raise ParameterError(f"eta={eta!r} outside [0, 1]")
     p_click = click_probability(mu, eta, params)
     if n < 1 or p_click == 0.0:
         return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8),

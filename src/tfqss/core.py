@@ -11,6 +11,7 @@ shares the parameter records and result containers defined here.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
@@ -56,29 +57,24 @@ class SystemParams:
     misalignment: float = 0.02
 
     def __post_init__(self) -> None:
-        validate_params(self)
-
-
-def validate_params(params: SystemParams) -> None:
-    """Raise ParameterError naming the first out-of-range field."""
-    eta_d = params.detector_efficiency
-    if not 0.0 < eta_d <= 1.0:
-        raise ParameterError(
-            f"detector_efficiency={eta_d!r} outside (0, 1]")
-    p_d = params.dark_count_rate
-    if not 0.0 <= p_d < 0.5:
-        raise ParameterError(
-            f"dark_count_rate={p_d!r} outside [0, 0.5)")
-    if not 0.0 < params.attenuation < math.inf:
-        raise ParameterError(
-            f"attenuation={params.attenuation!r} must be finite and > 0 dB/km")
-    if not 1.0 <= params.ec_efficiency < math.inf:
-        raise ParameterError(
-            f"ec_efficiency={params.ec_efficiency!r} must be finite and >= 1")
-    e_d = params.misalignment
-    if not 0.0 <= e_d < 0.5:
-        raise ParameterError(
-            f"misalignment={e_d!r} outside [0, 0.5)")
+        # the first out-of-range field is named
+        eta_d = self.detector_efficiency
+        if not 0.0 < eta_d <= 1.0:
+            raise ParameterError(
+                f"detector_efficiency={eta_d!r} outside (0, 1]")
+        p_d = self.dark_count_rate
+        if not 0.0 <= p_d < 0.5:
+            raise ParameterError(f"dark_count_rate={p_d!r} outside [0, 0.5)")
+        loss, f_ec = self.attenuation, self.ec_efficiency
+        if not 0.0 < loss < math.inf:
+            raise ParameterError(
+                f"attenuation={loss!r} must be finite and > 0 dB/km")
+        if not 1.0 <= f_ec < math.inf:
+            raise ParameterError(
+                f"ec_efficiency={f_ec!r} must be finite and >= 1")
+        e_d = self.misalignment
+        if not 0.0 <= e_d < 0.5:
+            raise ParameterError(f"misalignment={e_d!r} outside [0, 0.5)")
 
 
 @dataclass(frozen=True)
@@ -102,19 +98,32 @@ class ProtocolConfig:
         if not 0.0 < self.intensity < MAX_INTENSITY:
             raise ParameterError(
                 f"intensity={self.intensity!r} outside (0, {MAX_INTENSITY})")
-        if not (isinstance(self.n_pairs, int) and self.n_pairs >= 1):
+        n_pairs = _as_int(self.n_pairs)
+        if n_pairs is None or n_pairs < 1:
             raise ParameterError(
                 f"n_pairs={self.n_pairs!r} must be an integer >= 1")
+        object.__setattr__(self, "n_pairs", n_pairs)
         if not self.distance >= 0.0:
             raise ParameterError(
                 f"distance={self.distance!r} must be >= 0 km")
-        if not (isinstance(self.rng_seed, int)
-                and 0 <= self.rng_seed < _SEED_BOUND):
+        rng_seed = _as_int(self.rng_seed)
+        if rng_seed is None or not 0 <= rng_seed < _SEED_BOUND:
             raise ParameterError(
                 f"rng_seed={self.rng_seed!r} must be a 64-bit unsigned int")
+        object.__setattr__(self, "rng_seed", rng_seed)
         if not 0.0 < self.test_fraction < 1.0:
             raise ParameterError(
                 f"test_fraction={self.test_fraction!r} outside (0, 1)")
+
+
+def _as_int(value: object) -> int | None:
+    """value as an int if operator.index takes it and it is no bool."""
+    if isinstance(value, (bool, np.bool_)):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
 
 
 def _as_bit_array(bits: np.ndarray, name: str) -> np.ndarray:

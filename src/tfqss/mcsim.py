@@ -22,22 +22,16 @@ so that c = a XOR b holds exactly on every retained slot of a noiseless
 run, for both slot parities.
 
 The run is click-indexed: apart from the two N-bit trains nothing is
-stored per slot. run_measurement draws the click positions first
-(channel.sample_clicks) and applies the rule above only there. The
-record of a run is its clicks: DetectionRecords keeps the slot range
-plus, per click, its entry index, outcome and announced bit and the
-two sender bits the phase lookup read, with no per-slot view. One
-seeded generator is consumed in this order: Alice's packed phase bytes,
-Bob's, then per sampler batch the gap uniforms, category uniforms and
-coins, then the QBER test sample.
-
-Each sender bit is gathered once. The phase lookup at entry e = j - 2
-takes one half-index h = e >> 1 for both gathers, Bob's bit at h and
-Alice's at h + (e & 1), and keeps both per batch; they are joined
-after the sampler returns. sift only forms the slot numbers and the
-dealer's flipped bit, and the QBER split gathers the four remaining
-arrays at one index. None of this draws from the generator, so the
-stream order above, and with it each seed's output, is untouched.
+stored per slot. run_measurement draws the clicks first
+(channel.sample_clicks) and applies the rule above only there, reading
+each sender bit once. The record of a run is its clicks, each numbered
+by its slot: DetectionRecords keeps n_pairs plus, per click, the slot,
+outcome, announced bit and the two sender bits. sift adds only the
+dealer's flipped bit and passes the record's arrays on uncopied; the
+QBER split masks them at the remaining entries. One seeded generator
+is consumed in this order: Alice's packed phase bytes, Bob's, then per
+sampler batch the gap uniforms, category uniforms and coins, then the
+QBER test sample.
 """
 
 from __future__ import annotations
@@ -81,34 +75,34 @@ def prepare_train(
 class DetectionRecords:
     """The dealer's record of one run: its clicks, nothing per slot.
 
-    slots is the range of combined slots the run covers; entry i of it
-    is slot slots[i]. clicks holds the ascending entry indices of the
-    slots that clicked, click_outcomes their Outcome values,
-    click_resolved their announced bits (0 for D1, 1 for D2, a fair
-    coin for DOUBLE), and click_a_bits and click_b_bits Alice's and
-    Bob's bits at each click by the module docstring's rule, as the
-    phase lookup read them. Every other slot of the range did not click.
+    n_pairs is N, the pulses per sender, so the run covers the interior
+    slots [2, 2N-1]. click_slots holds the ascending slot numbers that
+    clicked, click_outcomes their Outcome values, click_resolved their
+    announced bits (0 for D1, 1 for D2, a fair coin for DOUBLE), and
+    click_a_bits and click_b_bits Alice's and Bob's bits at each click
+    by the module docstring's rule, as the phase lookup read them.
+    Every other interior slot did not click.
     """
 
-    slots: range                # combined-slot indices
-    clicks: np.ndarray          # int64 entry indices of the clicks
+    n_pairs: int
+    click_slots: np.ndarray     # int64 slot numbers
     click_outcomes: np.ndarray  # uint8 Outcome values
     click_resolved: np.ndarray  # uint8 announced bits
     click_a_bits: np.ndarray    # uint8 Alice's bits
     click_b_bits: np.ndarray    # uint8 Bob's bits
 
     def __post_init__(self) -> None:
-        n = self.clicks.size
+        n = self.click_slots.size
         if not (self.click_outcomes.size == self.click_resolved.size
                 == self.click_a_bits.size == self.click_b_bits.size == n):
             raise ParameterError("per-click arrays must have equal length")
-        if n and (self.clicks.min() < 0
-                  or self.clicks.max() >= len(self.slots)):
-            raise ParameterError(
-                f"click entries outside [0, {len(self.slots)})")
+        last = 2 * self.n_pairs - 1
+        if n and (self.click_slots.min() < 2
+                  or self.click_slots.max() > last):
+            raise ParameterError(f"click slots outside [2, {last}]")
 
     def __len__(self) -> int:
-        return len(self.slots)
+        return 2 * self.n_pairs - 2
 
 
 def run_measurement(
@@ -137,12 +131,12 @@ def run_measurement(
     a_at = [np.empty(0, dtype=np.uint8)]
     b_at = [np.empty(0, dtype=np.uint8)]
 
-    def phase_at(entries: np.ndarray) -> np.ndarray:
-        # entry e is slot j = e + 2: b[(j>>1)-1] = b[e>>1] and
+    def phase_at(positions: np.ndarray) -> np.ndarray:
+        # position e is slot j = e + 2: b[(j>>1)-1] = b[e>>1] and
         # a[(j-1)>>1] = a[(e>>1) + (e&1)], and j is odd where e is
-        odd = entries.astype(np.uint8)
+        odd = positions.astype(np.uint8)
         odd &= 1
-        half = entries >> 1
+        half = positions >> 1
         b_at.append(b.bits.take(half))
         half += odd
         a_at.append(a.bits.take(half))
@@ -151,9 +145,10 @@ def run_measurement(
         return odd
 
     n = len(a)
-    clicks, outcomes, resolved = sample_clicks(
+    slots, outcomes, resolved = sample_clicks(
         2 * n - 2, phase_at, a.intensity, state.eta, state.params, rng)
-    return DetectionRecords(range(2, 2 * n), clicks, outcomes, resolved,
+    slots += 2  # sampler position e is slot e + 2
+    return DetectionRecords(n, slots, outcomes, resolved,
                             np.concatenate(a_at), np.concatenate(b_at))
 
 
@@ -163,24 +158,22 @@ def sift(
     """Keep clicked slots and align the three parties' bits.
 
     The dealer flips his announced bit on odd slots; afterwards every
-    retained slot satisfies c = a XOR b up to channel noise. The sender
-    bits are the record's own, which run_measurement read at the clicks
-    by the module docstring's rule; they are passed on uncopied and
-    nothing is read from the trains.
+    retained slot satisfies c = a XOR b up to channel noise. The slots
+    and sender bits are the record's own, which run_measurement read at
+    the clicks by the module docstring's rule; they are passed on
+    uncopied, and only the dealer's bits are allocated.
     """
     n = len(a)
     if len(b) != n:
         raise ParameterError(f"train lengths differ: {n} != {len(b)}")
-    slots = records.slots
-    interior = range(2, 2 * n)
-    if slots and (slots[0] not in interior or slots[-1] not in interior):
-        raise ParameterError("record slots outside interior range")
-    kept_slots = records.clicks * slots.step
-    kept_slots += slots.start
-    c_bits = kept_slots.astype(np.uint8)
+    if records.n_pairs != n:
+        raise ParameterError(
+            f"record interior [2, {2 * records.n_pairs - 1}] is not the "
+            f"trains' interior [2, {2 * n - 1}]")
+    c_bits = records.click_slots.astype(np.uint8)
     c_bits &= 1
     c_bits ^= records.click_resolved
-    return SiftedKeys(slots=kept_slots, a_bits=records.click_a_bits,
+    return SiftedKeys(slots=records.click_slots, a_bits=records.click_a_bits,
                       b_bits=records.click_b_bits, c_bits=c_bits)
 
 
@@ -213,17 +206,12 @@ def estimate_qber(
     estimate = int(np.count_nonzero(mismatch)) / m
     keep = np.ones(n, dtype=bool)
     keep[test_idx] = False
-    # the sample and the mask go before the key is split off, which
-    # gathers the four arrays at one index of the remaining entries
-    del test_idx, mismatch
-    rest = np.flatnonzero(keep)
-    del keep
-    remaining = SiftedKeys(
-        slots=sifted.slots.take(rest),
-        a_bits=sifted.a_bits.take(rest),
-        b_bits=sifted.b_bits.take(rest),
-        c_bits=sifted.c_bits.take(rest),
-    )
+    # a mask copy costs per run of kept entries, not per byte, so the
+    # three bits cross it packed into one byte: a, b, c in bits 2, 1, 0
+    bits = (sifted.a_bits << 2) | (sifted.b_bits << 1) | sifted.c_bits
+    bits = bits[keep]
+    remaining = SiftedKeys(slots=sifted.slots[keep], a_bits=bits >> 2,
+                           b_bits=(bits >> 1) & 1, c_bits=bits & 1)
     return estimate, remaining, estimate > abort_threshold
 
 
@@ -245,9 +233,9 @@ def run_protocol(
     a = prepare_train(Owner.ALICE, config.n_pairs, config.intensity, rng)
     b = prepare_train(Owner.BOB, config.n_pairs, config.intensity, rng)
     state = ChannelState.for_distance(config.distance, system)
-    # the trains and the detection record, bar the sender bits the key
-    # keeps, do not outlive the sift, so they are freed before the QBER
-    # split, where the run's memory peaks
+    # the trains and the detection record, bar the slots and sender bits
+    # the key keeps, do not outlive the sift, so they are freed before
+    # the QBER split, where the run's memory peaks
     sifted_all = sift(run_measurement(a, b, state, rng), a, b)
     del a, b
     detected = len(sifted_all)

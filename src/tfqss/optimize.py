@@ -85,9 +85,10 @@ def maximize_rate_at_transmittance(
                     + [MU_MAX])
     # the grid validates eta (and raises where the gain is 0) for the
     # slope calls below, which check nothing
-    blocks = range(0, lanes.size, _GRID_BLOCK)
-    rates = np.concatenate([rate_at_transmittance(
-        grid, lanes[i:i + _GRID_BLOCK, None], params).rate for i in blocks])
+    rates = np.empty((lanes.size, grid_size))
+    for i in range(0, lanes.size, _GRID_BLOCK):
+        rates[i:i + _GRID_BLOCK] = rate_at_transmittance(
+            grid, lanes[i:i + _GRID_BLOCK, None], params).rate
     best = rates.argmax(axis=1)
     grid_best = rates.max(axis=1)
     mu_best = grid[best]

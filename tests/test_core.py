@@ -59,6 +59,13 @@ def test_system_params_boundary_values_allowed():
     (dict(rng_seed=2**64), "rng_seed"),
     (dict(test_fraction=0.0), "test_fraction"),
     (dict(test_fraction=1.0), "test_fraction"),
+    # integers are what operator.index takes, bools excepted
+    (dict(n_pairs=np.float64(2.0)), "n_pairs"),
+    (dict(n_pairs=np.int64(0)), "n_pairs"),
+    (dict(n_pairs=True), "n_pairs"),
+    (dict(n_pairs=np.True_), "n_pairs"),
+    (dict(rng_seed=np.int64(-1)), "rng_seed"),
+    (dict(rng_seed=False), "rng_seed"),
 ])
 def test_protocol_config_rejects_bad_fields(kwargs, fragment):
     with pytest.raises(ParameterError, match=fragment):
@@ -72,6 +79,10 @@ def test_protocol_config_defaults():
     assert c.distance == 100.0
     assert c.rng_seed == 1
     assert c.test_fraction == 0.1
+    # numpy integers are stored as Python ints
+    c = ProtocolConfig(n_pairs=np.int64(1000), rng_seed=np.uint64(2**64 - 1))
+    assert type(c.n_pairs) is type(c.rng_seed) is int
+    assert (c.n_pairs, c.rng_seed) == (1000, 2**64 - 1)
 
 
 def test_pulse_train_bits_become_read_only():

@@ -123,7 +123,6 @@ def test_run_measurement_covers_interior_slots_once():
     state = ChannelState.for_distance(50.0, DEFAULTS)
     records = run_measurement(a, b, state, np.random.default_rng(29))
     assert len(records) == 2 * n - 2
-    assert np.array_equal(records.slots, np.arange(2, 2 * n))
 
 
 def test_run_measurement_per_click_invariants():
@@ -134,13 +133,13 @@ def test_run_measurement_per_click_invariants():
     a, b = _trains(20_000, 0.3, 30)
     state = ChannelState(eta=0.5, params=params)
     records = run_measurement(a, b, state, np.random.default_rng(31))
-    clicks, outcomes = records.clicks, records.click_outcomes
+    slots, outcomes = records.click_slots, records.click_outcomes
     resolved = records.click_resolved
-    assert clicks.dtype == np.int64
+    assert slots.dtype == np.int64
     assert outcomes.dtype == resolved.dtype == np.uint8
-    assert clicks.size == outcomes.size == resolved.size > 1000
-    assert np.all(np.diff(clicks) > 0)
-    assert 0 <= clicks[0] and clicks[-1] < len(records)
+    assert slots.size == outcomes.size == resolved.size > 1000
+    assert np.all(np.diff(slots) > 0)
+    assert 2 <= slots[0] and slots[-1] < len(records) + 2
     assert set(np.unique(outcomes).tolist()) == {
         Outcome.D1, Outcome.D2, Outcome.DOUBLE}
     assert np.all(resolved[outcomes == Outcome.D1] == 0)
@@ -156,10 +155,9 @@ def test_noiseless_outcomes_match_hand_derived_phases():
     a, b = _trains(500, 0.499, 32)
     state = ChannelState(eta=1.0, params=params)
     records = run_measurement(a, b, state, np.random.default_rng(33))
-    assert records.clicks.size > 100
+    assert records.click_slots.size > 100
     assert set(records.click_outcomes.tolist()) <= {Outcome.D1, Outcome.D2}
-    for slot, bit in zip(records.slots[0] + records.clicks,
-                         records.click_resolved):
+    for slot, bit in zip(records.click_slots, records.click_resolved):
         assert bit == _ideal_phase_bit(slot, a.bits, b.bits)
 
 
@@ -170,7 +168,7 @@ def test_empirical_gain_matches_analytic_gain():
     a, b = _trains(n, mu, 34)
     state = ChannelState.for_distance(100.0, DEFAULTS)
     records = run_measurement(a, b, state, np.random.default_rng(35))
-    detected = records.clicks.size
+    detected = records.click_slots.size
     interior = 2 * n - 2
     q = gain(mu, state.eta, DEFAULTS.dark_count_rate)
     sigma = math.sqrt(q * (1.0 - q) / interior)
@@ -187,13 +185,13 @@ def test_clicks_on_the_first_and_last_interior_slot():
     for seed in range(200):
         a, b = _trains(n, 0.499, seed)
         records = run_measurement(a, b, state, np.random.default_rng(seed))
-        if records.clicks.size and records.clicks[0] == 0 \
-                and records.clicks[-1] == 2 * n - 3:
+        if records.click_slots.size and records.click_slots[0] == 2 \
+                and records.click_slots[-1] == 2 * n - 1:
             break
     else:
         pytest.fail("no run clicked on both end slots")
     for i, slot in ((0, 2), (-1, 2 * n - 1)):
-        assert records.slots[0] + records.clicks[i] == slot
+        assert records.click_slots[i] == slot
         assert records.click_resolved[i] == _ideal_phase_bit(
             slot, a.bits, b.bits)
     keys = sift(records, a, b)
@@ -201,18 +199,23 @@ def test_clicks_on_the_first_and_last_interior_slot():
     assert np.array_equal(keys.c_bits, keys.a_bits ^ keys.b_bits)
 
 
-def test_records_carry_the_sender_bits_at_every_click():
-    # 803,462 clicks in four sampler batches: the bits each batch's
-    # phase lookup read, joined after the sampler, are the rule's bits at
-    # every click's slot, on both parities
+def _dense_run():
+    """simulate_dense at half the length: 803,462 clicks in four sampler
+    batches."""
     n = 2 * 10**6
     rng = np.random.default_rng(3)
     a = prepare_train(Owner.ALICE, n, 0.4, rng)
     b = prepare_train(Owner.BOB, n, 0.4, rng)
     state = ChannelState.for_distance(0.0, DEFAULTS)
-    records = run_measurement(a, b, state, rng)
-    assert records.clicks.size == 803_462
-    slots = records.slots[0] + records.clicks
+    return a, b, run_measurement(a, b, state, rng)
+
+
+def test_records_carry_the_sender_bits_at_every_click():
+    # the bits each batch's phase lookup read, joined after the sampler,
+    # are the rule's bits at every click's slot, on both parities
+    a, b, records = _dense_run()
+    assert records.click_slots.size == 803_462
+    slots = records.click_slots
     assert records.click_a_bits.dtype == records.click_b_bits.dtype == np.uint8
     assert np.array_equal(records.click_a_bits, a.bits[(slots - 1) >> 1])
     assert np.array_equal(records.click_b_bits, b.bits[(slots >> 1) - 1])
@@ -225,7 +228,7 @@ def test_records_carry_the_sender_bits_at_every_click():
     for n_pairs in (1, 100):
         a, b = _trains(n_pairs, 1e-6, 4)
         records = run_measurement(a, b, silent, np.random.default_rng(5))
-        assert records.clicks.size == 0
+        assert records.click_slots.size == 0
         for bits in (records.click_a_bits, records.click_b_bits):
             assert bits.dtype == np.uint8 and bits.size == 0
 
@@ -274,7 +277,7 @@ def test_sift_keeps_only_clicks_and_aligns_bits():
     state = ChannelState.for_distance(30.0, DEFAULTS)
     records = run_measurement(a, b, state, np.random.default_rng(37))
     keys = sift(records, a, b)
-    assert len(keys) == records.clicks.size
+    assert len(keys) == records.click_slots.size
     # each retained slot's sender bits come from the adjacent pulses
     for slot, a_bit, b_bit in zip(keys.slots[:200], keys.a_bits[:200],
                                   keys.b_bits[:200]):
@@ -284,6 +287,22 @@ def test_sift_keeps_only_clicks_and_aligns_bits():
         else:
             k = (slot + 1) // 2
             assert a_bit == a.bits[k - 1] and b_bit == b.bits[k - 2]
+
+
+def test_sift_allocates_only_the_dealer_bits():
+    # the record's slot numbers become the key's uncopied; an int64 slot
+    # array formed from entry indices costs 8 bytes per click more
+    a, b, records = _dense_run()
+    tracemalloc.start()
+    try:
+        keys = sift(records, a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    clicks = len(keys)
+    assert clicks == 803_462
+    assert peak < 2 * clicks, peak / clicks
+    assert np.shares_memory(keys.slots, records.click_slots)
 
 
 def test_sift_noiseless_correlation_both_parities():
@@ -314,8 +333,8 @@ def test_sift_violation_fraction_matches_analytic_qber():
 def test_sift_rejects_out_of_range_slots():
     a, b = _trains(4, 0.1, 42)
     bad = DetectionRecords(
-        slots=range(8, 9),  # interior range is [2, 7]
-        clicks=np.array([0], dtype=np.int64),
+        n_pairs=5,  # interior range [2, 9]; the trains' is [2, 7]
+        click_slots=np.array([8], dtype=np.int64),
         click_outcomes=np.array([Outcome.D1], dtype=np.uint8),
         click_resolved=np.array([0], dtype=np.uint8),
         click_a_bits=np.array([0], dtype=np.uint8),
@@ -325,11 +344,11 @@ def test_sift_rejects_out_of_range_slots():
         sift(bad, a, b)
 
 
-def _records(slots, clicks, outcomes=None, resolved=None, a_bits=None,
-             b_bits=None):
-    n = len(clicks)
+def _records(n_pairs, click_slots, outcomes=None, resolved=None,
+             a_bits=None, b_bits=None):
+    n = len(click_slots)
     return DetectionRecords(
-        slots, np.asarray(clicks, dtype=np.int64),
+        n_pairs, np.asarray(click_slots, dtype=np.int64),
         np.asarray(outcomes or [Outcome.D1] * n, dtype=np.uint8),
         np.asarray(resolved or [0] * n, dtype=np.uint8),
         np.asarray(a_bits or [0] * n, dtype=np.uint8),
@@ -337,24 +356,24 @@ def _records(slots, clicks, outcomes=None, resolved=None, a_bits=None,
 
 
 def test_records_reject_clicks_outside_their_range():
-    # 4-pulse trains have interior slots 2..7; entry 6 of range(2, 8)
-    # would be boundary slot 8 and entry 7 slot 9
+    # 4-pulse trains have interior slots 2..7; slot 8 is a boundary
+    # slot, 9 lies past it and 1 is the other boundary slot
     a, b = _trains(4, 0.1, 43)
-    for bad in ([6], [7], [-1], [0, 6]):
-        with pytest.raises(ParameterError, match="click entries"):
-            sift(_records(range(2, 8), bad), a, b)
+    for bad in ([8], [9], [1], [2, 8]):
+        with pytest.raises(ParameterError, match="click slots"):
+            sift(_records(4, bad), a, b)
     with pytest.raises(ParameterError, match="equal length"):
-        _records(range(2, 8), [0, 1], outcomes=[Outcome.D1])
+        _records(4, [2, 3], outcomes=[Outcome.D1])
     with pytest.raises(ParameterError, match="equal length"):
-        _records(range(2, 8), [0, 1], resolved=[0, 1, 1])
+        _records(4, [2, 3], resolved=[0, 1, 1])
     with pytest.raises(ParameterError, match="equal length"):
-        _records(range(2, 8), [0, 1], a_bits=[1])
+        _records(4, [2, 3], a_bits=[1])
     with pytest.raises(ParameterError, match="equal length"):
-        _records(range(2, 8), [0, 1], b_bits=[0, 1, 1])
+        _records(4, [2, 3], b_bits=[0, 1, 1])
     # a record over part of the interior keeps its own slots' bits; slot
     # j carries a[(j-1)>>1] and b[(j>>1)-1]
     slots = [3, 7]
-    keys = sift(_records(range(3, 8, 2), [0, 2], resolved=[1, 0],
+    keys = sift(_records(4, slots, resolved=[1, 0],
                          a_bits=[int(a.bits[(j - 1) >> 1]) for j in slots],
                          b_bits=[int(b.bits[(j >> 1) - 1]) for j in slots]),
                 a, b)

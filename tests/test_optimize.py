@@ -234,6 +234,9 @@ def test_maximize_rate_handles_raw_transmittance():
     audit = np.linspace(MU_MIN, MU_MAX, 20_001)
     best = rate_at_transmittance(audit, 0.3, DEFAULTS).rate.max()
     assert bd.rate >= best - 1e-12
+    # no lanes: empty fields, as the kernel gives
+    mu_opt, bd = maximize_rate_at_transmittance(np.array([]), DEFAULTS)
+    assert mu_opt.shape == bd.rate.shape == bd.gain.shape == (0,)
 
 
 def test_find_crossover_walks_up_to_l_max():
