@@ -127,12 +127,17 @@ def _as_int(value: object) -> int | None:
 
 
 def _as_bit_array(bits: np.ndarray, name: str) -> np.ndarray:
-    """Coerce to a read-only uint8 array of {0,1} values."""
+    """A read-only uint8 view of bits, checked to hold only {0,1}.
+
+    The view is frozen, not the array it views, so the caller can still
+    write their own array.
+    """
     arr = np.asarray(bits, dtype=np.uint8)
     if arr.ndim != 1:
         raise ParameterError(f"{name} must be one-dimensional")
     if arr.size and arr.max() > 1:
         raise ParameterError(f"{name} must contain only 0/1 values")
+    arr = arr.view()
     arr.flags.writeable = False
     return arr
 
@@ -142,23 +147,50 @@ class PulseTrain:
     """One sender's phase bits for a run; bit i modulates pulse i.
 
     Alice's bit i rides combined slot 2i+1, Bob's rides slot 2i+2.
-    The bits array is read-only once constructed.
+    The n bits are stored packed, most significant bit first, in the
+    ceil(n/8) bytes of the read-only packed array; bits unpacks them on
+    demand. from_bits builds a train from an array of bits.
     """
 
     owner: Owner
-    bits: np.ndarray
+    packed: np.ndarray
+    n: int
     intensity: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", _as_bit_array(self.bits, "bits"))
-        if self.bits.size < 1:
+        packed = np.asarray(self.packed)
+        if packed.dtype != np.uint8 or packed.ndim != 1:
+            raise ParameterError("packed must be a 1-D uint8 array")
+        n = _as_int(self.n)
+        if n is None or n < 1:
             raise ParameterError("pulse train must contain at least one bit")
+        if packed.size != -(-n // 8):
+            raise ParameterError(
+                f"packed holds {packed.size} bytes, not ceil({n}/8)")
         if not 0.0 < self.intensity < MAX_INTENSITY:
             raise ParameterError(
                 f"intensity={self.intensity!r} outside (0, {MAX_INTENSITY})")
+        packed = packed.view()
+        packed.flags.writeable = False
+        object.__setattr__(self, "packed", packed)
+        object.__setattr__(self, "n", n)
+
+    @classmethod
+    def from_bits(cls, owner: Owner, bits: np.ndarray,
+                  intensity: float) -> "PulseTrain":
+        """The train of a one-dimensional array of {0,1} bits."""
+        arr = _as_bit_array(bits, "bits")
+        return cls(owner, np.packbits(arr), arr.size, intensity)
+
+    @property
+    def bits(self) -> np.ndarray:
+        """The n bits, unpacked into a fresh read-only uint8 array."""
+        bits = np.unpackbits(self.packed, count=self.n)
+        bits.flags.writeable = False
+        return bits
 
     def __len__(self) -> int:
-        return int(self.bits.size)
+        return self.n
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,7 +207,7 @@ class SiftedKeys:
     c_bits: np.ndarray
 
     def __post_init__(self) -> None:
-        slots = np.asarray(self.slots, dtype=np.int64)
+        slots = np.asarray(self.slots, dtype=np.int64).view()
         slots.flags.writeable = False
         object.__setattr__(self, "slots", slots)
         for name in ("a_bits", "b_bits", "c_bits"):

@@ -21,15 +21,17 @@ cancels that pi shift), and keeps the sender bits read by the same rule,
 so that c = a XOR b holds exactly on every retained slot of a noiseless
 run, for both slot parities.
 
-The run is click-indexed: apart from the two N-bit trains nothing is
-stored per slot. run_measurement draws the clicks first
-(channel.sample_clicks) and applies the rule above only there, reading
-each sender bit once. The record of a run is its clicks, each numbered
-by its slot: DetectionRecords keeps n_pairs plus, per click, the slot,
-outcome, announced bit and the two sender bits. sift adds only the
-dealer's flipped bit and passes the record's arrays on uncopied; the
-QBER split masks them at the remaining entries. One seeded generator
-is consumed in this order: Alice's packed phase bytes, Bob's, then per
+The run is click-indexed: apart from the two N-bit trains, kept packed
+at eight bits a byte, nothing is stored per slot. run_measurement draws
+the clicks first (channel.sample_clicks) and applies the rule above
+only there, reading each sender bit once; it unpacks each train only in
+the spans of at most _SPAN bits that a sampler batch's clicks fall in.
+The record of a run is its clicks, each numbered by its slot:
+DetectionRecords keeps n_pairs plus, per click, the slot, outcome,
+announced bit and the two sender bits. sift adds only the dealer's
+flipped bit and passes the record's arrays on uncopied; the QBER
+split masks them at the remaining entries. One seeded generator is
+consumed in this order: Alice's packed phase bytes, Bob's, then per
 sampler batch the gap uniforms, category uniforms and coins, then the
 QBER test sample.
 """
@@ -55,20 +57,26 @@ from .core import (
     SystemParams,
 )
 
+# The phase lookup unpacks the trains a span of this many bits at a
+# time, which bounds its temporaries however long the trains are.
+_SPAN = 1 << 19
+
 
 def prepare_train(
     owner: Owner, n: int, mu: float, rng: np.random.Generator
 ) -> PulseTrain:
     """Draw n fair phase bits for one sender at intensity mu.
 
-    The bits are the first n bits of ceil(n/8) random bytes, unpacked
-    most significant bit first.
+    The bits are the first n bits, most significant bit first, of the
+    ceil(n/8) bytes that rng.bytes(ceil(n/8)) would return: the bytes
+    of ceil(n/32) uniform uint32 words in little-endian order. The
+    train keeps them packed.
     """
     if n < 1:
         raise ParameterError(f"n={n!r} must be >= 1")
-    packed = np.frombuffer(rng.bytes(-(-n // 8)), dtype=np.uint8)
-    return PulseTrain(owner=owner, bits=np.unpackbits(packed, count=n),
-                      intensity=mu)
+    words = rng.integers(0, 2**32, -(-n // 32), dtype=np.uint32)
+    packed = words.astype("<u4", copy=False).view(np.uint8)[:-(-n // 8)]
+    return PulseTrain(owner, packed, n, mu)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +125,9 @@ def run_measurement(
     to each slot's ideal phase difference. The clicks are drawn first
     (channel.sample_clicks), and the module docstring's rule gives the
     sender bits at the clicks only; the record keeps them for sift.
-    N = 1 yields no interior slots.
+    The phase lookup cuts each sampler batch where the sender bit index
+    crosses a multiple of _SPAN and unpacks, per piece, only the packed
+    bytes that hold its bits. N = 1 yields no interior slots.
     """
     if a.owner is not Owner.ALICE or b.owner is not Owner.BOB:
         raise ParameterError("expected trains in (alice, bob) order")
@@ -137,11 +147,23 @@ def run_measurement(
         odd = positions.astype(np.uint8)
         odd &= 1
         half = positions >> 1
-        b_at.append(b.bits.take(half))
-        half += odd
-        a_at.append(a.bits.take(half))
-        odd ^= a_at[-1]
-        odd ^= b_at[-1]
+        # the batch is cut into pieces where e>>1 crosses a multiple of
+        # _SPAN; a piece unpacks only the bytes that hold its bits, up
+        # to one past its last e>>1 for Alice, and gathers there
+        lo = 0
+        while lo < half.size:
+            first = int(half[lo])
+            hi = int(half.searchsorted(first - first % _SPAN + _SPAN))
+            start = first >> 3
+            stop = ((int(half[hi - 1]) + 1) >> 3) + 1
+            piece = half[lo:hi]
+            piece -= start << 3
+            b_at.append(np.unpackbits(b.packed[start:stop]).take(piece))
+            piece += odd[lo:hi]
+            a_at.append(np.unpackbits(a.packed[start:stop]).take(piece))
+            odd[lo:hi] ^= a_at[-1]
+            odd[lo:hi] ^= b_at[-1]
+            lo = hi
         return odd
 
     n = len(a)
@@ -233,9 +255,9 @@ def run_protocol(
     a = prepare_train(Owner.ALICE, config.n_pairs, config.intensity, rng)
     b = prepare_train(Owner.BOB, config.n_pairs, config.intensity, rng)
     state = ChannelState.for_distance(config.distance, system)
-    # the trains and the detection record, bar the slots and sender bits
-    # the key keeps, do not outlive the sift, so they are freed before
-    # the QBER split, where the run's memory peaks
+    # the packed trains and the detection record, bar the slots and
+    # sender bits the key keeps, do not outlive the sift, so they are
+    # freed before the QBER split, where a dense run's memory peaks
     sifted_all = sift(run_measurement(a, b, state, rng), a, b)
     del a, b
     detected = len(sifted_all)

@@ -87,7 +87,7 @@ def test_protocol_config_defaults():
 
 def test_pulse_train_bits_become_read_only():
     bits = np.array([0, 1, 1, 0], dtype=np.uint8)
-    train = PulseTrain(owner=Owner.ALICE, bits=bits, intensity=0.1)
+    train = PulseTrain.from_bits(owner=Owner.ALICE, bits=bits, intensity=0.1)
     assert len(train) == 4
     with pytest.raises(ValueError):
         train.bits[0] = 1
@@ -95,14 +95,17 @@ def test_pulse_train_bits_become_read_only():
 
 def test_pulse_train_rejects_non_bits_and_bad_intensity():
     with pytest.raises(ParameterError, match="0/1"):
-        PulseTrain(owner=Owner.BOB, bits=np.array([0, 2]), intensity=0.1)
+        PulseTrain.from_bits(owner=Owner.BOB, bits=np.array([0, 2]),
+                             intensity=0.1)
     with pytest.raises(ParameterError, match="one-dimensional"):
-        PulseTrain(owner=Owner.BOB, bits=np.zeros((2, 2)), intensity=0.1)
+        PulseTrain.from_bits(owner=Owner.BOB, bits=np.zeros((2, 2)),
+                             intensity=0.1)
     with pytest.raises(ParameterError, match="at least one bit"):
-        PulseTrain(owner=Owner.BOB, bits=np.empty(0, dtype=np.uint8),
-                   intensity=0.1)
+        PulseTrain.from_bits(owner=Owner.BOB,
+                             bits=np.empty(0, dtype=np.uint8), intensity=0.1)
     with pytest.raises(ParameterError, match="intensity"):
-        PulseTrain(owner=Owner.BOB, bits=np.array([0, 1]), intensity=0.5)
+        PulseTrain.from_bits(owner=Owner.BOB, bits=np.array([0, 1]),
+                             intensity=0.5)
 
 
 def test_sifted_keys_validation():
@@ -119,6 +122,42 @@ def test_sifted_keys_validation():
     with pytest.raises(ParameterError, match="interior"):
         SiftedKeys(slots=np.array([1]), a_bits=np.array([0]),
                    b_bits=np.array([0]), c_bits=np.array([0]))
+
+
+def test_pulse_train_keeps_its_bits_packed():
+    # the caller's array stays writable: the train holds its own packed
+    # bytes, most significant bit first, and unpacks them on demand
+    bits = np.array([1, 0, 1, 1, 0, 0, 0, 1, 1], dtype=np.uint8)
+    train = PulseTrain.from_bits(Owner.ALICE, bits, 0.1)
+    bits[0] = 0
+    assert train.packed.tolist() == [0b10110001, 0b10000000]
+    assert not train.packed.flags.writeable
+    assert train.n == len(train) == 9
+    assert train.bits.tolist() == [1, 0, 1, 1, 0, 0, 0, 1, 1]
+    same = PulseTrain(Owner.ALICE, train.packed, 9, 0.1)
+    assert np.array_equal(same.bits, train.bits)
+    with pytest.raises(ParameterError, match="ceil"):
+        PulseTrain(Owner.ALICE, train.packed, 17, 0.1)
+    with pytest.raises(ParameterError, match="at least one bit"):
+        PulseTrain(Owner.ALICE, np.empty(0, dtype=np.uint8), 0, 0.1)
+    with pytest.raises(ParameterError, match="uint8"):
+        PulseTrain(Owner.ALICE, train.packed.astype(np.int64), 9, 0.1)
+
+
+def test_sifted_keys_freeze_their_views_not_the_callers_arrays():
+    # the key takes the caller's arrays uncopied and read-only, and the
+    # caller can still write them
+    slots = np.array([2, 5, 8], dtype=np.int64)
+    a, b, c = (np.array([0, 1, 1], dtype=np.uint8) for _ in range(3))
+    keys = SiftedKeys(slots=slots, a_bits=a, b_bits=b, c_bits=c)
+    for own, kept in ((slots, keys.slots), (a, keys.a_bits),
+                      (b, keys.b_bits), (c, keys.c_bits)):
+        assert np.shares_memory(own, kept)
+        assert not kept.flags.writeable
+        with pytest.raises(ValueError):
+            kept[0] = 1
+        own[0] = 1
+        assert own.flags.writeable and own[0] == 1
 
 
 def test_rate_point_validation():

@@ -32,9 +32,11 @@ DEFAULTS = SystemParams()
 
 def _trains(n, mu, seed, a_bits=None, b_bits=None):
     rng = np.random.default_rng(seed)
-    a = (PulseTrain(Owner.ALICE, np.asarray(a_bits, dtype=np.uint8), mu)
+    a = (PulseTrain.from_bits(Owner.ALICE,
+                              np.asarray(a_bits, dtype=np.uint8), mu)
          if a_bits is not None else prepare_train(Owner.ALICE, n, mu, rng))
-    b = (PulseTrain(Owner.BOB, np.asarray(b_bits, dtype=np.uint8), mu)
+    b = (PulseTrain.from_bits(Owner.BOB,
+                              np.asarray(b_bits, dtype=np.uint8), mu)
          if b_bits is not None else prepare_train(Owner.BOB, n, mu, rng))
     return a, b
 
@@ -88,6 +90,34 @@ def test_prepare_train_unpacks_exactly_n_fair_bits(n):
     assert np.array_equal(train.bits, again.bits)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 31, 32, 33, 100003])
+def test_prepare_train_draws_the_bytes_of_rng_bytes(n):
+    # the packed train is rng.bytes(ceil(n/8)), and the generator is left
+    # where rng.bytes leaves it
+    rng = np.random.default_rng(n)
+    ref = np.random.default_rng(n)
+    train = prepare_train(Owner.ALICE, n, 0.1, rng)
+    assert train.packed.dtype == np.uint8
+    assert np.array_equal(
+        train.packed, np.frombuffer(ref.bytes(-(-n // 8)), np.uint8))
+    assert rng.random() == ref.random()
+
+
+def test_prepare_train_allocates_only_the_packed_bytes():
+    # a train keeps n/8 bytes; unpacking it, or copying the drawn bytes,
+    # costs a byte per bit or more
+    n = 10**6
+    prepare_train(Owner.ALICE, n, 0.1, np.random.default_rng(1))  # warm-up
+    tracemalloc.start()
+    try:
+        train = prepare_train(Owner.ALICE, n, 0.1, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(train) == n
+    assert peak < 0.2 * n, peak / n
+
+
 def test_prepare_train_rejects_empty():
     with pytest.raises(ParameterError, match="n="):
         prepare_train(Owner.ALICE, 0, 0.1, np.random.default_rng(23))
@@ -102,10 +132,10 @@ def test_run_measurement_validates_inputs():
     rng = np.random.default_rng(25)
     with pytest.raises(ParameterError, match="order"):
         run_measurement(b, a, state, rng)
-    short_b = PulseTrain(Owner.BOB, b.bits[:4], 0.1)
+    short_b = PulseTrain.from_bits(Owner.BOB, b.bits[:4], 0.1)
     with pytest.raises(ParameterError, match="lengths differ"):
         run_measurement(a, short_b, state, rng)
-    other_mu = PulseTrain(Owner.BOB, b.bits, 0.2)
+    other_mu = PulseTrain.from_bits(Owner.BOB, b.bits, 0.2)
     with pytest.raises(ParameterError, match="intensity"):
         run_measurement(a, other_mu, state, rng)
 
@@ -233,6 +263,27 @@ def test_records_carry_the_sender_bits_at_every_click():
             assert bits.dtype == np.uint8 and bits.size == 0
 
 
+@pytest.mark.parametrize("span", [8, 13])
+def test_phase_lookup_reads_the_same_bits_across_span_boundaries(
+        monkeypatch, span):
+    # the phase lookup unpacks the trains a span at a time; spans of 8
+    # and 13 bits cut every sampler batch into many pieces, at byte
+    # boundaries and inside bytes, and the record does not change
+    params = SystemParams(dark_count_rate=0.05, misalignment=0.1)
+    state = ChannelState(eta=0.5, params=params)
+    a, b = _trains(20_000, 0.3, 30)
+    default = run_measurement(a, b, state, np.random.default_rng(31))
+    monkeypatch.setattr("tfqss.mcsim._SPAN", span)
+    records = run_measurement(a, b, state, np.random.default_rng(31))
+    slots = records.click_slots
+    assert slots.size > 1000
+    for name in ("click_slots", "click_outcomes", "click_resolved",
+                 "click_a_bits", "click_b_bits"):
+        assert np.array_equal(getattr(records, name), getattr(default, name))
+    assert np.array_equal(records.click_a_bits, a.bits[(slots - 1) >> 1])
+    assert np.array_equal(records.click_b_bits, b.bits[(slots >> 1) - 1])
+
+
 def test_measurement_and_sift_use_under_a_byte_per_pulse_pair():
     # simulate_sparse's point: 0.41 % of the 2e7 slots click, so a
     # click-indexed run needs far less than one byte per pulse pair
@@ -267,6 +318,23 @@ def test_dense_run_peaks_under_34_bytes_per_click():
         tracemalloc.stop()
     assert report.detected_slots > 800_000
     assert peak < 34 * report.detected_slots, peak / report.detected_slots
+
+
+def test_sparse_run_peaks_under_a_byte_per_pulse_pair():
+    # simulate_sparse's point at a fifth of the length: 0.41 % of the
+    # slots click, so the two packed trains, an eighth of a byte per
+    # pulse each, and one unpacked span lead the peak; unpacked trains
+    # alone would take two bytes per pair
+    config = ProtocolConfig(intensity=0.05, n_pairs=2 * 10**6,
+                            distance=100.0, rng_seed=1)
+    tracemalloc.start()
+    try:
+        report = run_protocol(DEFAULTS, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.detected_slots > 15_000
+    assert peak < config.n_pairs, peak / config.n_pairs
 
 
 # ----------------------------------------------------------------- sifting
