@@ -37,7 +37,8 @@ a lookup the caller passes in, so the phase bits never move a click and
 a seed reproduces the same clicks bit for bit. It returns per-click
 positions, outcomes and announced bits; detect_slots scatters them
 into dense arrays. The outputs are allocated once, sized to the clicks
-expected plus four standard deviations, and grow only if more land.
+expected plus four standard deviations, and grow only before a batch
+whose gap bound would overrun them, which is rare.
 Every batch draws its uniforms into one reused float scratch and sums
 its positions where they are kept, which leaves the stream order above
 as it is.
@@ -51,7 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_INTENSITY, Outcome, ParameterError, SystemParams
+from .core import (
+    MAX_INTENSITY, Outcome, ParameterError, SystemParams, _as_bit_array)
 
 # Click positions are drawn in batches of at most this many geometric
 # gaps, which bounds the per-batch temporaries however many slots click.
@@ -148,7 +150,8 @@ def sample_clicks(
 
     # the outputs hold the clicks expected in all n slots plus four
     # standard deviations, the bound of the first batch; they grow only
-    # when more clicks land, and the result is their filled head
+    # before a batch whose gap bound would overrun them, and the result
+    # is their filled head
     size = min(n, _click_bound(n * p_click))
     clicks = np.empty(size, dtype=np.int64)
     outcomes = np.empty(size, dtype=np.uint8)
@@ -169,24 +172,22 @@ def sample_clicks(
         # for a subnormal P_click and the running sum far from overflow
         np.maximum(gaps, (left + 1) * log_stay, out=gaps)
         gaps /= log_stay
-        # the batch's positions are summed where they are kept, unless
-        # its gap bound overruns the outputs (its clicks rarely do)
-        aside = filled + k > clicks.size
-        pos = np.empty(k, np.int64) if aside else clicks[filled:filled + k]
+        if filled + k > clicks.size:
+            # the batch's gap bound would overrun the outputs, so they
+            # grow first; filled + k <= n, since filled <= last + 1 and
+            # k <= left. np.resize repeats the entries into the new
+            # room; this batch and later ones overwrite it
+            grown = min(n, max(filled + k, 2 * clicks.size))
+            clicks, outcomes, announced = (
+                np.resize(col, grown) for col in (clicks, outcomes, announced))
+        # the batch's positions are summed where they are kept
+        pos = clicks[filled:filled + k]
         pos[...] = gaps
         pos += 1
         pos[0] += last
         np.cumsum(pos, out=pos)
         last = int(pos[-1])
         end = filled + int(np.searchsorted(pos, n))
-        if end > clicks.size:
-            # np.resize repeats the entries into the new room; later
-            # batches overwrite it
-            grown = min(n, max(end, 2 * clicks.size))
-            clicks, outcomes, announced = (
-                np.resize(col, grown) for col in (clicks, outcomes, announced))
-        if aside:
-            clicks[filled:end] = pos[:end - filled]
 
         pos = clicks[filled:end]
         out = outcomes[filled:end]
@@ -224,11 +225,7 @@ def detect_slots(
     dense view of sample_clicks, which draws the clicks and consumes the
     generator; the click positions do not depend on phase_bits.
     """
-    bits = np.asarray(phase_bits, dtype=np.uint8)
-    if bits.ndim != 1:
-        raise ParameterError("phase_bits must be one-dimensional")
-    if bits.size and bits.max() > 1:
-        raise ParameterError("phase_bits must contain only 0/1 values")
+    bits = _as_bit_array(phase_bits, "phase_bits")
     pos, clicked, announced = sample_clicks(
         bits.size, bits.take, mu, eta, params, rng)
     outcomes = np.zeros(bits.size, dtype=np.uint8)

@@ -30,9 +30,8 @@ class ConfigError(ValueError):
     """Bad config file, bad value, or unknown key."""
 
 
-# key -> (coercion kind, default); insertion order is the canonical
-# serialization order for format_config. The channel and run defaults
-# are those of SystemParams and ProtocolConfig.
+# key -> (coercion kind, default). The channel and run defaults are
+# those of SystemParams and ProtocolConfig.
 _SYSTEM, _RUN = SystemParams(), ProtocolConfig()
 _SCHEMA: dict[str, tuple[str, object]] = {
     "eta_d": ("float", _SYSTEM.detector_efficiency),
@@ -108,23 +107,6 @@ def parse_config_file(path: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     return parse_config_text(text, source=path)
-
-
-def format_config(settings: dict) -> str:
-    """Serialize settings so that parsing the text reproduces them exactly."""
-    lines = []
-    for key in _SCHEMA:
-        if key not in settings:
-            continue
-        value = settings[key]
-        if value is None:
-            continue
-        if isinstance(value, list):
-            rendered = ",".join(repr(v) for v in value)
-        else:
-            rendered = repr(value)
-        lines.append(f"{key}={rendered}")
-    return "\n".join(lines) + "\n"
 
 
 def _merge_settings(args: argparse.Namespace) -> dict:

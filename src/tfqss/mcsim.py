@@ -55,6 +55,7 @@ from .core import (
     SiftedKeys,
     SimulationReport,
     SystemParams,
+    _as_int,
 )
 
 # The phase lookup unpacks the trains a span of this many bits at a
@@ -72,11 +73,12 @@ def prepare_train(
     of ceil(n/32) uniform uint32 words in little-endian order. The
     train keeps them packed.
     """
-    if n < 1:
-        raise ParameterError(f"n={n!r} must be >= 1")
-    words = rng.integers(0, 2**32, -(-n // 32), dtype=np.uint32)
-    packed = words.astype("<u4", copy=False).view(np.uint8)[:-(-n // 8)]
-    return PulseTrain(owner, packed, n, mu)
+    count = _as_int(n)
+    if count is None or count < 1:
+        raise ParameterError(f"n={n!r} must be an integer >= 1")
+    words = rng.integers(0, 2**32, -(-count // 32), dtype=np.uint32)
+    packed = words.astype("<u4", copy=False).view(np.uint8)[:-(-count // 8)]
+    return PulseTrain(owner, packed, count, mu)
 
 
 @dataclass(frozen=True, eq=False)

@@ -375,11 +375,12 @@ def test_sampler_reads_phase_bits_only_at_the_clicks():
     assert ends == {0, n - 1}
 
 
-def _reference_clicks(n, bits, mu, eta, params, rng):
+def _reference_clicks(n, bits, mu, eta, params, rng, chunk=_CHUNK):
     """The stream of the module docstring, drawn into fresh arrays.
 
-    Per batch: the gap uniforms, one category uniform per click, one
-    coin per double click; batches are joined at the end.
+    Per batch of at most chunk gaps: the gap uniforms, one category
+    uniform per click, one coin per double click; batches are joined at
+    the end.
     """
     p = click_probability(mu, eta, params)
     silent = math.log1p(-params.dark_count_rate)
@@ -394,7 +395,7 @@ def _reference_clicks(n, bits, mu, eta, params, rng):
     while last < n - 1:
         left = n - 1 - last
         mean = left * p
-        u = rng.random(min(_CHUNK, left, int(mean + 4 * math.sqrt(mean)) + 1))
+        u = rng.random(min(chunk, left, int(mean + 4 * math.sqrt(mean)) + 1))
         gaps = np.maximum(np.log1p(-u), (left + 1) * log_stay) / log_stay
         pos = np.cumsum(gaps.astype(np.int64) + 1) + last
         last = int(pos[-1])
@@ -435,3 +436,27 @@ def test_sampler_draws_the_documented_stream(params, mu, eta, n, seeds,
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w), seed
         assert (got[0].size > room) == (seed == grows), seed
+
+
+def test_outputs_grow_before_a_later_batch_that_would_overrun_them(
+        monkeypatch):
+    # batches of 64 gaps and about 80 clicks expected in all, so the
+    # outputs start with room for 116 and a run takes two batches; on
+    # seeds 40, 67, 70 and 87 the second batch's gap bound overruns that
+    # room although its clicks fit, and the outputs double first
+    monkeypatch.setattr("tfqss.channel._CHUNK", 64)
+    params = SystemParams(dark_count_rate=1e-3, misalignment=0.1)
+    mu, eta, n = 0.2, 0.04, 8039
+    bits = np.random.default_rng(31).integers(0, 2, n, dtype=np.uint8)
+    mean = n * click_probability(mu, eta, params)
+    room = int(mean + 4.0 * math.sqrt(mean)) + 1
+    for seed, grows in [(40, True), (67, True), (70, True), (87, True),
+                        (0, False), (1, False), (2, False), (3, False)]:
+        got = sample_clicks(n, bits.take, mu, eta, params,
+                            np.random.default_rng(seed))
+        want = _reference_clicks(n, bits, mu, eta, params,
+                                 np.random.default_rng(seed), chunk=64)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w), seed
+        assert got[0].size <= room, seed
+        assert (got[0].base.size > room) == grows, seed

@@ -123,6 +123,14 @@ def test_prepare_train_rejects_empty():
         prepare_train(Owner.ALICE, 0, 0.1, np.random.default_rng(23))
 
 
+@pytest.mark.parametrize("n", [10.0, np.float64(8), True])
+def test_prepare_train_rejects_a_non_integer_count_before_drawing(n):
+    rng = np.random.default_rng(24)
+    with pytest.raises(ParameterError, match="n="):
+        prepare_train(Owner.ALICE, n, 0.1, rng)
+    assert rng.random() == np.random.default_rng(24).random()
+
+
 # ------------------------------------------------------------ measurement
 
 
