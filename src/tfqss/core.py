@@ -95,9 +95,7 @@ class ProtocolConfig:
     test_fraction: float = 0.1
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.intensity < MAX_INTENSITY:
-            raise ParameterError(
-                f"intensity={self.intensity!r} outside (0, {MAX_INTENSITY})")
+        _check_intensity(self.intensity)
         n_pairs = _as_int(self.n_pairs)
         if n_pairs is None or n_pairs < 1:
             raise ParameterError(
@@ -114,6 +112,13 @@ class ProtocolConfig:
         if not 0.0 < self.test_fraction < 1.0:
             raise ParameterError(
                 f"test_fraction={self.test_fraction!r} outside (0, 1)")
+
+
+def _check_intensity(intensity: float) -> None:
+    """Raise unless the mean photon number lies in (0, MAX_INTENSITY)."""
+    if not 0.0 < intensity < MAX_INTENSITY:
+        raise ParameterError(
+            f"intensity={intensity!r} outside (0, {MAX_INTENSITY})")
 
 
 def _as_int(value: object) -> int | None:
@@ -167,9 +172,7 @@ class PulseTrain:
         if packed.size != -(-n // 8):
             raise ParameterError(
                 f"packed holds {packed.size} bytes, not ceil({n}/8)")
-        if not 0.0 < self.intensity < MAX_INTENSITY:
-            raise ParameterError(
-                f"intensity={self.intensity!r} outside (0, {MAX_INTENSITY})")
+        _check_intensity(self.intensity)
         packed = packed.view()
         packed.flags.writeable = False
         object.__setattr__(self, "packed", packed)

@@ -24,8 +24,9 @@ run, for both slot parities.
 The run is click-indexed: apart from the two N-bit trains, kept packed
 at eight bits a byte, nothing is stored per slot. run_measurement draws
 the clicks first (channel.sample_clicks) and applies the rule above
-only there, reading each sender bit once; it unpacks each train only in
-the spans of at most _SPAN bits that a sampler batch's clicks fall in.
+only there, reading each sender bit once, straight from its packed
+byte: nothing is unpacked. Each sampler batch is read in tiles of at
+most _TILE clicks through one reused index buffer and two byte buffers.
 The record of a run is its clicks, each numbered by its slot:
 DetectionRecords keeps n_pairs plus, per click, the slot, outcome,
 announced bit and the two sender bits. sift adds only the dealer's
@@ -56,11 +57,13 @@ from .core import (
     SimulationReport,
     SystemParams,
     _as_int,
+    _check_intensity,
 )
 
-# The phase lookup unpacks the trains a span of this many bits at a
-# time, which bounds its temporaries however long the trains are.
-_SPAN = 1 << 19
+# The phase lookup reads a sampler batch this many clicks at a time:
+# its index and byte buffers, 10 bytes a click, then stay in cache,
+# and they are all the temporaries it needs however long the batch is.
+_TILE = 1 << 15
 
 
 def prepare_train(
@@ -71,11 +74,12 @@ def prepare_train(
     The bits are the first n bits, most significant bit first, of the
     ceil(n/8) bytes that rng.bytes(ceil(n/8)) would return: the bytes
     of ceil(n/32) uniform uint32 words in little-endian order. The
-    train keeps them packed.
+    train keeps them packed. n and mu are checked before the first draw.
     """
     count = _as_int(n)
     if count is None or count < 1:
         raise ParameterError(f"n={n!r} must be an integer >= 1")
+    _check_intensity(mu)
     words = rng.integers(0, 2**32, -(-count // 32), dtype=np.uint32)
     packed = words.astype("<u4", copy=False).view(np.uint8)[:-(-count // 8)]
     return PulseTrain(owner, packed, count, mu)
@@ -127,9 +131,10 @@ def run_measurement(
     to each slot's ideal phase difference. The clicks are drawn first
     (channel.sample_clicks), and the module docstring's rule gives the
     sender bits at the clicks only; the record keeps them for sift.
-    The phase lookup cuts each sampler batch where the sender bit index
-    crosses a multiple of _SPAN and unpacks, per piece, only the packed
-    bytes that hold its bits. N = 1 yields no interior slots.
+    The phase lookup reads each click's two bits from the packed bytes,
+    a tile of at most _TILE clicks at a time, and writes them and the
+    phase into arrays of the batch's size. N = 1 yields no interior
+    slots.
     """
     if a.owner is not Owner.ALICE or b.owner is not Owner.BOB:
         raise ParameterError("expected trains in (alice, bob) order")
@@ -139,41 +144,67 @@ def run_measurement(
     if a.intensity != b.intensity:
         raise ParameterError("senders must use the same intensity")
 
+    n = len(a)
+    tile = _TILE
+    # every tile of every batch reuses these: the byte indices, each
+    # position's low byte and the bit shifts
+    size = min(tile, 2 * n - 2)
+    index = np.empty(size, dtype=np.int64)
+    low = np.empty(size, dtype=np.uint8)
+    shift = np.empty(size, dtype=np.uint8)
     # each batch's sender bits; the empty heads fix the joined dtype
     a_at = [np.empty(0, dtype=np.uint8)]
     b_at = [np.empty(0, dtype=np.uint8)]
 
     def phase_at(positions: np.ndarray) -> np.ndarray:
-        # position e is slot j = e + 2: b[(j>>1)-1] = b[e>>1] and
-        # a[(j-1)>>1] = a[(e>>1) + (e&1)], and j is odd where e is
-        odd = positions.astype(np.uint8)
-        odd &= 1
-        half = positions >> 1
-        # the batch is cut into pieces where e>>1 crosses a multiple of
-        # _SPAN; a piece unpacks only the bytes that hold its bits, up
-        # to one past its last e>>1 for Alice, and gathers there
-        lo = 0
-        while lo < half.size:
-            first = int(half[lo])
-            hi = int(half.searchsorted(first - first % _SPAN + _SPAN))
-            start = first >> 3
-            stop = ((int(half[hi - 1]) + 1) >> 3) + 1
-            piece = half[lo:hi]
-            piece -= start << 3
-            b_at.append(np.unpackbits(b.packed[start:stop]).take(piece))
-            piece += odd[lo:hi]
-            a_at.append(np.unpackbits(a.packed[start:stop]).take(piece))
-            odd[lo:hi] ^= a_at[-1]
-            odd[lo:hi] ^= b_at[-1]
-            lo = hi
-        return odd
+        # position e is slot j = e + 2, so b[(j>>1)-1] = b[e>>1] and
+        # a[(j-1)>>1] = a[(e+1)>>1], and j is odd where e is. Bit i is
+        # bit i & 7, most significant first, of byte i >> 3: Bob's is in
+        # byte e >> 4 and Alice's in byte (e+1) >> 4, each at a shift
+        # that e's low byte gives
+        phase = np.empty(positions.size, dtype=np.uint8)
+        a_bits = np.empty_like(phase)
+        b_bits = np.empty_like(phase)
+        for lo in range(0, positions.size, tile):
+            e = positions[lo:lo + tile]
+            m = e.size
+            at, e8, s = index[:m], low[:m], shift[:m]
+            ab, bb, odd = (col[lo:lo + m] for col in (a_bits, b_bits, phase))
+            e8[...] = e  # e mod 256
+            np.right_shift(e, 4, out=at)
+            _read_bits(b.packed, at, e8, s, bb)
+            np.bitwise_and(e8, 1, out=odd)
+            np.add(e, 1, out=at)
+            at >>= 4
+            e8 += 1  # (e + 1) mod 256
+            _read_bits(a.packed, at, e8, s, ab)
+            odd ^= ab
+            odd ^= bb
+        a_at.append(a_bits)
+        b_at.append(b_bits)
+        return phase
 
-    n = len(a)
     slots, outcomes, resolved = sample_clicks(
         2 * n - 2, phase_at, a.intensity, state.eta, state.params, rng)
     slots += 2  # sampler position e is slot e + 2
     return DetectionRecords(n, slots, outcomes, resolved,
                             np.concatenate(a_at), np.concatenate(b_at))
+
+
+def _read_bits(packed: np.ndarray, at: np.ndarray, low: np.ndarray,
+               shift: np.ndarray, out: np.ndarray) -> None:
+    """Write into out bit (low & 15) >> 1 of byte at of packed.
+
+    Bits count from the most significant one. For bit index i of a
+    packed train, at = i >> 3 and low holds 2i or 2i + 1 mod 256; shift
+    is scratch of out's size. The shift is uint8 arithmetic on low, so
+    only the byte gather reads at.
+    """
+    np.take(packed, at, out=out)
+    np.bitwise_and(low, 15, out=shift)
+    shift >>= 1
+    out <<= shift
+    out >>= 7
 
 
 def sift(

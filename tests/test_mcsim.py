@@ -123,11 +123,18 @@ def test_prepare_train_rejects_empty():
         prepare_train(Owner.ALICE, 0, 0.1, np.random.default_rng(23))
 
 
-@pytest.mark.parametrize("n", [10.0, np.float64(8), True])
-def test_prepare_train_rejects_a_non_integer_count_before_drawing(n):
+@pytest.mark.parametrize("n, mu, match", [
+    (10.0, 0.1, "n="),
+    (np.float64(8), 0.1, "n="),
+    (True, 0.1, "n="),
+    (8, 0.7, "intensity="),
+], ids=["10.0", "8.0", "True", "intensity"])
+def test_prepare_train_rejects_a_non_integer_count_before_drawing(
+        n, mu, match):
+    # and an intensity outside (0, 0.5), also before the first draw
     rng = np.random.default_rng(24)
-    with pytest.raises(ParameterError, match="n="):
-        prepare_train(Owner.ALICE, n, 0.1, rng)
+    with pytest.raises(ParameterError, match=match):
+        prepare_train(Owner.ALICE, n, mu, rng)
     assert rng.random() == np.random.default_rng(24).random()
 
 
@@ -271,17 +278,17 @@ def test_records_carry_the_sender_bits_at_every_click():
             assert bits.dtype == np.uint8 and bits.size == 0
 
 
-@pytest.mark.parametrize("span", [8, 13])
+@pytest.mark.parametrize("tile", [1, 8, 13])
 def test_phase_lookup_reads_the_same_bits_across_span_boundaries(
-        monkeypatch, span):
-    # the phase lookup unpacks the trains a span at a time; spans of 8
-    # and 13 bits cut every sampler batch into many pieces, at byte
-    # boundaries and inside bytes, and the record does not change
+        monkeypatch, tile):
+    # the phase lookup reads a sampler batch a tile of clicks at a time;
+    # tiles of 1, 8 and 13 clicks cut every batch into many tiles, and
+    # the record does not change
     params = SystemParams(dark_count_rate=0.05, misalignment=0.1)
     state = ChannelState(eta=0.5, params=params)
     a, b = _trains(20_000, 0.3, 30)
     default = run_measurement(a, b, state, np.random.default_rng(31))
-    monkeypatch.setattr("tfqss.mcsim._SPAN", span)
+    monkeypatch.setattr("tfqss.mcsim._TILE", tile)
     records = run_measurement(a, b, state, np.random.default_rng(31))
     slots = records.click_slots
     assert slots.size > 1000
@@ -290,6 +297,29 @@ def test_phase_lookup_reads_the_same_bits_across_span_boundaries(
         assert np.array_equal(getattr(records, name), getattr(default, name))
     assert np.array_equal(records.click_a_bits, a.bits[(slots - 1) >> 1])
     assert np.array_equal(records.click_b_bits, b.bits[(slots >> 1) - 1])
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 9, 15, 17, 33])
+def test_phase_lookup_reads_trains_whose_last_byte_is_partly_used(n):
+    # n bits take ceil(n/8) bytes, and prepare_train leaves random bits
+    # in the unused tail of the last one. Dark counts make most slots
+    # click, and seeds are tried until both end slots do: slot 2 reads
+    # both senders' first bits, slot 2n-1 Alice's last bit
+    params = SystemParams(detector_efficiency=1.0, dark_count_rate=0.45)
+    state = ChannelState(eta=1.0, params=params)
+    for seed in range(100):
+        a, b = _trains(n, 0.499, seed)
+        records = run_measurement(a, b, state, np.random.default_rng(seed))
+        slots = records.click_slots
+        if slots.size and slots[0] == 2 and slots[-1] == 2 * n - 1:
+            break
+    else:
+        pytest.fail("no run clicked on both end slots")
+    a_bits, b_bits = records.click_a_bits, records.click_b_bits
+    assert np.array_equal(a_bits, a.bits[(slots - 1) >> 1])
+    assert np.array_equal(b_bits, b.bits[(slots >> 1) - 1])
+    assert (a_bits[0], b_bits[0]) == (a.bits[0], b.bits[0])
+    assert (a_bits[-1], b_bits[-1]) == (a.bits[n - 1], b.bits[n - 2])
 
 
 def test_measurement_and_sift_use_under_a_byte_per_pulse_pair():
@@ -583,6 +613,16 @@ def test_multi_batch_run_reproduces_its_pinned_keys():
     assert report.sifted.slots.dtype == np.int64
     assert _sifted_digest(report.sifted) == (
         "d3f9660c6a53567aab2908c7f5464b23e1244af2c9710701551b1717d66dd78f")
+
+
+def test_sparse_run_reproduces_its_pinned_keys():
+    # simulate_sparse's point at a fifth of the length, where the phase
+    # lookup reads a few clicks from each stretch of the packed trains
+    report = run_protocol(DEFAULTS, ProtocolConfig(
+        intensity=0.05, n_pairs=2 * 10**6, distance=100.0, rng_seed=3))
+    assert report.detected_slots == 16_399
+    assert _sifted_digest(report.sifted) == (
+        "625fb70fe830c12ad834e249a542dae39f04dd3a011f80fe6ec4f71bc4735b63")
 
 
 def test_run_protocol_accounting():
