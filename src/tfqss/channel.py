@@ -29,25 +29,21 @@ The exact P_click differs from the linearized analytic gain
 p_d <= 1e-6.
 
 Because P_click does not depend on the phase bit, sample_clicks draws
-only the slots that click: geometric gaps between clicks, then a
-category per click. Per batch it consumes the generator in this order:
-the gap uniforms, one category uniform per click, one coin bit per
-double click. It reads a slot's phase bit only at the clicks, through
-a lookup the caller passes in, so the phase bits never move a click and
-a seed reproduces the same clicks bit for bit. It returns per-click
-positions, outcomes and announced bits; detect_slots scatters them
-into dense arrays. The outputs are allocated once, sized to the clicks
-expected plus four standard deviations, and grow only before a batch
-whose gap bound would overrun them, which is rare.
-Every batch draws its uniforms into one reused float scratch and sums
-its positions where they are kept, which leaves the stream order above
-as it is.
+only the slots that click, each as if its phase bit were 0: geometric
+gaps between clicks, then a category per click. Per batch it consumes
+the generator in this order: the gap uniforms, one category uniform per
+click, one coin bit per double click. shift_phase then applies the
+phase bits at the clicks, so they never move a click or a draw and a
+seed reproduces the same clicks bit for bit. The outputs are allocated
+once, sized to the clicks expected plus four standard deviations, and
+grow only before a batch whose gap bound would overrun them, which is
+rare. Every batch draws its uniforms into one reused float scratch and
+sums its positions where they are kept.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,7 +103,6 @@ class ChannelState:
 
 def sample_clicks(
     n: int,
-    phase_at: Callable[[np.ndarray], np.ndarray],
     mu: float,
     eta: float,
     params: SystemParams,
@@ -115,16 +110,13 @@ def sample_clicks(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw the clicks among n slots; the one detection sampler.
 
-    phase_at maps an ascending int64 array of slot positions in [0, n)
-    to their uint8 phase bits; it is called only with positions that
-    click. Returns the ascending int64 positions of the clicks, their
-    Outcome values and their announced bits (0 for D1, 1 for D2, a fair
-    coin for DOUBLE). A gap between clicks is
+    Returns the ascending int64 positions of the clicks, their Outcome
+    values and announced bits (0 for D1, 1 for D2, a fair coin for
+    DOUBLE), drawn with every phase bit 0. A gap between clicks is
     floor(log1p(-u) / log1p(-P_click)) + 1 for a uniform u; each batch
     draws about as many gaps as clicks are expected in the slots left,
     at most _CHUNK. The stream order is in the module docstring. When
-    P_click is 0 the generator is not touched. phase_at is passed a
-    view of the returned positions and must not write to it.
+    P_click is 0 the generator is not touched.
     """
     if not 0.0 < mu < MAX_INTENSITY:
         raise ParameterError(f"mu={mu!r} outside (0, {MAX_INTENSITY})")
@@ -194,7 +186,7 @@ def sample_clicks(
         port = announced[filled:end]
         u = rng.random(out=scratch[:pos.size])
         # 0 for D1, 1 for D2
-        np.bitwise_xor(phase_at(pos), u >= match_only, out=port)
+        np.greater_equal(u, match_only, out=port.view(bool))
         np.add(port, 1, out=out)
         double = u >= single
         out[double] = Outcome.DOUBLE
@@ -207,6 +199,20 @@ def sample_clicks(
 def _click_bound(mean: float) -> int:
     """Clicks expected plus four standard deviations, rounded up."""
     return int(mean + 4.0 * math.sqrt(mean)) + 1
+
+
+def shift_phase(outcomes: np.ndarray, announced: np.ndarray,
+                phase: np.ndarray) -> None:
+    """Apply the clicks' uint8 phase bits to sample_clicks' outputs.
+
+    A phase bit of 1 swaps D1 and D2 and flips the announced bit of a
+    single click; a double click and its coin stay as drawn. Works in
+    place, phase included.
+    """
+    flip = np.bitwise_and(phase, outcomes < Outcome.DOUBLE, out=phase)
+    announced ^= flip
+    flip *= 3  # D1 ^ 3 is D2 and D2 ^ 3 is D1
+    outcomes ^= flip
 
 
 def detect_slots(
@@ -223,11 +229,12 @@ def detect_slots(
     Outcome values, resolved holds the announced bit (0 for D1, 1 for
     D2, a fair coin for DOUBLE) and 0 where nothing clicked. This is the
     dense view of sample_clicks, which draws the clicks and consumes the
-    generator; the click positions do not depend on phase_bits.
+    generator, and of shift_phase; the click positions do not depend on
+    phase_bits.
     """
     bits = _as_bit_array(phase_bits, "phase_bits")
-    pos, clicked, announced = sample_clicks(
-        bits.size, bits.take, mu, eta, params, rng)
+    pos, clicked, announced = sample_clicks(bits.size, mu, eta, params, rng)
+    shift_phase(clicked, announced, bits.take(pos))
     outcomes = np.zeros(bits.size, dtype=np.uint8)
     resolved = np.zeros(bits.size, dtype=np.uint8)
     outcomes[pos] = clicked

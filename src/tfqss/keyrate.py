@@ -101,7 +101,7 @@ def _binary_entropy(x):
     inside = (x > 0.0) & (x < 1.0)
     y = np.where(inside, x, 0.5)  # keeps log2 away from 0
     return np.where(
-        inside, -y * np.log2(y) - (1.0 - y) * np.log2(1.0 - y), 0.0)
+        inside, -y * np.log2(y) - (1.0 - y) * np.log1p(-y) / _LN2, 0.0)
 
 
 def _collision_probability(e):

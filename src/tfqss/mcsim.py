@@ -23,18 +23,18 @@ run, for both slot parities.
 
 The run is click-indexed: apart from the two N-bit trains, kept packed
 at eight bits a byte, nothing is stored per slot. run_measurement draws
-the clicks first (channel.sample_clicks) and applies the rule above
-only there, reading each sender bit once, straight from its packed
-byte: nothing is unpacked. Each sampler batch is read in tiles of at
-most _TILE clicks through one reused index buffer and two byte buffers.
-The record of a run is its clicks, each numbered by its slot:
+the clicks first (channel.sample_clicks, phase-free), then walks them
+once, in tiles of at most _TILE, and applies the rule above only there:
+it reads each sender bit once, straight from its packed byte, nothing
+unpacked, and channel.shift_phase applies each click's phase. The
+record of a run is its clicks, each numbered by its slot:
 DetectionRecords keeps n_pairs plus, per click, the slot, outcome,
-announced bit and the two sender bits. sift adds only the dealer's
-flipped bit and passes the record's arrays on uncopied; the QBER
-split masks them at the remaining entries. One seeded generator is
-consumed in this order: Alice's packed phase bytes, Bob's, then per
-sampler batch the gap uniforms, category uniforms and coins, then the
-QBER test sample.
+announced bit and the two sender bits, each array allocated once. sift
+adds only the dealer's flipped bit and passes the record's arrays on
+uncopied; the QBER split masks them at the remaining entries. One
+seeded generator is consumed in this order: Alice's packed phase
+bytes, Bob's, then per sampler batch the gap uniforms, category
+uniforms and coins, then the QBER test sample.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ import numpy as np
 # detect_slots is not called here; it stays importable as
 # tfqss.mcsim.detect_slots, which bench/tracing.py wraps (the
 # benchmark's traced run fails without it)
-from .channel import ChannelState, detect_slots, sample_clicks  # noqa: F401
+from .channel import (  # noqa: F401
+    ChannelState, detect_slots, sample_clicks, shift_phase)
 from .core import (
     Owner,
     ParameterError,
@@ -60,9 +61,10 @@ from .core import (
     _check_intensity,
 )
 
-# The phase lookup reads a sampler batch this many clicks at a time:
-# its index and byte buffers, 10 bytes a click, then stay in cache,
-# and they are all the temporaries it needs however long the batch is.
+# run_measurement reads the clicks this many at a time: its index, byte
+# and phase buffers and shift_phase's mask, 12 bytes a click, then stay
+# in cache, and they are all the temporaries it needs however many
+# slots click.
 _TILE = 1 << 15
 
 
@@ -94,7 +96,7 @@ class DetectionRecords:
     clicked, click_outcomes their Outcome values, click_resolved their
     announced bits (0 for D1, 1 for D2, a fair coin for DOUBLE), and
     click_a_bits and click_b_bits Alice's and Bob's bits at each click
-    by the module docstring's rule, as the phase lookup read them.
+    by the module docstring's rule, as run_measurement read them.
     Every other interior slot did not click.
     """
 
@@ -131,10 +133,9 @@ def run_measurement(
     to each slot's ideal phase difference. The clicks are drawn first
     (channel.sample_clicks), and the module docstring's rule gives the
     sender bits at the clicks only; the record keeps them for sift.
-    The phase lookup reads each click's two bits from the packed bytes,
-    a tile of at most _TILE clicks at a time, and writes them and the
-    phase into arrays of the batch's size. N = 1 yields no interior
-    slots.
+    One pass reads each click's two bits from the packed bytes, a tile
+    of at most _TILE clicks at a time, and applies the tile's phase
+    bits (channel.shift_phase). N = 1 yields no interior slots.
     """
     if a.owner is not Owner.ALICE or b.owner is not Owner.BOB:
         raise ParameterError("expected trains in (alice, bob) order")
@@ -145,50 +146,41 @@ def run_measurement(
         raise ParameterError("senders must use the same intensity")
 
     n = len(a)
-    tile = _TILE
-    # every tile of every batch reuses these: the byte indices, each
-    # position's low byte and the bit shifts
-    size = min(tile, 2 * n - 2)
+    slots, outcomes, resolved = sample_clicks(
+        2 * n - 2, a.intensity, state.eta, state.params, rng)
+    clicks = slots.size
+    a_bits = np.empty(clicks, dtype=np.uint8)
+    b_bits = np.empty(clicks, dtype=np.uint8)
+    # every tile reuses these: the byte indices, each position's low
+    # byte, the bit shifts and the phase bits
+    size = min(_TILE, clicks)
     index = np.empty(size, dtype=np.int64)
     low = np.empty(size, dtype=np.uint8)
     shift = np.empty(size, dtype=np.uint8)
-    # each batch's sender bits; the empty heads fix the joined dtype
-    a_at = [np.empty(0, dtype=np.uint8)]
-    b_at = [np.empty(0, dtype=np.uint8)]
-
-    def phase_at(positions: np.ndarray) -> np.ndarray:
+    phase = np.empty(size, dtype=np.uint8)
+    for lo in range(0, clicks, _TILE):
         # position e is slot j = e + 2, so b[(j>>1)-1] = b[e>>1] and
         # a[(j-1)>>1] = a[(e+1)>>1], and j is odd where e is. Bit i is
         # bit i & 7, most significant first, of byte i >> 3: Bob's is in
         # byte e >> 4 and Alice's in byte (e+1) >> 4, each at a shift
         # that e's low byte gives
-        phase = np.empty(positions.size, dtype=np.uint8)
-        a_bits = np.empty_like(phase)
-        b_bits = np.empty_like(phase)
-        for lo in range(0, positions.size, tile):
-            e = positions[lo:lo + tile]
-            m = e.size
-            at, e8, s = index[:m], low[:m], shift[:m]
-            ab, bb, odd = (col[lo:lo + m] for col in (a_bits, b_bits, phase))
-            e8[...] = e  # e mod 256
-            np.right_shift(e, 4, out=at)
-            _read_bits(b.packed, at, e8, s, bb)
-            np.bitwise_and(e8, 1, out=odd)
-            np.add(e, 1, out=at)
-            at >>= 4
-            e8 += 1  # (e + 1) mod 256
-            _read_bits(a.packed, at, e8, s, ab)
-            odd ^= ab
-            odd ^= bb
-        a_at.append(a_bits)
-        b_at.append(b_bits)
-        return phase
-
-    slots, outcomes, resolved = sample_clicks(
-        2 * n - 2, phase_at, a.intensity, state.eta, state.params, rng)
+        e = slots[lo:lo + _TILE]
+        m = e.size
+        at, e8, s, odd = index[:m], low[:m], shift[:m], phase[:m]
+        ab, bb = a_bits[lo:lo + m], b_bits[lo:lo + m]
+        e8[...] = e  # e mod 256
+        np.right_shift(e, 4, out=at)
+        _read_bits(b.packed, at, e8, s, bb)
+        np.bitwise_and(e8, 1, out=odd)
+        np.add(e, 1, out=at)
+        at >>= 4
+        e8 += 1  # (e + 1) mod 256
+        _read_bits(a.packed, at, e8, s, ab)
+        odd ^= ab
+        odd ^= bb
+        shift_phase(outcomes[lo:lo + m], resolved[lo:lo + m], odd)
     slots += 2  # sampler position e is slot e + 2
-    return DetectionRecords(n, slots, outcomes, resolved,
-                            np.concatenate(a_at), np.concatenate(b_at))
+    return DetectionRecords(n, slots, outcomes, resolved, a_bits, b_bits)
 
 
 def _read_bits(packed: np.ndarray, at: np.ndarray, low: np.ndarray,

@@ -6,6 +6,7 @@ Frozen reference numbers were computed once with 50-digit arithmetic
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -91,6 +92,33 @@ def test_binary_entropy_symmetry():
     rng = np.random.default_rng(10)
     for x in rng.uniform(0.0, 1.0, 50):
         assert abs(binary_entropy(x) - binary_entropy(1.0 - x)) <= 1e-12
+
+
+def _mp_entropy(x):
+    x = mpmath.mpf(x)
+    return -x * mpmath.log(x, 2) - (1 - x) * mpmath.log(1 - x, 2)
+
+
+def test_binary_entropy_keeps_full_precision_at_small_arguments():
+    # (1-x) log2(1-x) taken as log2 of the rounded 1 - x loses most of
+    # its digits below x ~ 1e-8, and h(x) is then x log2(1/x) + x/ln 2
+    # to leading order, so the second term is not negligible
+    with mpmath.workdps(50):
+        for x in (1e-17, 1e-16, 1e-12, 1e-8):
+            want = _mp_entropy(x)
+            assert float(abs(binary_entropy(x) - want) / want) <= 1e-15, x
+
+
+def test_error_correction_term_keeps_full_precision_without_misalignment():
+    # e_d = 0 leaves only dark counts, E = p_d e^(-mu eta) / Q ~ 6e-12
+    params = SystemParams(misalignment=0.0, dark_count_rate=1e-12)
+    bd = rate_at_transmittance(0.3, 0.5, params)
+    with mpmath.workdps(50):
+        p_d = mpmath.mpf(params.dark_count_rate)
+        decay = mpmath.exp(-mpmath.mpf(0.3) * mpmath.mpf(0.5))
+        e = p_d * decay / (1 - (1 - 2 * p_d) * decay)
+        want = params.ec_efficiency * _mp_entropy(e)
+        assert float(abs(bd.ec_term - want) / want) <= 1e-15
 
 
 def test_collision_probability_landmarks():

@@ -244,20 +244,26 @@ def test_clicks_on_the_first_and_last_interior_slot():
     assert np.array_equal(keys.c_bits, keys.a_bits ^ keys.b_bits)
 
 
-def _dense_run():
-    """simulate_dense at half the length: 803,462 clicks in four sampler
-    batches."""
+def _dense_inputs():
+    """The trains, channel and generator of _dense_run, before it
+    measures."""
     n = 2 * 10**6
     rng = np.random.default_rng(3)
     a = prepare_train(Owner.ALICE, n, 0.4, rng)
     b = prepare_train(Owner.BOB, n, 0.4, rng)
-    state = ChannelState.for_distance(0.0, DEFAULTS)
+    return a, b, ChannelState.for_distance(0.0, DEFAULTS), rng
+
+
+def _dense_run():
+    """simulate_dense at half the length: 803,462 clicks in four sampler
+    batches."""
+    a, b, state, rng = _dense_inputs()
     return a, b, run_measurement(a, b, state, rng)
 
 
 def test_records_carry_the_sender_bits_at_every_click():
-    # the bits each batch's phase lookup read, joined after the sampler,
-    # are the rule's bits at every click's slot, on both parities
+    # the bits run_measurement read tile by tile after the sampler are
+    # the rule's bits at every click's slot, on both parities
     a, b, records = _dense_run()
     assert records.click_slots.size == 803_462
     slots = records.click_slots
@@ -339,6 +345,23 @@ def test_measurement_and_sift_use_under_a_byte_per_pulse_pair():
     assert peak < n, peak
 
 
+def test_measurement_allocates_each_per_click_array_once():
+    # the record holds 12 bytes a click: the int64 slots and four uint8
+    # arrays. The sampler's float scratch and growth slack add about
+    # one more; sender bits kept per batch and joined afterwards would
+    # be held twice, 16 bytes a click
+    a, b, state, rng = _dense_inputs()
+    tracemalloc.start()
+    try:
+        records = run_measurement(a, b, state, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    clicks = records.click_slots.size
+    assert clicks == 803_462
+    assert peak < 14 * clicks, peak / clicks
+
+
 def test_dense_run_peaks_under_34_bytes_per_click():
     # simulate_dense's point at half the length: one slot in five
     # clicks, four sampler batches. The kept slots, the QBER test sample
@@ -361,8 +384,8 @@ def test_dense_run_peaks_under_34_bytes_per_click():
 def test_sparse_run_peaks_under_a_byte_per_pulse_pair():
     # simulate_sparse's point at a fifth of the length: 0.41 % of the
     # slots click, so the two packed trains, an eighth of a byte per
-    # pulse each, and one unpacked span lead the peak; unpacked trains
-    # alone would take two bytes per pair
+    # pulse each, and the measurement's per-click arrays and scratch
+    # lead the peak; unpacked trains alone would take two bytes per pair
     config = ProtocolConfig(intensity=0.05, n_pairs=2 * 10**6,
                             distance=100.0, rng_seed=1)
     tracemalloc.start()
@@ -623,6 +646,26 @@ def test_sparse_run_reproduces_its_pinned_keys():
     assert report.detected_slots == 16_399
     assert _sifted_digest(report.sifted) == (
         "625fb70fe830c12ad834e249a542dae39f04dd3a011f80fe6ec4f71bc4735b63")
+
+
+def test_double_heavy_run_reproduces_its_pinned_records():
+    # dark counts at 0.2 and misalignment at 0.2 make one click in six a
+    # double: the digest pins every per-click array of the record,
+    # outcomes, coins and sender bits included
+    params = SystemParams(dark_count_rate=0.2, misalignment=0.2)
+    rng = np.random.default_rng(5)
+    a = prepare_train(Owner.ALICE, 200_000, 0.45, rng)
+    b = prepare_train(Owner.BOB, 200_000, 0.45, rng)
+    records = run_measurement(
+        a, b, ChannelState.for_distance(0.0, params), rng)
+    assert records.click_slots.size == 200_933
+    assert np.count_nonzero(records.click_outcomes == Outcome.DOUBLE) == 33_142
+    digest = hashlib.sha256()
+    for name in ("click_slots", "click_outcomes", "click_resolved",
+                 "click_a_bits", "click_b_bits"):
+        digest.update(np.ascontiguousarray(getattr(records, name)).tobytes())
+    assert digest.hexdigest() == (
+        "128f73a8c777a990f4886c57fb861adf9d225c779fbbb5235d097478b805089a")
 
 
 def test_run_protocol_accounting():
