@@ -28,17 +28,17 @@ The exact P_click differs from the linearized analytic gain
 1 - (1-2 p_d) e^(-mu*eta) by p_d^2 e^(-mu*eta), i.e. below 1e-12 for
 p_d <= 1e-6.
 
-Because P_click does not depend on the phase bit, sample_clicks draws
-only the slots that click, each as if its phase bit were 0: geometric
-gaps between clicks, then a category per click. Per batch it consumes
-the generator in this order: the gap uniforms, one category uniform per
-click, one coin bit per double click. shift_phase then applies the
-phase bits at the clicks, so they never move a click or a draw and a
-seed reproduces the same clicks bit for bit. The outputs are allocated
-once, sized to the clicks expected plus four standard deviations, and
-grow only before a batch whose gap bound would overrun them, which is
-rare. Every batch draws its uniforms into one reused float scratch and
-sums its positions where they are kept.
+Because P_click does not depend on the phase bit, detect_slots draws
+only the slots of its range that click, each as if its phase bit were
+0: geometric gaps between clicks, then a category per click. Per batch
+it consumes the generator in this order: the gap uniforms, one category
+uniform per click, one coin bit per double click. shift_phase then
+applies the phase bits at the clicks, so they never move a click or a
+draw and a seed reproduces the same clicks bit for bit. The outputs
+are allocated once, sized to the clicks expected plus four standard
+deviations, and grow only before a batch whose gap bound would overrun
+them, which is rare. Every batch draws its uniforms into one reused
+float scratch and sums its slot numbers where they are kept.
 """
 
 from __future__ import annotations
@@ -48,10 +48,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    MAX_INTENSITY, Outcome, ParameterError, SystemParams, _as_bit_array)
+from .core import MAX_INTENSITY, Outcome, ParameterError, SystemParams
 
-# Click positions are drawn in batches of at most this many geometric
+# Clicks are drawn in batches of at most this many geometric
 # gaps, which bounds the per-batch temporaries however many slots click.
 _CHUNK = 1 << 18
 
@@ -74,6 +73,10 @@ def click_probability(mu: float, eta: float, params: SystemParams) -> float:
     Evaluated as -expm1(2 log1p(-p_d) - mu*eta), which keeps full
     relative precision when both dark counts and light are tiny.
     """
+    if not mu >= 0.0:
+        raise ParameterError(f"mu={mu!r} must be >= 0")
+    if not 0.0 <= eta <= 1.0:
+        raise ParameterError(f"eta={eta!r} outside [0, 1]")
     p_d = params.dark_count_rate
     return -math.expm1(2.0 * math.log1p(-p_d) - mu * eta)
 
@@ -101,29 +104,31 @@ class ChannelState:
         return cls(eta, params)
 
 
-def sample_clicks(
-    n: int,
+def detect_slots(
+    slots: range,
     mu: float,
     eta: float,
     params: SystemParams,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw the clicks among n slots; the one detection sampler.
+    """Draw the clicks among a range of consecutive slots.
 
-    Returns the ascending int64 positions of the clicks, their Outcome
+    Returns the ascending int64 slot numbers that click, their Outcome
     values and announced bits (0 for D1, 1 for D2, a fair coin for
     DOUBLE), drawn with every phase bit 0. A gap between clicks is
     floor(log1p(-u) / log1p(-P_click)) + 1 for a uniform u; each batch
     draws about as many gaps as clicks are expected in the slots left,
-    at most _CHUNK. The stream order is in the module docstring. When
-    P_click is 0 the generator is not touched.
+    at most _CHUNK. The stream order is in the module docstring, and
+    it does not depend on where the range starts. When P_click is 0
+    the generator is not touched.
     """
+    if slots.step != 1:
+        raise ParameterError(f"slots={slots!r} must have step 1")
     if not 0.0 < mu < MAX_INTENSITY:
         raise ParameterError(f"mu={mu!r} outside (0, {MAX_INTENSITY})")
-    if not 0.0 <= eta <= 1.0:
-        raise ParameterError(f"eta={eta!r} outside [0, 1]")
     p_click = click_probability(mu, eta, params)
-    if n < 1 or p_click == 0.0:
+    n = len(slots)
+    if n == 0 or p_click == 0.0:
         return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8),
                 np.empty(0, dtype=np.uint8))
 
@@ -152,9 +157,10 @@ def sample_clicks(
     # sized to the first batch, the largest
     scratch = np.empty(min(_CHUNK, size))
     filled = 0
-    last = -1  # position of the last click drawn so far
-    while last < n - 1:
-        left = n - 1 - last
+    stop = slots.stop
+    last = slots.start - 1  # slot of the last click drawn so far
+    while last < stop - 1:
+        left = stop - 1 - last
         k = min(_CHUNK, left, _click_bound(left * p_click))
         gaps = rng.random(out=scratch[:k])
         np.negative(gaps, out=gaps)
@@ -166,20 +172,20 @@ def sample_clicks(
         gaps /= log_stay
         if filled + k > clicks.size:
             # the batch's gap bound would overrun the outputs, so they
-            # grow first; filled + k <= n, since filled <= last + 1 and
-            # k <= left. np.resize repeats the entries into the new
-            # room; this batch and later ones overwrite it
+            # grow first; filled + k <= n, since filled <= last + 1 -
+            # slots.start and k <= left. np.resize repeats the entries
+            # into the new room; this batch and later ones overwrite it
             grown = min(n, max(filled + k, 2 * clicks.size))
             clicks, outcomes, announced = (
                 np.resize(col, grown) for col in (clicks, outcomes, announced))
-        # the batch's positions are summed where they are kept
+        # the batch's slot numbers are summed where they are kept
         pos = clicks[filled:filled + k]
         pos[...] = gaps
         pos += 1
         pos[0] += last
         np.cumsum(pos, out=pos)
         last = int(pos[-1])
-        end = filled + int(np.searchsorted(pos, n))
+        end = filled + int(np.searchsorted(pos, stop))
 
         pos = clicks[filled:end]
         out = outcomes[filled:end]
@@ -203,7 +209,7 @@ def _click_bound(mean: float) -> int:
 
 def shift_phase(outcomes: np.ndarray, announced: np.ndarray,
                 phase: np.ndarray) -> None:
-    """Apply the clicks' uint8 phase bits to sample_clicks' outputs.
+    """Apply the clicks' uint8 phase bits to detect_slots' outputs.
 
     A phase bit of 1 swaps D1 and D2 and flips the announced bit of a
     single click; a double click and its coin stay as drawn. Works in
@@ -213,31 +219,4 @@ def shift_phase(outcomes: np.ndarray, announced: np.ndarray,
     announced ^= flip
     flip *= 3  # D1 ^ 3 is D2 and D2 ^ 3 is D1
     outcomes ^= flip
-
-
-def detect_slots(
-    phase_bits: np.ndarray,
-    mu: float,
-    eta: float,
-    params: SystemParams,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw detection outcomes for a batch of slots.
-
-    phase_bits[i] in {0, 1} encodes the ideal phase difference (0 or pi)
-    of slot i. Returns (outcomes, resolved) uint8 arrays: outcomes hold
-    Outcome values, resolved holds the announced bit (0 for D1, 1 for
-    D2, a fair coin for DOUBLE) and 0 where nothing clicked. This is the
-    dense view of sample_clicks, which draws the clicks and consumes the
-    generator, and of shift_phase; the click positions do not depend on
-    phase_bits.
-    """
-    bits = _as_bit_array(phase_bits, "phase_bits")
-    pos, clicked, announced = sample_clicks(bits.size, mu, eta, params, rng)
-    shift_phase(clicked, announced, bits.take(pos))
-    outcomes = np.zeros(bits.size, dtype=np.uint8)
-    resolved = np.zeros(bits.size, dtype=np.uint8)
-    outcomes[pos] = clicked
-    resolved[pos] = announced
-    return outcomes, resolved
 

@@ -23,18 +23,18 @@ run, for both slot parities.
 
 The run is click-indexed: apart from the two N-bit trains, kept packed
 at eight bits a byte, nothing is stored per slot. run_measurement draws
-the clicks first (channel.sample_clicks, phase-free), then walks them
+the clicks of the interior slots first (channel.detect_slots,
+phase-free), which numbers each click by its slot, then walks them
 once, in tiles of at most _TILE, and applies the rule above only there:
 it reads each sender bit once, straight from its packed byte, nothing
 unpacked, and channel.shift_phase applies each click's phase. The
-record of a run is its clicks, each numbered by its slot:
-DetectionRecords keeps n_pairs plus, per click, the slot, outcome,
-announced bit and the two sender bits, each array allocated once. sift
-adds only the dealer's flipped bit and passes the record's arrays on
-uncopied; the QBER split masks them at the remaining entries. One
-seeded generator is consumed in this order: Alice's packed phase
-bytes, Bob's, then per sampler batch the gap uniforms, category
-uniforms and coins, then the QBER test sample.
+record of a run is its clicks: DetectionRecords keeps n_pairs plus,
+per click, the slot, outcome, announced bit and the two sender bits,
+each array allocated once. sift adds only the dealer's flipped bit and
+passes the record's arrays on uncopied; the QBER split masks them at
+the remaining entries. One seeded generator is consumed in this order:
+Alice's packed phase bytes, Bob's, then per sampler batch the gap
+uniforms, category uniforms and coins, then the QBER test sample.
 """
 
 from __future__ import annotations
@@ -44,11 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# detect_slots is not called here; it stays importable as
-# tfqss.mcsim.detect_slots, which bench/tracing.py wraps (the
-# benchmark's traced run fails without it)
-from .channel import (  # noqa: F401
-    ChannelState, detect_slots, sample_clicks, shift_phase)
+from .channel import ChannelState, detect_slots, shift_phase
 from .core import (
     Owner,
     ParameterError,
@@ -131,11 +127,12 @@ def run_measurement(
 
     Slot outcomes follow the channel's threshold-detector model applied
     to each slot's ideal phase difference. The clicks are drawn first
-    (channel.sample_clicks), and the module docstring's rule gives the
-    sender bits at the clicks only; the record keeps them for sift.
-    One pass reads each click's two bits from the packed bytes, a tile
-    of at most _TILE clicks at a time, and applies the tile's phase
-    bits (channel.shift_phase). N = 1 yields no interior slots.
+    (channel.detect_slots over the slots [2, 2N-1]), and the module
+    docstring's rule gives the sender bits at the clicked slots only;
+    the record keeps them for sift. One pass reads each click's two
+    bits from the packed bytes, a tile of at most _TILE clicks at a
+    time, and applies the tile's phase bits (channel.shift_phase).
+    N = 1 yields no interior slots.
     """
     if a.owner is not Owner.ALICE or b.owner is not Owner.BOB:
         raise ParameterError("expected trains in (alice, bob) order")
@@ -146,40 +143,42 @@ def run_measurement(
         raise ParameterError("senders must use the same intensity")
 
     n = len(a)
-    slots, outcomes, resolved = sample_clicks(
-        2 * n - 2, a.intensity, state.eta, state.params, rng)
+    # the range goes positionally: bench/tracing.py counts the slots
+    # from the first argument
+    slots, outcomes, resolved = detect_slots(
+        range(2, 2 * n), a.intensity, state.eta, state.params, rng)
     clicks = slots.size
     a_bits = np.empty(clicks, dtype=np.uint8)
     b_bits = np.empty(clicks, dtype=np.uint8)
-    # every tile reuses these: the byte indices, each position's low
-    # byte, the bit shifts and the phase bits
+    # every tile reuses these: the byte indices, each slot's low byte,
+    # the bit shifts and the phase bits
     size = min(_TILE, clicks)
     index = np.empty(size, dtype=np.int64)
     low = np.empty(size, dtype=np.uint8)
     shift = np.empty(size, dtype=np.uint8)
     phase = np.empty(size, dtype=np.uint8)
     for lo in range(0, clicks, _TILE):
-        # position e is slot j = e + 2, so b[(j>>1)-1] = b[e>>1] and
-        # a[(j-1)>>1] = a[(e+1)>>1], and j is odd where e is. Bit i is
-        # bit i & 7, most significant first, of byte i >> 3: Bob's is in
-        # byte e >> 4 and Alice's in byte (e+1) >> 4, each at a shift
-        # that e's low byte gives
-        e = slots[lo:lo + _TILE]
-        m = e.size
-        at, e8, s, odd = index[:m], low[:m], shift[:m], phase[:m]
+        # slot j reads b[(j>>1)-1] = b[(j-2)>>1] and a[(j-1)>>1]. Bit i
+        # is bit i & 7, most significant first, of byte i >> 3: Bob's
+        # is in byte (j-2) >> 4 and Alice's in byte (j-1) >> 4, each at
+        # a shift that the low byte of j-2 or j-1 gives
+        j = slots[lo:lo + _TILE]
+        m = j.size
+        at, j8, s, odd = index[:m], low[:m], shift[:m], phase[:m]
         ab, bb = a_bits[lo:lo + m], b_bits[lo:lo + m]
-        e8[...] = e  # e mod 256
-        np.right_shift(e, 4, out=at)
-        _read_bits(b.packed, at, e8, s, bb)
-        np.bitwise_and(e8, 1, out=odd)
-        np.add(e, 1, out=at)
+        j8[...] = j  # j mod 256
+        np.bitwise_and(j8, 1, out=odd)
+        j8 -= 2  # (j - 2) mod 256
+        np.subtract(j, 2, out=at)
         at >>= 4
-        e8 += 1  # (e + 1) mod 256
-        _read_bits(a.packed, at, e8, s, ab)
+        _read_bits(b.packed, at, j8, s, bb)
+        np.subtract(j, 1, out=at)
+        at >>= 4
+        j8 += 1  # (j - 1) mod 256
+        _read_bits(a.packed, at, j8, s, ab)
         odd ^= ab
         odd ^= bb
         shift_phase(outcomes[lo:lo + m], resolved[lo:lo + m], odd)
-    slots += 2  # sampler position e is slot e + 2
     return DetectionRecords(n, slots, outcomes, resolved, a_bits, b_bits)
 
 
@@ -239,9 +238,7 @@ def estimate_qber(
     if not 0.0 < test_fraction < 1.0:
         raise ParameterError(
             f"test_fraction={test_fraction!r} outside (0, 1)")
-    if not 0.0 <= abort_threshold <= 1.0:
-        raise ParameterError(
-            f"abort_threshold={abort_threshold!r} outside [0, 1]")
+    _check_abort_threshold(abort_threshold)
     n = len(sifted)
     if n == 0:
         raise ValueError("empty sifted key; nothing to sample")
@@ -262,6 +259,12 @@ def estimate_qber(
     return estimate, remaining, estimate > abort_threshold
 
 
+def _check_abort_threshold(abort_threshold: float) -> None:
+    if not 0.0 <= abort_threshold <= 1.0:
+        raise ParameterError(
+            f"abort_threshold={abort_threshold!r} outside [0, 1]")
+
+
 def run_protocol(
     system: SystemParams,
     config: ProtocolConfig,
@@ -273,13 +276,15 @@ def run_protocol(
     from one generator seeded with config.rng_seed, so reruns with an
     identical config reproduce the report exactly. Requires n_pairs >= 2
     (shorter trains have no interior slots) and at least one detection.
+    The threshold and the link are checked before the first draw.
     """
     if config.n_pairs < 2:
         raise ParameterError("n_pairs must be >= 2 to measure anything")
+    _check_abort_threshold(qber_abort_threshold)
+    state = ChannelState.for_distance(config.distance, system)
     rng = np.random.default_rng(config.rng_seed)
     a = prepare_train(Owner.ALICE, config.n_pairs, config.intensity, rng)
     b = prepare_train(Owner.BOB, config.n_pairs, config.intensity, rng)
-    state = ChannelState.for_distance(config.distance, system)
     # the packed trains and the detection record, bar the slots and
     # sender bits the key keeps, do not outlive the sift, so they are
     # freed before the QBER split, where a dense run's memory peaks

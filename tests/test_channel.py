@@ -17,7 +17,6 @@ from tfqss.channel import (
     ChannelState,
     click_probability,
     detect_slots,
-    sample_clicks,
     shift_phase,
     transmittance,
 )
@@ -81,6 +80,16 @@ def test_click_probability_matches_linearized_gain_at_small_p_d():
         assert diff == pytest.approx(p_d**2 * math.exp(-mu * eta), abs=1e-15)
 
 
+def test_click_probability_rejects_mu_and_eta_outside_the_domain():
+    # keyrate.gain's domain and messages
+    with pytest.raises(ParameterError, match=r"^mu=-0\.5 must be >= 0$"):
+        click_probability(-0.5, 1.0, DEFAULTS)
+    with pytest.raises(ParameterError, match=r"^eta=2\.0 outside \[0, 1\]$"):
+        click_probability(0.1, 2.0, DEFAULTS)
+    with pytest.raises(ParameterError, match="eta=nan"):
+        click_probability(0.1, math.nan, DEFAULTS)
+
+
 def test_channel_state_bounds_and_constructor():
     state = ChannelState.for_distance(100.0, DEFAULTS)
     assert state.eta == transmittance(100.0, DEFAULTS)
@@ -94,19 +103,31 @@ def test_channel_state_bounds_and_constructor():
 
 def test_detect_slots_argument_validation():
     rng = np.random.default_rng(0)
-    ones = np.ones(4, dtype=np.uint8)
     with pytest.raises(ParameterError, match="mu"):
-        detect_slots(ones, 0.5, 0.5, DEFAULTS, rng)
+        detect_slots(range(4), 0.5, 0.5, DEFAULTS, rng)
     with pytest.raises(ParameterError, match="mu"):
-        detect_slots(ones, 0.0, 0.5, DEFAULTS, rng)
+        detect_slots(range(4), 0.0, 0.5, DEFAULTS, rng)
     with pytest.raises(ParameterError, match="eta"):
-        detect_slots(ones, 0.1, 1.5, DEFAULTS, rng)
-    with pytest.raises(ParameterError, match="one-dimensional"):
-        detect_slots(np.zeros((2, 2), dtype=np.uint8), 0.1, 0.5,
-                     DEFAULTS, rng)
-    with pytest.raises(ParameterError, match="0/1"):
-        detect_slots(np.array([0, 3], dtype=np.uint8), 0.1, 0.5,
-                     DEFAULTS, rng)
+        detect_slots(range(4), 0.1, 1.5, DEFAULTS, rng)
+    with pytest.raises(ParameterError, match="step 1"):
+        detect_slots(range(2, 8, 2), 0.1, 0.5, DEFAULTS, rng)
+
+
+def _dense(bits, mu, eta, params, rng):
+    """Per-slot (outcomes, resolved) of slots 0..n-1 with phase bits bits.
+
+    detect_slots draws the clicks, shift_phase applies their phase bits
+    and a scatter writes them into dense uint8 arrays, 0 where nothing
+    clicked.
+    """
+    slots, clicked, announced = detect_slots(range(bits.size), mu, eta,
+                                             params, rng)
+    shift_phase(clicked, announced, bits.take(slots))
+    outcomes = np.zeros(bits.size, dtype=np.uint8)
+    resolved = np.zeros(bits.size, dtype=np.uint8)
+    outcomes[slots] = clicked
+    resolved[slots] = announced
+    return outcomes, resolved
 
 
 def test_no_light_no_dark_counts_means_no_clicks():
@@ -114,7 +135,7 @@ def test_no_light_no_dark_counts_means_no_clicks():
     rng = np.random.default_rng(1)
     bits = rng.integers(0, 2, 10_000, dtype=np.uint8)
     state = rng.bit_generator.state
-    outcomes, resolved = detect_slots(bits, 0.1, 0.0, params, rng)
+    outcomes, resolved = _dense(bits, 0.1, 0.0, params, rng)
     assert np.all(outcomes == Outcome.NO_CLICK)
     assert np.all(resolved == 0)
     # click probability 0: not even one geometric gap is drawn
@@ -128,7 +149,7 @@ def test_noiseless_clicks_land_on_the_matching_detector():
                           detector_efficiency=1.0)
     rng = np.random.default_rng(2)
     bits = rng.integers(0, 2, 200_000, dtype=np.uint8)
-    outcomes, resolved = detect_slots(bits, 0.499, 1.0, params, rng)
+    outcomes, resolved = _dense(bits, 0.499, 1.0, params, rng)
     clicked = outcomes != Outcome.NO_CLICK
     assert clicked.any()
     assert not np.any(outcomes == Outcome.DOUBLE)
@@ -142,7 +163,7 @@ def test_click_fraction_matches_model_probability():
     rng = np.random.default_rng(3)
     n = 10**7
     bits = rng.integers(0, 2, n, dtype=np.uint8)
-    outcomes, _ = detect_slots(bits, 0.1, 0.5, DEFAULTS, rng)
+    outcomes, _ = _dense(bits, 0.1, 0.5, DEFAULTS, rng)
     p = click_probability(0.1, 0.5, DEFAULTS)
     assert p == pytest.approx(1.0 - math.exp(-0.05), rel=1e-6)
     frac = np.count_nonzero(outcomes) / n
@@ -158,7 +179,7 @@ def test_dark_count_only_regime_outcome_frequencies():
     rng = np.random.default_rng(4)
     n = 10**6
     bits = np.zeros(n, dtype=np.uint8)
-    outcomes, _ = detect_slots(bits, 1e-6, 1e-6, params, rng)
+    outcomes, _ = _dense(bits, 1e-6, 1e-6, params, rng)
     for outcome, prob in [
         (Outcome.NO_CLICK, (1 - p_d) ** 2),
         (Outcome.D1, p_d * (1 - p_d)),
@@ -176,7 +197,7 @@ def test_double_clicks_resolve_to_a_fair_coin():
     rng = np.random.default_rng(5)
     n = 10**6
     bits = np.zeros(n, dtype=np.uint8)
-    outcomes, resolved = detect_slots(bits, 1e-6, 1e-6, params, rng)
+    outcomes, resolved = _dense(bits, 1e-6, 1e-6, params, rng)
     doubles = outcomes == Outcome.DOUBLE
     assert doubles.sum() > 100_000
     mean = resolved[doubles].mean()
@@ -186,11 +207,11 @@ def test_double_clicks_resolve_to_a_fair_coin():
 
 def test_outcome_stream_is_reproducible():
     bits = np.random.default_rng(6).integers(0, 2, 50_000, dtype=np.uint8)
-    a = detect_slots(bits, 0.2, 0.3, DEFAULTS, np.random.default_rng(7))
-    b = detect_slots(bits, 0.2, 0.3, DEFAULTS, np.random.default_rng(7))
+    a = _dense(bits, 0.2, 0.3, DEFAULTS, np.random.default_rng(7))
+    b = _dense(bits, 0.2, 0.3, DEFAULTS, np.random.default_rng(7))
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1], b[1])
-    c = detect_slots(bits, 0.2, 0.3, DEFAULTS, np.random.default_rng(8))
+    c = _dense(bits, 0.2, 0.3, DEFAULTS, np.random.default_rng(8))
     assert not np.array_equal(a[0], c[0])
 
 
@@ -237,7 +258,7 @@ def _pearson(observed, expected):
 def test_outcome_frequencies_match_the_closed_forms(params, mu, eta, n):
     rng = np.random.default_rng(20)
     bits = rng.integers(0, 2, n, dtype=np.uint8)
-    outcomes, resolved = detect_slots(bits, mu, eta, params, rng)
+    outcomes, resolved = _dense(bits, mu, eta, params, rng)
     probs = _outcome_probabilities(mu, eta, params)
     stat, df = 0.0, 0
     # phase 1 sends the light to D2, which swaps the two single cells
@@ -260,7 +281,7 @@ def test_highest_admitted_click_probability_over_several_batches():
     assert p > 0.84
     rng = np.random.default_rng(22)
     bits = rng.integers(0, 2, n, dtype=np.uint8)
-    clicked = detect_slots(bits, mu, eta, params, rng)[0] != Outcome.NO_CLICK
+    clicked = _dense(bits, mu, eta, params, rng)[0] != Outcome.NO_CLICK
     assert abs(clicked.mean() - p) <= 4.0 * math.sqrt(p * (1 - p) / n)
     # clicks are independent slot to slot, batch joins included
     pairs = np.mean(clicked[1:] & clicked[:-1])
@@ -273,7 +294,7 @@ def test_slot_counts_around_the_batch_size(n):
     p = click_probability(0.4, 1.0, params)
     rng = np.random.default_rng(23)
     bits = rng.integers(0, 2, n, dtype=np.uint8)
-    outcomes, resolved = detect_slots(bits, 0.4, 1.0, params, rng)
+    outcomes, resolved = _dense(bits, 0.4, 1.0, params, rng)
     assert outcomes.shape == resolved.shape == (n,)
     assert outcomes.dtype == resolved.dtype == np.uint8
     assert outcomes.max(initial=0) <= Outcome.DOUBLE
@@ -291,7 +312,7 @@ def test_single_slot_clicks_with_the_model_probability():
     trials = 4000
     clicks = 0
     for _ in range(trials):
-        pos, outcomes, _ = sample_clicks(1, 0.4, 1.0, params, rng)
+        pos, outcomes, _ = detect_slots(range(1), 0.4, 1.0, params, rng)
         assert pos.tolist() in ([], [0])
         assert outcomes.min(initial=Outcome.D1) >= Outcome.D1
         clicks += pos.size
@@ -301,12 +322,11 @@ def test_single_slot_clicks_with_the_model_probability():
 def test_click_positions_do_not_depend_on_phase_bits():
     params = SystemParams(dark_count_rate=0.05, misalignment=0.1)
     bits = np.random.default_rng(25).integers(0, 2, 100_000, dtype=np.uint8)
-    out, res = detect_slots(bits, 0.3, 0.5, params,
-                            np.random.default_rng(26))
-    flip_out, flip_res = detect_slots(1 - bits, 0.3, 0.5, params,
-                                      np.random.default_rng(26))
-    zero_out, _ = detect_slots(np.zeros_like(bits), 0.3, 0.5, params,
-                               np.random.default_rng(26))
+    out, res = _dense(bits, 0.3, 0.5, params, np.random.default_rng(26))
+    flip_out, flip_res = _dense(1 - bits, 0.3, 0.5, params,
+                                np.random.default_rng(26))
+    zero_out, _ = _dense(np.zeros_like(bits), 0.3, 0.5, params,
+                         np.random.default_rng(26))
     clicked = out != Outcome.NO_CLICK
     assert np.array_equal(flip_out != Outcome.NO_CLICK, clicked)
     assert np.array_equal(zero_out != Outcome.NO_CLICK, clicked)
@@ -335,8 +355,8 @@ def test_sampler_without_dark_counts_on_a_vanishing_click_probability(
             over="raise", divide="raise", invalid="raise"):
         warnings.simplefilter("error")
         for n in (*range(1, 100), 10**6):
-            pos, outcomes, resolved = sample_clicks(
-                n, 0.1, mu_eta / 0.1, params, rng)
+            pos, outcomes, resolved = detect_slots(
+                range(n), 0.1, mu_eta / 0.1, params, rng)
             assert pos.size == outcomes.size == resolved.size == 0
     assert pos.dtype == np.int64
 
@@ -353,8 +373,8 @@ def test_sampler_reads_phase_bits_only_at_the_clicks():
         bits = rng.integers(0, 2, n, dtype=np.uint8)
         want = _reference_clicks(n, bits, 0.4999, 1.0, params,
                                  copy.deepcopy(rng))
-        pos, outcomes, resolved = sample_clicks(
-            n, 0.4999, 1.0, params, rng)
+        pos, outcomes, resolved = detect_slots(
+            range(n), 0.4999, 1.0, params, rng)
         shift_phase(outcomes, resolved, bits[pos])
         for g, w in zip((pos, outcomes, resolved), want):
             assert g.dtype == w.dtype and np.array_equal(g, w)
@@ -421,7 +441,8 @@ def test_sampler_draws_the_documented_stream(params, mu, eta, n, seeds,
     mean = n * click_probability(mu, eta, params)
     room = min(n, int(mean + 4.0 * math.sqrt(mean)) + 1)
     for seed in seeds:
-        got = sample_clicks(n, mu, eta, params, np.random.default_rng(seed))
+        got = detect_slots(range(n), mu, eta, params,
+                           np.random.default_rng(seed))
         shift_phase(got[1], got[2], bits[got[0]])
         want = _reference_clicks(n, bits, mu, eta, params,
                                  np.random.default_rng(seed))
@@ -444,7 +465,8 @@ def test_outputs_grow_before_a_later_batch_that_would_overrun_them(
     room = int(mean + 4.0 * math.sqrt(mean)) + 1
     for seed, grows in [(40, True), (67, True), (70, True), (87, True),
                         (0, False), (1, False), (2, False), (3, False)]:
-        got = sample_clicks(n, mu, eta, params, np.random.default_rng(seed))
+        got = detect_slots(range(n), mu, eta, params,
+                           np.random.default_rng(seed))
         shift_phase(got[1], got[2], bits[got[0]])
         want = _reference_clicks(n, bits, mu, eta, params,
                                  np.random.default_rng(seed), chunk=64)

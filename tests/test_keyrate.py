@@ -10,6 +10,8 @@ import mpmath
 import numpy as np
 import pytest
 
+from tfqss.attacks import beta_bound, external_leakage, internal_leakage
+from tfqss.bounds import plob_bound
 from tfqss.channel import transmittance
 from tfqss.core import ParameterError, SystemParams
 from tfqss.keyrate import (
@@ -248,3 +250,83 @@ def test_array_kernel_raises_the_scalar_errors():
     with pytest.raises(DegenerateChannelError):
         rate_at_transmittance([0.1, 0.2], [[0.5], [0.0]],
                               SystemParams(dark_count_rate=0.0))
+
+
+def test_closed_forms_hold_to_50_digits_over_the_admitted_domain():
+    # seeded draws over the whole domain the validators admit; each
+    # reference takes the float inputs exactly, with expm1 and log1p,
+    # since mu*eta reaches 1e-309, where 50 digits cannot resolve
+    # 1 - e^(-mu*eta) any other way
+    rng = np.random.default_rng(0)
+    n, eps = 256, 2.0**-52
+    mus = 10.0 ** rng.uniform(-9.0, math.log10(0.4999), n)
+    etas = 10.0 ** rng.uniform(-300.0, 0.0, n)
+    p_ds = np.where(rng.random(n) < 0.1, 0.0,
+                    10.0 ** rng.uniform(-15.0, math.log10(0.49), n))
+    e_ds = rng.uniform(0.0, 0.5, n)
+    fs = rng.uniform(1.0, 1.5, n)
+    distances = rng.uniform(1000.0, 5000.0, n)
+
+    def h(x):
+        return 0 if x == 0 else -(x * mpmath.log(x) + (1 - x)
+                                  * mpmath.log1p(-x)) / ln2
+
+    def close(got, want, bound, scale=None):
+        scale = abs(want) if scale is None else scale
+        return abs(mpmath.mpf(got) - want) <= bound * scale
+
+    with mpmath.workdps(50):
+        ln2 = mpmath.log(2)
+        for mu, eta, p_d, e_d, f, length in zip(
+                *(v.tolist() for v in (mus, etas, p_ds, e_ds, fs,
+                                       distances))):
+            m, t, pd, ed = (mpmath.mpf(v) for v in (mu, eta, p_d, e_d))
+            q = -mpmath.expm1(-m * t) * (1 - 2 * pd) + 2 * pd
+            dark = 2 * pd * mpmath.exp(-m * t)
+            e = min(mpmath.mpf(0.5), (ed * q + (0.5 - ed) * dark) / q)
+            p_co = 1 - e**2 - (1 - 6 * e) ** 2 / 2
+            ec = f * h(e)
+            assert close(gain(mu, eta, p_d), q, 1e-15)
+            e_f = qber(mu, eta, p_d, e_d)
+            assert close(e_f, e, 1e-15)
+            ef = mpmath.mpf(e_f)
+            assert close(binary_entropy(e_f), h(ef), 1e-15)
+            # P_co reaches 0 near E = 0.384, so its errors are absolute:
+            # its terms stay below 3, and the breakdown's E brings its
+            # own error times |dP_co/dE| < 13
+            assert close(collision_probability(e_f),
+                         1 - ef**2 - (1 - 6 * ef) ** 2 / 2, 4e-15, 1)
+            params = SystemParams(dark_count_rate=p_d, misalignment=e_d,
+                                  ec_efficiency=f)
+            bd = rate_at_transmittance(mu, eta, params)
+            assert close(bd.gain, q, 1e-15)
+            assert close(bd.qber, e, 1e-15)
+            assert close(bd.collision, p_co, 4e-15, 1)
+            assert close(bd.ec_term, ec, 1e-15)
+            if p_co < 0.5:
+                assert bd.privacy_term == -math.inf and bd.rate == 0.0
+            else:
+                privacy = -(1 - 2 * m) * mpmath.log(p_co) / ln2
+                assert close(bd.privacy_term, privacy, 2e-15)
+                # at the edge of a key window the rate cancels to 0, so
+                # its error is bounded by the terms it is taken from
+                assert close(bd.rate, max(0, q * (privacy - ec)), 1e-15,
+                             q * (privacy + ec))
+            beta = beta_bound(mu, e_f)
+            assert close(beta, min(1, 4 * ef / (1 - 2 * m)), 1e-15)
+            b = mpmath.mpf(beta)
+            assert close(external_leakage(mu, eta), 2 * m * (1 - t), 1e-15)
+            assert close(internal_leakage(mu, eta, beta),
+                         2 * m * b + 2 * m * (1 - b) * (1 - t), 1e-15)
+            # the exponent alpha L / 20 rounds to half an ulp, and 10^x
+            # scales that by ln(10) x
+            d = mpmath.mpf(length)
+            alpha = mpmath.mpf(DEFAULTS.attenuation)
+            eta_d = mpmath.mpf(DEFAULTS.detector_efficiency)
+            x = alpha * d / 20
+            assert close(transmittance(length, DEFAULTS),
+                         eta_d * mpmath.power(10, -x),
+                         2 * eps * (1 + mpmath.log(10) * x))
+            assert close(plob_bound(length, DEFAULTS),
+                         -mpmath.log1p(-eta_d * mpmath.power(10, -2 * x))
+                         / ln2, 2 * eps * (1 + 2 * mpmath.log(10) * x))

@@ -287,9 +287,9 @@ def test_records_carry_the_sender_bits_at_every_click():
 @pytest.mark.parametrize("tile", [1, 8, 13])
 def test_phase_lookup_reads_the_same_bits_across_span_boundaries(
         monkeypatch, tile):
-    # the phase lookup reads a sampler batch a tile of clicks at a time;
-    # tiles of 1, 8 and 13 clicks cut every batch into many tiles, and
-    # the record does not change
+    # run_measurement reads the sender bits a tile of clicks at a time;
+    # tiles of 1, 8 and 13 clicks cut the click list into many tiles,
+    # and the record does not change
     params = SystemParams(dark_count_rate=0.05, misalignment=0.1)
     state = ChannelState(eta=0.5, params=params)
     a, b = _trains(20_000, 0.3, 30)
@@ -590,6 +590,19 @@ def test_estimate_qber_rejects_bad_arguments():
 # ------------------------------------------------------------ full protocol
 
 
+def test_run_protocol_checks_threshold_and_link_before_drawing(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("prepare_train called")
+
+    monkeypatch.setattr("tfqss.mcsim.prepare_train", no_draw)
+    config = ProtocolConfig(n_pairs=10**7)
+    with pytest.raises(ParameterError, match="abort_threshold=2.0"):
+        run_protocol(DEFAULTS, config, qber_abort_threshold=2.0)
+    far = ProtocolConfig(n_pairs=10**8, distance=100_000.0)
+    with pytest.raises(ParameterError, match="link too long"):
+        run_protocol(SystemParams(attenuation=50.0), far)
+
+
 def test_run_protocol_is_reproducible():
     config = ProtocolConfig(intensity=0.05, n_pairs=100_000, distance=100.0,
                             rng_seed=5)
@@ -639,8 +652,9 @@ def test_multi_batch_run_reproduces_its_pinned_keys():
 
 
 def test_sparse_run_reproduces_its_pinned_keys():
-    # simulate_sparse's point at a fifth of the length, where the phase
-    # lookup reads a few clicks from each stretch of the packed trains
+    # simulate_sparse's point at a fifth of the length, where
+    # run_measurement reads the bits of a few clicks from each stretch
+    # of the packed trains
     report = run_protocol(DEFAULTS, ProtocolConfig(
         intensity=0.05, n_pairs=2 * 10**6, distance=100.0, rng_seed=3))
     assert report.detected_slots == 16_399
