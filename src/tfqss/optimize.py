@@ -9,10 +9,11 @@ brute-force grids and a 50-digit optimum.
 
 The optimizer works on lanes: a 1-D array of arm transmittances, one
 independent maximization each. The grid takes one (lanes x grid) call
-of the rate kernel keyrate.rate_at_transmittance per block of 16
+of the rate kernel keyrate.rate_at_transmittance per block of 256
 lanes, and the root search then runs all lanes in lockstep, one slope
 call per step, with np.where choosing each lane's branch; a lane stops
-at a zero slope or once its bracket is a few ulps wide. A lane does
+at a zero slope or once its bracket is 1e-14 of its upper end wide,
+where the slope's sign is rounding noise. A lane does
 exactly the arithmetic of a one-lane run, so results match one-lane
 calls bit for bit. scan_distances puts every distance of one e_d into
 one call, and find_crossover its whole coarse walk, then five
@@ -41,16 +42,19 @@ from .core import (
     RateBreakdown,
     RatePoint,
     SystemParams,
+    _as_int,
 )
 from .keyrate import _rate_and_slope, rate_at_transmittance
 
 MU_MIN = 1e-6
 MU_MAX = MAX_INTENSITY - 1e-6
-# a lane stops once its slope bracket is this many ulps wide
-_ULPS = 4
-# lanes per kernel call on the grid: bounds each (lanes x grid) temporary
-# to a few kB, which keeps the peak memory of long walks flat
-_GRID_BLOCK = 16
+# a lane stops once its slope bracket is this fraction of its upper end
+# wide: closer to the root the slope's sign is rounding noise
+_STOP = 1e-14
+# lanes per kernel call on the grid: one call for every walk and scan
+# the package makes (find_crossover's walk has 161 lanes, the default
+# scan 142 per e_d), while each (lanes x grid) temporary stays bounded
+_GRID_BLOCK = 256
 # bisection levels find_crossover evaluates per optimizer call
 _BISECT_LEVELS = 5
 
@@ -74,10 +78,14 @@ def maximize_rate_at_transmittance(
     eta is a scalar or an array of lanes, each maximized independently;
     for an array, mu and the breakdown's fields are arrays of its shape.
     """
-    if grid_size < 16:
-        raise ParameterError(f"grid_size={grid_size!r} must be >= 16")
-    if refine_iters < 1:
-        raise ParameterError(f"refine_iters={refine_iters!r} must be >= 1")
+    size, iters = _as_int(grid_size), _as_int(refine_iters)
+    if size is None or size < 16:
+        raise ParameterError(
+            f"grid_size={grid_size!r} must be an integer >= 16")
+    if iters is None or iters < 1:
+        raise ParameterError(
+            f"refine_iters={refine_iters!r} must be an integer >= 1")
+    grid_size, refine_iters = size, iters
     shape = np.shape(eta)
     lanes = np.asarray(eta).reshape(-1)
     ratio = (MU_MAX / MU_MIN) ** (1.0 / (grid_size - 1))
@@ -132,7 +140,7 @@ def maximize_rate_at_transmittance(
         g_hi = np.where(down, g, np.where(up & moved_lo, 0.5 * g_hi, g_hi))
         lo, hi = np.where(up, x, lo), np.where(down, x, hi)
         moved_lo, moved_hi = up, down
-        running = (up | down) & (hi - lo > _ULPS * np.spacing(hi))
+        running = (up | down) & (hi - lo > _STOP * hi)
     # rounding can leave the root a hair below a grid point's rate
     mu_opt = np.where(mu_rate >= grid_best, mu_opt, mu_best).reshape(shape)
     breakdown = rate_at_transmittance(mu_opt, lanes.reshape(shape), params)
@@ -185,8 +193,8 @@ def scan_distances(
             f"step={step!r} is too small: (l_max - l_min) / step overflows")
     if not e_d_list:
         raise ParameterError("at least one e_d required")
-    if threads < 1:
-        raise ParameterError(f"threads={threads!r} must be >= 1")
+    if (_as_int(threads) or 0) < 1:
+        raise ParameterError(f"threads={threads!r} must be an integer >= 1")
     n_pts = int(span + 1e-9) + 1
     distances = [min(l_min + i * step, l_max) for i in range(n_pts)]
     result: dict[float, list[RatePoint]] = {e_d: [] for e_d in e_d_list}

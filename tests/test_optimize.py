@@ -67,6 +67,35 @@ def test_optimizer_rejects_bad_configuration():
         optimize_mu(100.0, DEFAULTS, refine_iters=0)
 
 
+@pytest.mark.parametrize("kwargs,name", [
+    (dict(grid_size=64.5), "grid_size"),
+    (dict(grid_size=True), "grid_size"),
+    (dict(grid_size="64"), "grid_size"),
+    (dict(refine_iters=2.5), "refine_iters"),
+    (dict(refine_iters=True), "refine_iters"),
+])
+def test_optimizer_rejects_non_integer_sizes(kwargs, name):
+    # a float must not reach range() and np.empty as a raw TypeError
+    message = f"^{name}=.* must be an integer >= "
+    with pytest.raises(ParameterError, match=message):
+        maximize_rate_at_transmittance(0.1, DEFAULTS, **kwargs)
+    with pytest.raises(ParameterError, match=message):
+        scan_distances(0.0, 20.0, 10.0, DEFAULTS, [0.02], **kwargs)
+    with pytest.raises(ParameterError, match=message):
+        find_crossover(DEFAULTS, **kwargs)
+    # numpy integers are integers
+    size = dict(grid_size=np.int64(64), refine_iters=np.int32(60))
+    assert optimize_mu(100.0, DEFAULTS, **size) == optimize_mu(
+        100.0, DEFAULTS)
+
+
+@pytest.mark.parametrize("threads", [1.5, True, 0])
+def test_scan_rejects_a_non_integer_thread_count(threads):
+    with pytest.raises(ParameterError,
+                       match="^threads=.* must be an integer >= 1"):
+        scan_distances(0.0, 20.0, 10.0, DEFAULTS, [0.02], threads=threads)
+
+
 def test_optimizer_beats_its_own_coarse_grid():
     # refinement may only improve on the best coarse point
     for distance in (0.0, 150.0, 300.0, 450.0):
@@ -413,6 +442,31 @@ def test_mu_opt_is_the_50_digit_optimum(e_d):
         assert abs(mu_opt - expected) <= 1e-12 * expected, distance
 
 
+def test_mu_opt_is_the_50_digit_optimum_across_the_domain():
+    # keyed lanes drawn over the whole parameter domain, away from the
+    # defaults: the root search stops where the slope's sign is rounding
+    # noise, which must leave mu_opt at the 50-digit root
+    rng = np.random.default_rng(0)
+    checked = 0
+    while checked < 64:
+        params = SystemParams(
+            detector_efficiency=rng.uniform(0.05, 1.0),
+            dark_count_rate=10.0 ** rng.uniform(-12.0, -2.0),
+            attenuation=rng.uniform(0.15, 0.35),
+            ec_efficiency=rng.uniform(1.0, 1.5),
+            misalignment=rng.uniform(0.0, 0.12))
+        distance = rng.uniform(0.0, 800.0)
+        mu_opt, bd = optimize_mu(distance, params)
+        # no key, an optimum at the grid's ends, or one on the saturation
+        # edge, where the slope has no root
+        if (bd.rate == 0.0 or mu_opt in (MU_MIN, MU_MAX)
+                or abs(bd.collision - 0.5) <= 1e-9):
+            continue
+        checked += 1
+        expected = _mp_optimum(distance, params, mu_opt)
+        assert abs(mu_opt - expected) <= 1e-12 * expected, (params, distance)
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """List that grows by one per rate or slope kernel call of the
@@ -493,3 +547,19 @@ def test_optimize_mu_makes_few_kernel_calls(kernel_calls):
             counts.append(len(kernel_calls))
     assert max(counts) <= 26
     assert sum(counts) / len(counts) <= 11.0
+
+
+def test_find_crossover_makes_few_kernel_calls(kernel_calls):
+    # the walk's 161 lanes take one grid call, and each lane stops once
+    # its bracket is 1e-14 of mu wide (43 calls with 16-lane grid calls
+    # and a 4-ulp stop)
+    assert find_crossover(DEFAULTS) == 172.79296875
+    assert len(kernel_calls) <= 29
+
+
+def test_scan_makes_few_kernel_calls(kernel_calls):
+    # one grid call, the bracket ends, the lockstep steps and the final
+    # breakdown per e_d (61 calls with 16-lane grid calls and a 4-ulp
+    # stop)
+    scan_distances(0.0, 700.0, 10.0, DEFAULTS, [0.02, 0.04, 0.052])
+    assert len(kernel_calls) <= 33
