@@ -58,7 +58,6 @@ def dps_qss_baseline(
     params: SystemParams,
     *,
     grid_size: int = 64,
-    refine_iters: int = 60,
 ) -> float:
     """Rate with the full path on one arm, intensity re-optimized.
 
@@ -71,5 +70,5 @@ def dps_qss_baseline(
 
     eta = _full_path_transmittance(distance, params)
     _, breakdown = maximize_rate_at_transmittance(
-        eta, params, grid_size=grid_size, refine_iters=refine_iters)
+        eta, params, grid_size=grid_size)
     return breakdown.rate

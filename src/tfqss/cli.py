@@ -50,8 +50,8 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "test_fraction": ("float", _RUN.test_fraction),
     "qber_abort_threshold": ("float", 0.11),
     "grid_size": ("int", 64),
-    "refine_iters": ("int", 60),
-    "threads": ("int", 1),  # validated, no effect (see scan_distances)
+    # checked by cmd_scan, no effect: the optimizer takes no thread count
+    "threads": ("int", 1),
     "output": ("str", None),
 }
 
@@ -158,12 +158,12 @@ def cmd_scan(settings: dict) -> int:
     if math.isfinite(span) and span / step == math.inf:
         raise ParameterError(f"l_step={step!r} is too small: "
                              "(l_max - l_min) / l_step overflows")
+    if settings["threads"] < 1:
+        raise ParameterError(
+            f"threads={settings['threads']!r} must be an integer >= 1")
     result = scan_distances(
         settings["l_min"], settings["l_max"], step,
-        params, settings["e_d_list"],
-        grid_size=settings["grid_size"],
-        refine_iters=settings["refine_iters"],
-        threads=settings["threads"])
+        params, settings["e_d_list"], grid_size=settings["grid_size"])
     _emit_csv(CSV_HEADER, (
         (pt.distance, e_d, pt.mu_opt, pt.gain, pt.qber, pt.rate,
          pt.plob, pt.repeaterless, pt.dps_baseline)

@@ -12,12 +12,13 @@ independent maximization each. The grid takes one (lanes x grid) call
 of the rate kernel keyrate.rate_at_transmittance per block of 256
 lanes, and the root search then runs all lanes in lockstep, one slope
 call per step, with np.where choosing each lane's branch; a lane stops
-at a zero slope or once its bracket is 1e-14 of its upper end wide,
-where the slope's sign is rounding noise. A lane does
-exactly the arithmetic of a one-lane run, so results match one-lane
-calls bit for bit. scan_distances puts every distance of one e_d into
-one call, and find_crossover its whole coarse walk, then five
-bisection levels (31 midpoints) per call.
+at a zero slope, once its bracket is 1e-14 of its upper end wide,
+where the slope's sign is rounding noise, or after _REFINE_ITERS steps.
+A lane does exactly the arithmetic of a one-lane run, so results match
+one-lane calls bit for bit. scan_distances puts every distance of one
+e_d into one call, and find_crossover its whole coarse walk, then five
+bisection levels (31 midpoints) per call. grid_size is the one setting
+a caller may change.
 """
 
 from __future__ import annotations
@@ -30,11 +31,7 @@ import numpy as np
 # dps_qss_baseline is not called here; it stays bound as
 # tfqss.optimize.dps_qss_baseline, which bench/tracing.py wraps (the
 # benchmark's traced run fails without it)
-from .bounds import (  # noqa: F401
-    dps_qss_baseline,
-    plob_bound,
-    repeaterless_bound,
-)
+from .bounds import dps_qss_baseline, plob_bound  # noqa: F401
 from .channel import transmittance
 from .core import (
     MAX_INTENSITY,
@@ -51,6 +48,10 @@ MU_MAX = MAX_INTENSITY - 1e-6
 # a lane stops once its slope bracket is this fraction of its upper end
 # wide: closer to the root the slope's sign is rounding noise
 _STOP = 1e-14
+# regula falsi steps per lane at most. Only lanes creeping up on the
+# saturation edge reach it: of 4,800 lanes drawn over the admitted
+# domain, a cap of 1,000 moves 6, by at most 3.5e-8 relative in rate
+_REFINE_ITERS = 60
 # lanes per kernel call on the grid: one call for every walk and scan
 # the package makes (find_crossover's walk has 161 lanes, the default
 # scan 142 per e_d), while each (lanes x grid) temporary stays bounded
@@ -64,13 +65,12 @@ def maximize_rate_at_transmittance(
     params: SystemParams,
     *,
     grid_size: int = 64,
-    refine_iters: int = 60,
 ) -> tuple[float | np.ndarray, RateBreakdown]:
     """Best (mu, rate breakdown) at fixed arm transmittances.
 
     Coarse logarithmic grid over (1e-6, 0.5 - 1e-6), then the root of
     dR/dmu between the best grid point's neighbors, found by Illinois
-    regula falsi; refine_iters caps its steps. A lane whose slope has
+    regula falsi, at most _REFINE_ITERS steps. A lane whose slope has
     no sign change there, or whose root rates below the grid, keeps the
     best grid point. If every grid point yields rate 0 the channel
     supports no key and (1e-6, zero-rate breakdown) is returned.
@@ -78,14 +78,11 @@ def maximize_rate_at_transmittance(
     eta is a scalar or an array of lanes, each maximized independently;
     for an array, mu and the breakdown's fields are arrays of its shape.
     """
-    size, iters = _as_int(grid_size), _as_int(refine_iters)
+    size = _as_int(grid_size)
     if size is None or size < 16:
         raise ParameterError(
             f"grid_size={grid_size!r} must be an integer >= 16")
-    if iters is None or iters < 1:
-        raise ParameterError(
-            f"refine_iters={refine_iters!r} must be an integer >= 1")
-    grid_size, refine_iters = size, iters
+    grid_size = size
     shape = np.shape(eta)
     lanes = np.asarray(eta).reshape(-1)
     ratio = (MU_MAX / MU_MIN) ** (1.0 / (grid_size - 1))
@@ -120,7 +117,7 @@ def maximize_rate_at_transmittance(
     g_hi = np.where(running, ends[1], -1.0)
     mu_opt, mu_rate = mu_best, grid_best
     moved_lo = moved_hi = np.zeros(lanes.size, dtype=bool)
-    for _ in range(refine_iters):
+    for _ in range(_REFINE_ITERS):
         if not running.any():
             break
         x = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
@@ -152,12 +149,10 @@ def optimize_mu(
     params: SystemParams,
     *,
     grid_size: int = 64,
-    refine_iters: int = 60,
 ) -> tuple[float, RateBreakdown]:
     """Best (mu, rate breakdown) at a total distance in km."""
     return maximize_rate_at_transmittance(
-        transmittance(distance, params), params,
-        grid_size=grid_size, refine_iters=refine_iters)
+        transmittance(distance, params), params, grid_size=grid_size)
 
 
 def scan_distances(
@@ -168,17 +163,16 @@ def scan_distances(
     e_d_list: list[float],
     *,
     grid_size: int = 64,
-    refine_iters: int = 60,
-    threads: int = 1,
 ) -> dict[float, list[RatePoint]]:
     """Optimized rate and reference bounds on a distance grid.
 
     Returns {e_d: [RatePoint at l_min, l_min+step, ..., <= l_max]}; an
     e_d listed twice gets its sweep twice under one key. Per e_d, one
     optimizer call takes the lanes transmittance(L) for every grid
-    distance and transmittance(2L), whose rate is dps_baseline (see
-    bounds.dps_qss_baseline). threads is validated (>= 1) but has no
-    effect: the lanes run in lockstep in this thread.
+    distance, which is also the repeaterless column, and
+    transmittance(2L), whose rate is dps_baseline (see
+    bounds.dps_qss_baseline). The lanes and the plob column depend on
+    no e_d, so each is computed once per scan.
     """
     for name, value in (("l_min", l_min), ("l_max", l_max), ("step", step)):
         if not math.isfinite(value):
@@ -193,22 +187,19 @@ def scan_distances(
             f"step={step!r} is too small: (l_max - l_min) / step overflows")
     if not e_d_list:
         raise ParameterError("at least one e_d required")
-    if (_as_int(threads) or 0) < 1:
-        raise ParameterError(f"threads={threads!r} must be an integer >= 1")
     n_pts = int(span + 1e-9) + 1
     distances = [min(l_min + i * step, l_max) for i in range(n_pts)]
+    etas = [transmittance(scale * distance, params)
+            for scale in (1.0, 2.0) for distance in distances]
+    plob = [plob_bound(distance, params) for distance in distances]
     result: dict[float, list[RatePoint]] = {e_d: [] for e_d in e_d_list}
     for e_d in e_d_list:
-        p = replace(params, misalignment=e_d)
-        etas = [transmittance(scale * distance, p)
-                for scale in (1.0, 2.0) for distance in distances]
         mu_opt, bd = maximize_rate_at_transmittance(
-            etas, p, grid_size=grid_size, refine_iters=refine_iters)
+            etas, replace(params, misalignment=e_d), grid_size=grid_size)
         for i, distance in enumerate(distances):
             result[e_d].append(RatePoint(
                 distance, float(mu_opt[i]), float(bd.gain[i]),
-                float(bd.qber[i]), float(bd.rate[i]),
-                plob_bound(distance, p), repeaterless_bound(distance, p),
+                float(bd.qber[i]), float(bd.rate[i]), plob[i], etas[i],
                 float(bd.rate[n_pts + i])))
     return result
 
@@ -239,7 +230,6 @@ def find_crossover(
     coarse_step: float = 5.0,
     tol: float = 1e-2,
     grid_size: int = 64,
-    refine_iters: int = 60,
 ) -> float | None:
     """Smallest distance where the optimized rate exceeds the PLOB bound.
 
@@ -264,7 +254,7 @@ def find_crossover(
     def excess(distances: list[float]) -> np.ndarray:
         etas = [transmittance(distance, params) for distance in distances]
         _, bd = maximize_rate_at_transmittance(
-            etas, params, grid_size=grid_size, refine_iters=refine_iters)
+            etas, params, grid_size=grid_size)
         return bd.rate - [plob_bound(d, params) for d in distances]
 
     n_steps = int(l_max / coarse_step + 1e-9)

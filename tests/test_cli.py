@@ -24,8 +24,8 @@ def test_defaults_cover_every_key():
     assert set(settings) == {
         "eta_d", "p_d", "alpha", "f", "e_d_list", "mu", "mu_list",
         "n_pairs", "distance", "l_min", "l_max", "l_step", "seed",
-        "test_fraction", "qber_abort_threshold", "grid_size",
-        "refine_iters", "threads", "output",
+        "test_fraction", "qber_abort_threshold", "grid_size", "threads",
+        "output",
     }
     assert settings["eta_d"] == 0.56
     assert settings["e_d_list"] == [0.02, 0.04, 0.052]
@@ -248,9 +248,11 @@ def test_attack_lossless_channel_leaks_nothing_externally(capsys):
 
 
 def test_unknown_cli_argument_exits_1(capsys):
-    code, _, err = _run(["scan", "--bogus", "1"], capsys)
-    assert code == 1
-    assert "error:" in err
+    # refine_iters is no key: the optimizer's step cap is a constant
+    for argv in (["scan", "--bogus", "1"], ["scan", "--refine_iters", "60"]):
+        code, _, err = _run(argv, capsys)
+        assert code == 1
+        assert "error:" in err
 
 
 def test_unknown_config_key_exits_1(tmp_path, capsys):
@@ -287,6 +289,8 @@ def test_invalid_parameter_value_exits_1(capsys):
     # the grid's point count overflowed: an OverflowError traceback
     (["scan", "--l_step", "5e-324"], "l_step"),
     (["scan", "--l_max", "1e300", "--l_step", "1e-10"], "l_step"),
+    # no effect, but still a count
+    (["scan", "--threads", "0"], "threads"),
 ])
 def test_non_finite_values_exit_1_naming_the_key(argv, key, capsys):
     code, out, err = _run(argv, capsys)
