@@ -34,8 +34,8 @@ rate_at_transmittance; each element goes through exactly the arithmetic
 of a scalar call, so an array result equals the elementwise scalar
 results bit for bit. Domain errors name the first offending element
 in C order. The optimizer's root search calls _rate_and_slope, which
-returns the same rate together with dR/dmu from one pass over the
-same expressions and checks nothing.
+returns the same rate together with dR/dmu and, on request, d2R/dmu2
+from one pass over the same expressions, and checks nothing.
 """
 
 from __future__ import annotations
@@ -195,38 +195,65 @@ def rate_at_transmittance(mu, eta, params: SystemParams) -> RateBreakdown:
     return RateBreakdown(*(_float_or_array(v) for v in terms))
 
 
-def _rate_and_slope(mu, eta, params: SystemParams):
+def _rate_and_slope(mu, eta, params: SystemParams, curvature=False):
     """R and dR/dmu at validated (mu, eta) arrays, in one pass.
 
     R is rate_at_transmittance's rate bit for bit. With D = 2 p_d
-    e^(-mu*eta) the pieces are
+    e^(-mu*eta), P_E = dP_co/dE and S = privacy - f h(E) the pieces are
 
-        dQ/dmu  = (1 - 2 p_d) eta e^(-mu*eta)
-        dE/dmu  = -(1/2 - e_d) (D/Q) (eta/Q)
-        dP_co/dE = 6 - 38 E,    h'(E) = log2((1 - E)/E)
+        Q'  = (1 - 2 p_d) eta e^(-mu*eta)
+        E'  = -(1/2 - e_d) (D/Q) (eta/Q)
+        P_E = 6 - 38 E,    h'(E) = log2((1 - E)/E)
+        S'  = 2 log2(P_co) - (1 - 2 mu) r / ln 2 - f h'(E) E'
+        R'  = Q' S + Q S'
 
-    (dE/dmu uses Q + (1 - 2 p_d) e^(-mu*eta) = 1). D/Q <= 1 and
-    eta/Q <= 2/mu, so neither factor overflows, and Q*Q, which
-    underflows to 0 on long links without dark counts, is never
-    formed. The slope is 0 wherever the rate is clamped to 0 or P_co
+    with r = P_E E' / P_co (E' uses Q + (1 - 2 p_d) e^(-mu*eta) = 1).
+    D/Q <= 1 and eta/Q <= 2/mu, so neither factor overflows, and Q*Q,
+    which underflows to 0 on long links without dark counts, is never
+    formed. With curvature=True (the optimizer passes it positionally)
+    d2R/dmu2 is returned as well, from the same pieces:
+
+        Q'' = -eta Q',    E'' = -E' (eta + Q')/Q
+        r'  = (-38 E'^2 + P_E E'')/P_co - r^2
+        S'' = (4 r - (1 - 2 mu) r')/ln 2 - f (h''(E) E'^2 + h'(E) E'')
+        R'' = Q'' S + 2 Q' S' + Q S''
+
+    where h''(E) E'^2 = -E' (E'/E)/((1 - E) ln 2) is 0 where E = 0
+    (E'/E <= eta/Q). The rate and slope are the same bits either way.
+    Slope and curvature are 0 wherever the rate is clamped to 0 or P_co
     is saturated.
     """
     x, q, e, p_co, privacy, ec_term, rate = _rate_terms(mu, eta, params)
     p_d, e_d = params.dark_count_rate, params.misalignment
+    f = params.ec_efficiency
     keyed = rate > 0.0  # so P_co >= 1/2 and E < 1/2
     decay = np.exp(-x)
     dq = (1.0 - 2.0 * p_d) * eta * decay
-    de = -(0.5 - e_d) * (2.0 * p_d * decay / q) * (eta / q)
+    eta_q = eta / q
+    de = -(0.5 - e_d) * (2.0 * p_d * decay / q) * eta_q
     p = np.where(keyed, p_co, 1.0)
-    d_privacy = (2.0 * np.log2(p) - (1.0 - 2.0 * mu) * (6.0 - 38.0 * e)
-                 * de / (p * _LN2))
+    p_e = 6.0 - 38.0 * e
+    r = p_e * de / p
+    w = 1.0 - 2.0 * mu
     # h'(E) as a difference of logs: (1 - E)/E overflows for subnormal
     # E. E = 0 only where D/Q = 0, and then dE/dmu = 0 as well.
-    y = np.where(e > 0.0, e, 0.5)
-    d_entropy = np.where(e > 0.0, np.log2(1.0 - y) - np.log2(y), 0.0)
-    slope = (dq * np.where(keyed, privacy - ec_term, 0.0)
-             + q * (d_privacy - params.ec_efficiency * d_entropy * de))
-    return rate, np.where(keyed, slope, 0.0)
+    positive = e > 0.0
+    y = np.where(positive, e, 0.5)
+    one_y = 1.0 - y
+    f_h1 = f * np.where(positive, np.log2(one_y) - np.log2(y), 0.0)
+    s = np.where(keyed, privacy - ec_term, 0.0)
+    d_s = 2.0 * np.log2(p) - w * r / _LN2 - f_h1 * de
+    slope = np.where(keyed, dq * s + q * d_s, 0.0)
+    if not curvature:
+        return rate, slope
+    # E'' = -E' (eta + Q')/Q = E' (eta - 2 eta/Q), as eta Q + Q' = eta
+    d2e = de * (eta - 2.0 * eta_q)
+    d_r = (p_e * d2e - 38.0 * de * de) / p - r * r
+    # -f h''(E) E'^2 = f E' (E'/E) / ((1 - E) ln 2)
+    d2_s = (4.0 * r - w * d_r + f * de * (de / y) / one_y) / _LN2 - f_h1 * d2e
+    # R'' = Q'' S + 2 Q' S' + Q S'' with Q'' = -eta Q'
+    curv = dq * (2.0 * d_s - eta * s) + q * d2_s
+    return rate, slope, np.where(keyed, curv, 0.0)
 
 
 def key_rate(mu, distance: float, params: SystemParams) -> RateBreakdown:

@@ -2,23 +2,28 @@
 
 The rate is maximized over mu with a coarse logarithmic grid, then the
 root of the analytic slope dR/dmu between the best grid point's
-neighbors, found by Illinois regula falsi (keyrate._rate_and_slope
-gives R and dR/dmu in one pass). No stage is stochastic, so repeated
-runs give bit-identical optima; tests audit the result against dense
-brute-force grids and a 50-digit optimum.
+neighbors, found by safeguarded Newton steps on the slope
+(keyrate._rate_and_slope gives R, dR/dmu and d2R/dmu2 in one pass). No
+stage is stochastic, so repeated runs give bit-identical optima; tests
+audit the result against dense brute-force grids and a 50-digit
+optimum.
 
 The optimizer works on lanes: a 1-D array of arm transmittances, one
 independent maximization each. The grid takes one (lanes x grid) call
 of the rate kernel keyrate.rate_at_transmittance per block of 256
 lanes, and the root search then runs all lanes in lockstep, one slope
-call per step, with np.where choosing each lane's branch; a lane stops
-at a zero slope, once its bracket is 1e-14 of its upper end wide,
-where the slope's sign is rounding noise, or after _REFINE_ITERS steps.
-A lane does exactly the arithmetic of a one-lane run, so results match
-one-lane calls bit for bit. scan_distances puts every distance of one
-e_d into one call, and find_crossover its whole coarse walk, then five
-bisection levels (31 midpoints) per call. grid_size is the one setting
-a caller may change.
+call per step, with np.where choosing each lane's branch. A lane starts
+at its best grid point and takes Newton's step where the slope is
+concave and the step stays inside its bracket, and bisects otherwise.
+It stops at a zero slope, at a Newton step of at most 1e-14 of mu, one
+probe after a step of at most 1e-7 of mu (convergence is quadratic),
+once its bracket is 1e-14 of its upper end wide, or after
+_REFINE_ITERS steps. A one-lane optimization makes 5-6 kernel calls
+on the default parameters. A lane does exactly the arithmetic of a
+one-lane run, so results match one-lane calls bit for bit.
+scan_distances puts every distance of one e_d into one call, and
+find_crossover its whole coarse walk, then five bisection levels (31
+midpoints) per call. grid_size is the one setting a caller may change.
 """
 
 from __future__ import annotations
@@ -46,11 +51,12 @@ from .keyrate import _rate_and_slope, rate_at_transmittance
 MU_MIN = 1e-6
 MU_MAX = MAX_INTENSITY - 1e-6
 # a lane stops once its slope bracket is this fraction of its upper end
-# wide: closer to the root the slope's sign is rounding noise
+# wide, or its Newton step this fraction of mu: closer to the root the
+# slope's sign is rounding noise
 _STOP = 1e-14
-# regula falsi steps per lane at most. Only lanes creeping up on the
-# saturation edge reach it: of 4,800 lanes drawn over the admitted
-# domain, a cap of 1,000 moves 6, by at most 3.5e-8 relative in rate
+# root-search steps per lane at most. No lane reaches it: lanes whose
+# rate peaks at the saturation edge bisect there, and of 4,800 lanes
+# drawn over the admitted domain the slowest make 45 steps (48 calls)
 _REFINE_ITERS = 60
 # lanes per kernel call on the grid: one call for every walk and scan
 # the package makes (find_crossover's walk has 161 lanes, the default
@@ -69,11 +75,14 @@ def maximize_rate_at_transmittance(
     """Best (mu, rate breakdown) at fixed arm transmittances.
 
     Coarse logarithmic grid over (1e-6, 0.5 - 1e-6), then the root of
-    dR/dmu between the best grid point's neighbors, found by Illinois
-    regula falsi, at most _REFINE_ITERS steps. A lane whose slope has
-    no sign change there, or whose root rates below the grid, keeps the
-    best grid point. If every grid point yields rate 0 the channel
-    supports no key and (1e-6, zero-rate breakdown) is returned.
+    dR/dmu between the best grid point's neighbors: Newton steps on the
+    slope from the best grid point, bisecting the bracket where the
+    slope is not concave, the step leaves the bracket or the probe
+    rates 0, at most _REFINE_ITERS steps. The answer is the last probe
+    with key. A lane whose slope has no sign change there, or whose
+    root rates below the grid, keeps the best grid point. If every grid
+    point yields rate 0 the channel supports no key and (1e-6,
+    zero-rate breakdown) is returned.
 
     eta is a scalar or an array of lanes, each maximized independently;
     for an array, mu and the breakdown's fields are arrays of its shape.
@@ -100,44 +109,48 @@ def maximize_rate_at_transmittance(
     keyed = grid_best > 0.0
 
     def slope(mu):
-        rate, d_rate = _rate_and_slope(mu, lanes, params)
+        rate, d_rate, d2_rate = _rate_and_slope(mu, lanes, params, True)
         # Where the rate is clamped to 0 its slope is 0, yet the maximum
         # lies toward the best grid point: take the secant to it
         np.divide(grid_best, mu_best - mu, out=d_rate,
                   where=keyed & (rate == 0.0))
-        return rate, d_rate
+        return rate, d_rate, d2_rate
 
     lo = grid[np.maximum(best - 1, 0)]
     hi = grid[np.minimum(best + 1, grid_size - 1)]
-    _, ends = slope(np.stack([lo, hi]))
-    running = keyed & (ends[0] > 0.0) & (ends[1] < 0.0)
-    # lanes without a sign change keep (lo, hi) and slopes (1, -1), so
-    # their frozen arithmetic stays finite
-    g_lo = np.where(running, ends[0], 1.0)
-    g_hi = np.where(running, ends[1], -1.0)
+    _, g, curv = slope(np.stack([lo, mu_best, hi]))
+    running = keyed & (g[0] > 0.0) & (g[2] < 0.0)
+    # the first probe is the best grid point, whose rate is grid_best
+    x, g, curv = mu_best, g[1], curv[1]
     mu_opt, mu_rate = mu_best, grid_best
-    moved_lo = moved_hi = np.zeros(lanes.size, dtype=bool)
+    last = np.zeros(lanes.size, dtype=bool)
     for _ in range(_REFINE_ITERS):
+        up = running & (g > 0.0)  # the root lies above x
+        down = running & (g < 0.0)
+        lo, hi = np.where(up, x, lo), np.where(down, x, hi)
+        # Newton's step on the slope where it is concave and stays
+        # inside the bracket, else bisection; a zero-rate probe has a
+        # secant slope and no curvature, so it bisects
+        concave = curv < 0.0
+        step = np.divide(g, curv, out=np.zeros_like(g), where=concave)
+        target = x - step
+        newton = concave & (lo < target) & (target < hi)
+        size = np.abs(step)
+        # a step below _STOP of x leaves x at the root to rounding
+        running = ((up | down) & ~last & ~(concave & (size <= _STOP * x))
+                   & (hi - lo > _STOP * hi))
         if not running.any():
             break
-        x = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
-        # at least one ulp inside the bracket, so every probe shrinks it
-        ulp = np.spacing(hi)
-        x = np.clip(x, lo + ulp, hi - ulp)
-        rate, g = slope(x)
+        # convergence is quadratic: a step below sqrt(_STOP) of x leaves
+        # the next probe at the root to rounding
+        last = newton & (size <= _STOP**0.5 * x)
+        x = np.where(newton, target, 0.5 * (lo + hi))
+        rate, g, curv = slope(x)
         # the answer is the last probe with key: where the rate jumps
         # from 0 at the saturation edge, the root is that edge
         keyed_x = running & (rate > 0.0)
         mu_opt = np.where(keyed_x, x, mu_opt)
         mu_rate = np.where(keyed_x, rate, mu_rate)
-        up = running & (g > 0.0)  # the root lies above x
-        down = running & (g < 0.0)
-        # Illinois: an end kept twice in a row has its slope halved
-        g_lo = np.where(up, g, np.where(down & moved_hi, 0.5 * g_lo, g_lo))
-        g_hi = np.where(down, g, np.where(up & moved_lo, 0.5 * g_hi, g_hi))
-        lo, hi = np.where(up, x, lo), np.where(down, x, hi)
-        moved_lo, moved_hi = up, down
-        running = (up | down) & (hi - lo > _STOP * hi)
     # rounding can leave the root a hair below a grid point's rate
     mu_opt = np.where(mu_rate >= grid_best, mu_opt, mu_best).reshape(shape)
     breakdown = rate_at_transmittance(mu_opt, lanes.reshape(shape), params)
