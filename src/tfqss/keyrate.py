@@ -34,8 +34,9 @@ rate_at_transmittance; each element goes through exactly the arithmetic
 of a scalar call, so an array result equals the elementwise scalar
 results bit for bit. Domain errors name the first offending element
 in C order. The optimizer's root search calls _rate_and_slope, which
-returns the same rate together with dR/dmu and, on request, d2R/dmu2
-from one pass over the same expressions, and checks nothing.
+returns the same rate together with dR/dmu and d2R/dmu2 from one pass
+over the same expressions; it validates no argument, and only the
+rate's Q == 0 check runs.
 """
 
 from __future__ import annotations
@@ -85,12 +86,12 @@ def _gain(mu, eta, p_d):
     return -np.expm1(-x) * (1.0 - 2.0 * p_d) + 2.0 * p_d, x
 
 
-def _qber(q, x, p_d, e_d):
-    """E from Q and mu*eta; DegenerateChannelError where Q = 0."""
+def _qber(q, decay, p_d, e_d):
+    """E from Q and e^(-mu*eta); DegenerateChannelError where Q = 0."""
     if (q == 0.0).any():
         raise DegenerateChannelError(
             "gain is zero (p_d = 0 and mu*eta = 0); QBER undefined")
-    dark = 2.0 * p_d * np.exp(-x)
+    dark = 2.0 * p_d * decay
     # dark <= q holds exactly (their difference is 1 - e^(-mu*eta)), so
     # the true value is <= 1/2; division rounding can poke an ulp above
     # when dark counts dominate, which would escape the QBER domain.
@@ -132,7 +133,7 @@ def qber(mu, eta, p_d, e_d):
     _require(e_d, (e_d >= 0.0) & (e_d < 0.5), "e_d={!r} outside [0, 0.5)")
     _check_gain_args(mu, eta, p_d)
     q, x = _gain(mu, eta, p_d)
-    e = _qber(q, x, p_d, e_d)
+    e = _qber(q, np.exp(-x), p_d, e_d)
     return _float_or_array(e)
 
 
@@ -158,14 +159,15 @@ def collision_probability(e):
 
 
 def _rate_terms(mu, eta, params: SystemParams):
-    """mu*eta and the breakdown's fields (Q, E, P_co, privacy, ec, R).
+    """e^(-mu*eta) and the breakdown's fields (Q, E, P_co, privacy, ec, R).
 
     mu and eta are validated arrays; p_d and e_d need no check, because
     SystemParams validated them.
     """
     p_d = params.dark_count_rate
     q, x = _gain(mu, eta, p_d)
-    e = _qber(q, x, p_d, params.misalignment)
+    decay = np.exp(-x)
+    e = _qber(q, decay, p_d, params.misalignment)
     p_co = _collision_probability(e)
     ec_term = params.ec_efficiency * _binary_entropy(e)
     # A collision probability below 1/2 is outside the bound's validity
@@ -176,7 +178,7 @@ def _rate_terms(mu, eta, params: SystemParams):
         saturated, -np.inf,
         -(1.0 - 2.0 * mu) * np.log2(np.where(saturated, 1.0, p_co)))
     rate = np.maximum(0.0, q * (privacy - ec_term))
-    return x, q, e, p_co, privacy, ec_term, rate
+    return decay, q, e, p_co, privacy, ec_term, rate
 
 
 def rate_at_transmittance(mu, eta, params: SystemParams) -> RateBreakdown:
@@ -195,8 +197,8 @@ def rate_at_transmittance(mu, eta, params: SystemParams) -> RateBreakdown:
     return RateBreakdown(*(_float_or_array(v) for v in terms))
 
 
-def _rate_and_slope(mu, eta, params: SystemParams, curvature=False):
-    """R and dR/dmu at validated (mu, eta) arrays, in one pass.
+def _rate_and_slope(mu, eta, params: SystemParams):
+    """R, dR/dmu and d2R/dmu2 at validated (mu, eta) arrays, in one pass.
 
     R is rate_at_transmittance's rate bit for bit. With D = 2 p_d
     e^(-mu*eta), P_E = dP_co/dE and S = privacy - f h(E) the pieces are
@@ -210,8 +212,7 @@ def _rate_and_slope(mu, eta, params: SystemParams, curvature=False):
     with r = P_E E' / P_co (E' uses Q + (1 - 2 p_d) e^(-mu*eta) = 1).
     D/Q <= 1 and eta/Q <= 2/mu, so neither factor overflows, and Q*Q,
     which underflows to 0 on long links without dark counts, is never
-    formed. With curvature=True (the optimizer passes it positionally)
-    d2R/dmu2 is returned as well, from the same pieces:
+    formed. The curvature comes from the same pieces:
 
         Q'' = -eta Q',    E'' = -E' (eta + Q')/Q
         r'  = (-38 E'^2 + P_E E'')/P_co - r^2
@@ -219,15 +220,14 @@ def _rate_and_slope(mu, eta, params: SystemParams, curvature=False):
         R'' = Q'' S + 2 Q' S' + Q S''
 
     where h''(E) E'^2 = -E' (E'/E)/((1 - E) ln 2) is 0 where E = 0
-    (E'/E <= eta/Q). The rate and slope are the same bits either way.
-    Slope and curvature are 0 wherever the rate is clamped to 0 or P_co
-    is saturated.
+    (E'/E <= eta/Q). Slope and curvature are 0 wherever the rate is
+    clamped to 0 or P_co is saturated. No argument is validated here;
+    only the rate's Q == 0 check can raise DegenerateChannelError.
     """
-    x, q, e, p_co, privacy, ec_term, rate = _rate_terms(mu, eta, params)
+    decay, q, e, p_co, privacy, ec_term, rate = _rate_terms(mu, eta, params)
     p_d, e_d = params.dark_count_rate, params.misalignment
     f = params.ec_efficiency
     keyed = rate > 0.0  # so P_co >= 1/2 and E < 1/2
-    decay = np.exp(-x)
     dq = (1.0 - 2.0 * p_d) * eta * decay
     eta_q = eta / q
     de = -(0.5 - e_d) * (2.0 * p_d * decay / q) * eta_q
@@ -244,8 +244,6 @@ def _rate_and_slope(mu, eta, params: SystemParams, curvature=False):
     s = np.where(keyed, privacy - ec_term, 0.0)
     d_s = 2.0 * np.log2(p) - w * r / _LN2 - f_h1 * de
     slope = np.where(keyed, dq * s + q * d_s, 0.0)
-    if not curvature:
-        return rate, slope
     # E'' = -E' (eta + Q')/Q = E' (eta - 2 eta/Q), as eta Q + Q' = eta
     d2e = de * (eta - 2.0 * eta_q)
     d_r = (p_e * d2e - 38.0 * de * de) / p - r * r

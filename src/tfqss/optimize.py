@@ -12,9 +12,11 @@ The optimizer works on lanes: a 1-D array of arm transmittances, one
 independent maximization each. The grid takes one (lanes x grid) call
 of the rate kernel keyrate.rate_at_transmittance per block of 256
 lanes, and the root search then runs all lanes in lockstep, one slope
-call per step, with np.where choosing each lane's branch. A lane starts
-at its best grid point and takes Newton's step where the slope is
-concave and the step stays inside its bracket, and bisects otherwise.
+call per step, with np.where choosing each lane's branch. A lane's
+first probe is its best grid point; each probe moves the bracket to
+the side its slope points to, and the lane takes Newton's step where
+the slope is concave and the step stays inside its bracket, and
+bisects otherwise.
 It stops at a zero slope, at a Newton step of at most 1e-14 of mu, one
 probe after a step of at most 1e-7 of mu (convergence is quadratic),
 once its bracket is 1e-14 of its upper end wide, or after
@@ -22,8 +24,9 @@ _REFINE_ITERS steps. A one-lane optimization makes 5-6 kernel calls
 on the default parameters. A lane does exactly the arithmetic of a
 one-lane run, so results match one-lane calls bit for bit.
 scan_distances puts every distance of one e_d into one call, and
-find_crossover its whole coarse walk, then five bisection levels (31
-midpoints) per call. grid_size is the one setting a caller may change.
+find_crossover its whole coarse walk, then at most five bisection
+levels (31 midpoints) per call. grid_size is the one setting a caller
+may change.
 """
 
 from __future__ import annotations
@@ -62,7 +65,8 @@ _REFINE_ITERS = 60
 # the package makes (find_crossover's walk has 161 lanes, the default
 # scan 142 per e_d), while each (lanes x grid) temporary stays bounded
 _GRID_BLOCK = 256
-# bisection levels find_crossover evaluates per optimizer call
+# bisection levels find_crossover evaluates per optimizer call, at most:
+# a round stops at the level whose cells are within tol
 _BISECT_LEVELS = 5
 
 
@@ -76,12 +80,12 @@ def maximize_rate_at_transmittance(
 
     Coarse logarithmic grid over (1e-6, 0.5 - 1e-6), then the root of
     dR/dmu between the best grid point's neighbors: Newton steps on the
-    slope from the best grid point, bisecting the bracket where the
-    slope is not concave, the step leaves the bracket or the probe
-    rates 0, at most _REFINE_ITERS steps. The answer is the last probe
-    with key. A lane whose slope has no sign change there, or whose
-    root rates below the grid, keeps the best grid point. If every grid
-    point yields rate 0 the channel supports no key and (1e-6,
+    slope from the best grid point, each probe moving the bracket to
+    the side its slope points to, bisecting where the slope is not
+    concave, the step leaves the bracket or the probe rates 0, at most
+    _REFINE_ITERS steps. The answer is the last probe with key; a lane
+    keeps the best grid point where that probe rates below it. If every
+    grid point yields rate 0 the channel supports no key and (1e-6,
     zero-rate breakdown) is returned.
 
     eta is a scalar or an array of lanes, each maximized independently;
@@ -98,7 +102,7 @@ def maximize_rate_at_transmittance(
     grid = np.array([MU_MIN * ratio**i for i in range(grid_size - 1)]
                     + [MU_MAX])
     # the grid validates eta (and raises where the gain is 0) for the
-    # slope calls below, which check nothing
+    # slope calls below, which validate nothing
     rates = np.empty((lanes.size, grid_size))
     for i in range(0, lanes.size, _GRID_BLOCK):
         rates[i:i + _GRID_BLOCK] = rate_at_transmittance(
@@ -109,7 +113,7 @@ def maximize_rate_at_transmittance(
     keyed = grid_best > 0.0
 
     def slope(mu):
-        rate, d_rate, d2_rate = _rate_and_slope(mu, lanes, params, True)
+        rate, d_rate, d2_rate = _rate_and_slope(mu, lanes, params)
         # Where the rate is clamped to 0 its slope is 0, yet the maximum
         # lies toward the best grid point: take the secant to it
         np.divide(grid_best, mu_best - mu, out=d_rate,
@@ -118,10 +122,10 @@ def maximize_rate_at_transmittance(
 
     lo = grid[np.maximum(best - 1, 0)]
     hi = grid[np.minimum(best + 1, grid_size - 1)]
-    _, g, curv = slope(np.stack([lo, mu_best, hi]))
-    running = keyed & (g[0] > 0.0) & (g[2] < 0.0)
     # the first probe is the best grid point, whose rate is grid_best
-    x, g, curv = mu_best, g[1], curv[1]
+    x = mu_best
+    _, g, curv = slope(x)
+    running = keyed
     mu_opt, mu_rate = mu_best, grid_best
     last = np.zeros(lanes.size, dtype=bool)
     for _ in range(_REFINE_ITERS):
@@ -217,25 +221,6 @@ def scan_distances(
     return result
 
 
-def _midpoints(lo: float, hi: float, levels: int) -> list[float]:
-    """Midpoints of the next `levels` bisection steps of [lo, hi].
-
-    Heap order: node k bisects its bracket, its lower half continues at
-    node 2k + 1 and its upper half at node 2k + 2. Each midpoint is
-    0.5 * (a + b) of its own bracket, as a sequential bisection has it.
-    """
-    brackets = [(lo, hi)]
-    mids = []
-    for _ in range(levels):
-        halves = []
-        for a, b in brackets:
-            mid = 0.5 * (a + b)
-            mids.append(mid)
-            halves += [(a, mid), (mid, b)]
-        brackets = halves
-    return mids
-
-
 def find_crossover(
     params: SystemParams,
     *,
@@ -251,9 +236,14 @@ def find_crossover(
     the bracket down to tol km (or to two adjacent floats). Returns
     None when the rate never beats the bound on the walk.
 
-    The whole walk is one optimizer call; the bisection takes the 31
-    midpoints of its next five levels per call and walks them in order,
-    so it returns the float a one-point-at-a-time bisection returns.
+    The whole walk is one optimizer call. Each bisection round takes
+    the midpoints of its next levels, at most _BISECT_LEVELS and none
+    past a level whose cells are within tol, in ascending order in one
+    call, and keeps the first cell where the excess turns positive.
+    Each midpoint is 0.5 * (a + b) of its own cell, so this is the
+    float a one-point-at-a-time bisection returns wherever the excess
+    changes sign once in the bracket; elsewhere it is the first
+    crossing among the points evaluated.
     """
     if not 0.0 <= l_max < math.inf:
         raise ParameterError(f"l_max={l_max!r} must be >= 0 and finite")
@@ -290,18 +280,18 @@ def find_crossover(
     if i == 0:
         return 0.0
     lo, hi = walk[i - 1], walk[i]
-    while hi - lo > tol:
-        mids = _midpoints(lo, hi, _BISECT_LEVELS)
-        above = excess(mids) > 0.0
-        node = 0
+    while hi - lo > tol and lo < 0.5 * (lo + hi) < hi:
+        # the next levels' cells in ascending order, each midpoint
+        # 0.5 * (a + b) of its own cell, as a sequential bisection has it.
+        # Any cell within tol ends the round: ending early costs a round,
+        # never a different float
+        edges = [lo, hi]
         for _ in range(_BISECT_LEVELS):
-            mid = mids[node]
-            if not lo < mid < hi:  # bracket at float resolution
-                return hi
-            if above[node]:
-                hi, node = mid, 2 * node + 1
-            else:
-                lo, node = mid, 2 * node + 2
-            if not hi - lo > tol:
+            edges[1:] = [x for a, b in zip(edges, edges[1:])
+                         for x in (0.5 * (a + b), b)]
+            if min(b - a for a, b in zip(edges, edges[1:])) <= tol:
                 break
+        # the first cell where the excess turns positive; at hi it is
+        j = int(np.argmax(np.append(excess(edges[1:-1]) > 0.0, True)))
+        lo, hi = edges[j], edges[j + 1]
     return hi

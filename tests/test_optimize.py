@@ -366,7 +366,7 @@ def test_slope_matches_a_50_digit_derivative(e_d, p_d):
         eta = transmittance(distance, params)
         # away from the optimum, where the slope itself is not ~0
         mu = np.array([0.01, 0.3, 0.7, 1.4]) * mu_opt
-        rate, slope = _rate_and_slope(mu, np.asarray(eta), params)
+        rate, slope, _ = _rate_and_slope(mu, np.asarray(eta), params)
         assert (rate == rate_at_transmittance(mu, eta, params).rate).all()
         for m, g in zip(mu, slope):
             with mpmath.workdps(50):
@@ -397,12 +397,7 @@ def test_curvature_matches_a_50_digit_second_derivative(e_d, p_d):
     for eta, dps in lanes:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            rate, slope = _rate_and_slope(mu, np.asarray(eta), params)
-            rate_c, slope_c, curv = _rate_and_slope(
-                mu, np.asarray(eta), params, True)
-        # the same bits with or without the curvature
-        assert rate_c.tobytes() == rate.tobytes()
-        assert slope_c.tobytes() == slope.tobytes()
+            rate, _, curv = _rate_and_slope(mu, np.asarray(eta), params)
         for m, r, c in zip(mu, rate, curv):
             if r == 0.0:
                 assert c == 0.0
@@ -417,7 +412,7 @@ def test_slope_is_zero_where_the_rate_is():
     params = SystemParams(misalignment=0.052)
     mu = np.array([0.05, 0.2])
     for eta in (transmittance(1000.0, params), 0.0):
-        rate, slope = _rate_and_slope(mu, np.asarray(eta), params)
+        rate, slope, _ = _rate_and_slope(mu, np.asarray(eta), params)
         assert (rate == 0.0).all() and (slope == 0.0).all()
 
 
@@ -426,7 +421,7 @@ def test_slope_without_dark_counts_on_long_links():
     # with D / (Q*Q) is 0/0 (a RuntimeWarning, an error in this suite)
     params = SystemParams(dark_count_rate=0.0)
     mu, eta = np.array([0.05, 0.25]), np.asarray(1e-170)
-    _, slope = _rate_and_slope(mu, eta, params)
+    _, slope, _ = _rate_and_slope(mu, eta, params)
     # without dark counts E = e_d, so only Q and the (1 - 2 mu) factor
     # depend on mu
     e = params.misalignment
@@ -499,9 +494,10 @@ def kernel_calls(monkeypatch):
 
 def test_zero_rate_bracket_end_keeps_the_optimum(kernel_calls):
     # at e_d = 0.04 and 570 km the rate is 0 at the grid bracket's upper
-    # end; its slope there must point back into the bracket with the
-    # size of the secant to the best grid point (a unit slope drags the
-    # search out: 31 kernel calls instead of 11)
+    # end; the search starts at the best grid point, whose slope points
+    # down, and must close in on the root below it (a search that also
+    # probed the bracket ends needed the secant to the best grid point
+    # there: a unit slope dragged it out, 31 kernel calls instead of 11)
     params = SystemParams(misalignment=0.04)
     eta = transmittance(570.0, params)
     ratio = (MU_MAX / MU_MIN) ** (1.0 / 63)
@@ -550,9 +546,9 @@ def test_optimum_on_the_saturation_edge(distance):
 
 
 def test_optimize_mu_makes_few_kernel_calls(kernel_calls):
-    # grid, bracket ends with the best grid point, Newton steps on the
-    # slope and the final breakdown; Illinois regula falsi on the same
-    # lanes needed up to 12 calls, 7.43 on average
+    # grid, the best grid point, Newton steps on the slope and the final
+    # breakdown; Illinois regula falsi on the same lanes needed up to 12
+    # calls, 7.43 on average
     counts = []
     for e_d in (0.0, 0.02, 0.04, 0.052):
         for distance in range(0, 701, 10):
@@ -567,9 +563,9 @@ def test_saturation_edge_lane_closes_its_bracket(kernel_calls):
     # the rate jumps from 0 at the edge, so every Newton step that lands
     # beyond it rates 0 and the lane bisects instead: the bracket closes
     # to _STOP of mu after 45 steps, short of _REFINE_ITERS, plus one
-    # grid call, one call for the bracket ends and the best grid point,
-    # and the final breakdown (regula falsi crept up on the edge and
-    # stopped at the cap, 63 calls)
+    # grid call, one call for the best grid point and the final
+    # breakdown (regula falsi crept up on the edge and stopped at the
+    # cap, 63 calls)
     params = SystemParams(misalignment=0.08, dark_count_rate=1e-6,
                           ec_efficiency=1.0)
     optimize_mu(280.0, params)
@@ -586,8 +582,32 @@ def test_find_crossover_makes_few_kernel_calls(kernel_calls):
 
 
 def test_scan_makes_few_kernel_calls(kernel_calls):
-    # one grid call, the bracket ends, the lockstep steps and the final
-    # breakdown per e_d (33 calls with regula falsi, 61 with 16-lane
+    # one grid call, the best grid points, the lockstep steps and the
+    # final breakdown per e_d (33 calls with regula falsi, 61 with 16-lane
     # grid calls and a 4-ulp stop)
     scan_distances(0.0, 700.0, 10.0, DEFAULTS, [0.02, 0.04, 0.052])
     assert len(kernel_calls) <= 18
+
+
+def test_find_crossover_evaluates_only_the_points_it_reads(monkeypatch):
+    # the walk's 161 distances, then two bisection rounds: five levels
+    # (31 midpoints), and four (15) once a cell is within tol; each
+    # slope call probes one point per lane, the best grid point first
+    distances, slope_points = [], []
+    maximize = tfqss.optimize.maximize_rate_at_transmittance
+    slope = tfqss.optimize._rate_and_slope
+
+    def counted_maximize(eta, params, **kwargs):
+        distances.append(len(eta))
+        return maximize(eta, params, **kwargs)
+
+    def counted_slope(mu, eta, params):
+        slope_points.append((np.size(mu), np.size(eta)))
+        return slope(mu, eta, params)
+
+    monkeypatch.setattr(tfqss.optimize, "maximize_rate_at_transmittance",
+                        counted_maximize)
+    monkeypatch.setattr(tfqss.optimize, "_rate_and_slope", counted_slope)
+    assert find_crossover(DEFAULTS) == 172.79296875
+    assert distances == [161, 31, 15]
+    assert all(points == lanes for points, lanes in slope_points)
