@@ -268,7 +268,9 @@ class SimulationReport:
 
     empirical_gain is detected_slots / (2N - 2); empirical_qber is the
     mismatch fraction on the announced test sample; sifted holds the
-    surviving (non-test) slots in original order.
+    surviving (non-test) slots in original order. From run_protocol,
+    sifted knows its length without a copy and masks its arrays out of
+    the whole sifted key on their first read.
     """
 
     n_pairs: int

@@ -31,16 +31,20 @@ unpacked, and channel.shift_phase applies each click's phase. The
 record of a run is its clicks: DetectionRecords keeps n_pairs plus,
 per click, the slot, outcome, announced bit and the two sender bits,
 each array allocated once. sift adds only the dealer's flipped bit and
-passes the record's arrays on uncopied; the QBER split masks them at
-the remaining entries. One seeded generator is consumed in this order:
-Alice's packed phase bytes, Bob's, then per sampler batch the gap
-uniforms, category uniforms and coins, then the QBER test sample.
+passes the record's arrays on uncopied. The QBER split keeps the
+sifted key and a mask of the remaining entries, and masks the arrays
+out only when a caller first reads them, so a run that reports only
+the remaining count copies none. One seeded generator is consumed in
+this order: Alice's packed phase bytes, Bob's, then per sampler batch
+the gap uniforms, category uniforms and coins, then the QBER test
+sample.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -223,6 +227,40 @@ def sift(
                       b_bits=records.click_b_bits, c_bits=c_bits)
 
 
+class _RemainingKeys(SiftedKeys):
+    """The entries of a sifted key that a keep mask selects, in order.
+
+    Its length is the mask's count, given. The first read of any of its
+    four arrays masks all four out of the sifted key, once, and checks
+    them as SiftedKeys does; the sifted key and the mask are let go
+    then. A caller that only counts the remaining entries copies none.
+    """
+
+    def __init__(self, sifted: SiftedKeys, keep: np.ndarray,
+                 count: int) -> None:
+        object.__setattr__(self, "_split", (sifted, keep))
+        object.__setattr__(self, "_count", count)
+
+    def __len__(self) -> int:
+        return self._count
+
+    @cached_property
+    def _keys(self) -> SiftedKeys:
+        sifted, keep = self.__dict__.pop("_split")
+        # a mask copy costs per run of kept entries, not per byte, so
+        # the three bits cross it packed into one byte: a, b, c in bits
+        # 2, 1, 0
+        bits = (sifted.a_bits << 2) | (sifted.b_bits << 1) | sifted.c_bits
+        bits = bits[keep]
+        return SiftedKeys(slots=sifted.slots[keep], a_bits=bits >> 2,
+                          b_bits=(bits >> 1) & 1, c_bits=bits & 1)
+
+    slots = property(lambda self: self._keys.slots)
+    a_bits = property(lambda self: self._keys.a_bits)
+    b_bits = property(lambda self: self._keys.b_bits)
+    c_bits = property(lambda self: self._keys.c_bits)
+
+
 def estimate_qber(
     sifted: SiftedKeys,
     test_fraction: float,
@@ -233,7 +271,11 @@ def estimate_qber(
 
     Consumes ceil(test_fraction * len) slots, chosen without
     replacement; returns (estimate, remaining keys in original order,
-    abort flag). Raises on an empty sifted key.
+    abort flag). Raises on an empty sifted key. The remaining keys hold
+    the sifted key and a keep mask, a byte per sifted entry: their
+    length is known at once, and their arrays are masked out on their
+    first read, so a caller's writes to the arrays that the sifted key
+    views show in them until then.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ParameterError(
@@ -250,12 +292,7 @@ def estimate_qber(
     estimate = int(np.count_nonzero(mismatch)) / m
     keep = np.ones(n, dtype=bool)
     keep[test_idx] = False
-    # a mask copy costs per run of kept entries, not per byte, so the
-    # three bits cross it packed into one byte: a, b, c in bits 2, 1, 0
-    bits = (sifted.a_bits << 2) | (sifted.b_bits << 1) | sifted.c_bits
-    bits = bits[keep]
-    remaining = SiftedKeys(slots=sifted.slots[keep], a_bits=bits >> 2,
-                           b_bits=(bits >> 1) & 1, c_bits=bits & 1)
+    remaining = _RemainingKeys(sifted, keep, n - m)
     return estimate, remaining, estimate > abort_threshold
 
 
@@ -287,7 +324,8 @@ def run_protocol(
     b = prepare_train(Owner.BOB, config.n_pairs, config.intensity, rng)
     # the packed trains and the detection record, bar the slots and
     # sender bits the key keeps, do not outlive the sift, so they are
-    # freed before the QBER split, where a dense run's memory peaks
+    # freed before the QBER test sample, where a dense run's memory
+    # peaks: rng.choice permutes an int64 index of every sifted entry
     sifted_all = sift(run_measurement(a, b, state, rng), a, b)
     del a, b
     detected = len(sifted_all)

@@ -15,6 +15,7 @@ from tfqss.core import (
     ProtocolConfig,
     PulseTrain,
     SiftedKeys,
+    SimulationReport,
     SystemParams,
 )
 from tfqss.keyrate import gain, qber
@@ -364,11 +365,10 @@ def test_measurement_allocates_each_per_click_array_once():
 
 def test_dense_run_peaks_under_34_bytes_per_click():
     # simulate_dense's point at half the length: one slot in five
-    # clicks, four sampler batches. The kept slots, the QBER test sample
-    # and the remaining key are 8-byte per-click arrays, so a run that
-    # allocates each once peaks near 29 bytes per click; keeping the
-    # detection record and the trains through the QBER split puts it
-    # past 40
+    # clicks, four sampler batches. The run peaks at the QBER test
+    # sample, where the sifted key's 11 bytes per click meet the 8 of
+    # rng.choice's index permutation: near 21 bytes per click. Copying
+    # the remaining key out of the sifted one at once puts it near 25
     config = ProtocolConfig(intensity=0.4, n_pairs=2 * 10**6, distance=0.0,
                             rng_seed=3)
     tracemalloc.start()
@@ -570,6 +570,46 @@ def test_estimate_qber_consumes_ceil_and_preserves_order():
     kept = np.isin(keys.slots, remaining.slots)
     assert np.array_equal(remaining.a_bits, keys.a_bits[kept])
     assert np.array_equal(remaining.c_bits, keys.c_bits[kept])
+
+
+def test_estimate_qber_result_holds_under_two_bytes_per_entry():
+    # the remaining key holds the sifted key, which the caller owns, and
+    # a keep mask of a byte per entry; copying its four arrays out at
+    # once would hold about 10 bytes per entry
+    n = 10**6
+    keys = _synthetic_keys(n, n // 50, 57)
+    tracemalloc.start()
+    try:
+        result = estimate_qber(keys, 0.1, 0.11, np.random.default_rng(58))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(result[1]) == n - 10**5
+    assert held < 2 * n, held / n
+
+
+def test_remaining_key_is_the_kept_entries_masked_once():
+    n, m = 10_000, 1_000
+    keys = _synthetic_keys(n, 300, 59)
+    estimate, remaining, abort = estimate_qber(
+        keys, 0.1, 0.11, np.random.default_rng(60))
+    # a report checks its accounting from the length alone
+    report = SimulationReport(
+        n_pairs=n, detected_slots=n, empirical_gain=0.5,
+        empirical_qber=estimate, test_slots_consumed=m, sifted=remaining,
+        abort=abort)
+    assert len(report.sifted) == n - m
+    # the test sample is the fresh generator's first draw
+    kept = np.ones(n, dtype=bool)
+    kept[np.random.default_rng(60).choice(n, size=m, replace=False)] = False
+    assert isinstance(remaining, SiftedKeys)
+    for name in ("slots", "a_bits", "b_bits", "c_bits"):
+        arr = getattr(remaining, name)
+        assert np.array_equal(arr, getattr(keys, name)[kept]), name
+        assert arr.dtype == getattr(keys, name).dtype
+        assert not arr.flags.writeable
+        assert getattr(remaining, name) is arr
+    assert len(remaining) == remaining.slots.size == n - m
 
 
 def test_estimate_qber_rejects_bad_arguments():
