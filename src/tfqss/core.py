@@ -131,20 +131,32 @@ def _as_int(value: object) -> int | None:
         return None
 
 
-def _as_bit_array(bits: np.ndarray, name: str) -> np.ndarray:
-    """A read-only uint8 view of bits, checked to hold only {0,1}.
+def _as_int_view(values: np.ndarray, name: str,
+                 dtype: type[np.integer]) -> np.ndarray:
+    """A read-only 1-D view of integer values as dtype.
 
-    The view is frozen, not the array it views, so the caller can still
-    write their own array.
+    Bool counts as integer; a float, complex or object array raises
+    unless it is empty (numpy reads [] as float64). The view is frozen,
+    not the array it views, so the caller can still write their own.
     """
-    arr = np.asarray(bits, dtype=np.uint8)
+    arr = np.asarray(values)
     if arr.ndim != 1:
         raise ParameterError(f"{name} must be one-dimensional")
-    if arr.size and arr.max() > 1:
-        raise ParameterError(f"{name} must contain only 0/1 values")
-    arr = arr.view()
+    if arr.size and arr.dtype.kind not in "biu":
+        raise ParameterError(f"{name} must hold integers, not {arr.dtype}")
+    arr = arr.astype(dtype, copy=False).view()
     arr.flags.writeable = False
     return arr
+
+
+def _as_bit_array(bits: np.ndarray, name: str) -> np.ndarray:
+    """A read-only uint8 view of bits, checked to hold only {0,1}."""
+    arr = np.asarray(bits)
+    # before the cast to uint8, which would wrap 257 and -255 to 1
+    if arr.size and arr.dtype.kind in "iu" and (
+            arr.max() > 1 or (arr.dtype.kind == "i" and arr.min() < 0)):
+        raise ParameterError(f"{name} must contain only 0/1 values")
+    return _as_int_view(arr, name, np.uint8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,8 +222,7 @@ class SiftedKeys:
     c_bits: np.ndarray
 
     def __post_init__(self) -> None:
-        slots = np.asarray(self.slots, dtype=np.int64).view()
-        slots.flags.writeable = False
+        slots = _as_int_view(self.slots, "slots", np.int64)
         object.__setattr__(self, "slots", slots)
         for name in ("a_bits", "b_bits", "c_bits"):
             object.__setattr__(

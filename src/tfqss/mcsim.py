@@ -61,10 +61,9 @@ from .core import (
     _check_intensity,
 )
 
-# run_measurement reads the clicks this many at a time: its index, byte
-# and phase buffers and shift_phase's mask, 12 bytes a click, then stay
-# in cache, and they are all the temporaries it needs however many
-# slots click.
+# run_measurement reads the clicks this many at a time: its one int64
+# index buffer, allocated once, and the uint8 temporaries of each tile,
+# at most 32 KB each, then stay in cache however many slots click.
 _TILE = 1 << 15
 
 
@@ -135,8 +134,10 @@ def run_measurement(
     docstring's rule gives the sender bits at the clicked slots only;
     the record keeps them for sift. One pass reads each click's two
     bits from the packed bytes, a tile of at most _TILE clicks at a
-    time, and applies the tile's phase bits (channel.shift_phase).
-    N = 1 yields no interior slots.
+    time, and applies the tile's phase bits (channel.shift_phase). The
+    pass preallocates one int64 index buffer; the rest is uint8
+    temporaries of at most 32 KB per tile. N = 1 yields no interior
+    slots.
     """
     if a.owner is not Owner.ALICE or b.owner is not Owner.BOB:
         raise ParameterError("expected trains in (alice, bob) order")
@@ -154,52 +155,27 @@ def run_measurement(
     clicks = slots.size
     a_bits = np.empty(clicks, dtype=np.uint8)
     b_bits = np.empty(clicks, dtype=np.uint8)
-    # every tile reuses these: the byte indices, each slot's low byte,
-    # the bit shifts and the phase bits
-    size = min(_TILE, clicks)
-    index = np.empty(size, dtype=np.int64)
-    low = np.empty(size, dtype=np.uint8)
-    shift = np.empty(size, dtype=np.uint8)
-    phase = np.empty(size, dtype=np.uint8)
+    index = np.empty(min(_TILE, clicks), dtype=np.int64)
     for lo in range(0, clicks, _TILE):
         # slot j reads b[(j>>1)-1] = b[(j-2)>>1] and a[(j-1)>>1]. Bit i
-        # is bit i & 7, most significant first, of byte i >> 3: Bob's
-        # is in byte (j-2) >> 4 and Alice's in byte (j-1) >> 4, each at
-        # a shift that the low byte of j-2 or j-1 gives
+        # is bit i & 7, most significant first, of byte i >> 3: with
+        # k = 2 for Bob and 1 for Alice, the bit sits in byte (j-k) >> 4
+        # at shift ((j-k) >> 1) & 7, which the low byte of j gives
         j = slots[lo:lo + _TILE]
         m = j.size
-        at, j8, s, odd = index[:m], low[:m], shift[:m], phase[:m]
+        at = index[:m]
+        low = j.astype(np.uint8)  # j mod 256
         ab, bb = a_bits[lo:lo + m], b_bits[lo:lo + m]
-        j8[...] = j  # j mod 256
-        np.bitwise_and(j8, 1, out=odd)
-        j8 -= 2  # (j - 2) mod 256
-        np.subtract(j, 2, out=at)
-        at >>= 4
-        _read_bits(b.packed, at, j8, s, bb)
-        np.subtract(j, 1, out=at)
-        at >>= 4
-        j8 += 1  # (j - 1) mod 256
-        _read_bits(a.packed, at, j8, s, ab)
-        odd ^= ab
-        odd ^= bb
-        shift_phase(outcomes[lo:lo + m], resolved[lo:lo + m], odd)
+        for packed, k, out in ((b.packed, 2, bb), (a.packed, 1, ab)):
+            np.subtract(j, k, out=at)
+            at >>= 4
+            np.take(packed, at, out=out)
+            out >>= 7 - (((low - k) >> 1) & 7)
+            out &= 1
+        low &= 1  # the odd slots' pi shift, then the phase difference
+        low ^= ab ^ bb
+        shift_phase(outcomes[lo:lo + m], resolved[lo:lo + m], low)
     return DetectionRecords(n, slots, outcomes, resolved, a_bits, b_bits)
-
-
-def _read_bits(packed: np.ndarray, at: np.ndarray, low: np.ndarray,
-               shift: np.ndarray, out: np.ndarray) -> None:
-    """Write into out bit (low & 15) >> 1 of byte at of packed.
-
-    Bits count from the most significant one. For bit index i of a
-    packed train, at = i >> 3 and low holds 2i or 2i + 1 mod 256; shift
-    is scratch of out's size. The shift is uint8 arithmetic on low, so
-    only the byte gather reads at.
-    """
-    np.take(packed, at, out=out)
-    np.bitwise_and(low, 15, out=shift)
-    shift >>= 1
-    out <<= shift
-    out >>= 7
 
 
 def sift(

@@ -112,29 +112,27 @@ def maximize_rate_at_transmittance(
     mu_best = grid[best]
     keyed = grid_best > 0.0
 
-    def slope(mu):
-        rate, d_rate, d2_rate = _rate_and_slope(mu, lanes, params)
-        # Where the rate is clamped to 0 its slope is 0, yet the maximum
-        # lies toward the best grid point: take the secant to it
-        np.divide(grid_best, mu_best - mu, out=d_rate,
-                  where=keyed & (rate == 0.0))
-        return rate, d_rate, d2_rate
-
     lo = grid[np.maximum(best - 1, 0)]
     hi = grid[np.minimum(best + 1, grid_size - 1)]
-    # the first probe is the best grid point, whose rate is grid_best
-    x = mu_best
-    _, g, curv = slope(x)
+    x = mu_best  # the first probe is the best grid point
     running = keyed
     mu_opt, mu_rate = mu_best, grid_best
     last = np.zeros(lanes.size, dtype=bool)
-    for _ in range(_REFINE_ITERS):
+    for _ in range(_REFINE_ITERS + 1):
+        rate, g, curv = _rate_and_slope(x, lanes, params)
+        # the answer is the last probe with key: where the rate jumps
+        # from 0 at the saturation edge, the root is that edge
+        keyed_x = running & (rate > 0.0)
+        mu_opt = np.where(keyed_x, x, mu_opt)
+        mu_rate = np.where(keyed_x, rate, mu_rate)
+        # where the rate is clamped to 0 its slope and curvature are 0,
+        # yet the maximum lies toward the best grid point
+        g = np.where(rate > 0.0, g, mu_best - x)
         up = running & (g > 0.0)  # the root lies above x
         down = running & (g < 0.0)
         lo, hi = np.where(up, x, lo), np.where(down, x, hi)
         # Newton's step on the slope where it is concave and stays
-        # inside the bracket, else bisection; a zero-rate probe has a
-        # secant slope and no curvature, so it bisects
+        # inside the bracket, else bisection, as at a probe without key
         concave = curv < 0.0
         step = np.divide(g, curv, out=np.zeros_like(g), where=concave)
         target = x - step
@@ -149,12 +147,6 @@ def maximize_rate_at_transmittance(
         # the next probe at the root to rounding
         last = newton & (size <= _STOP**0.5 * x)
         x = np.where(newton, target, 0.5 * (lo + hi))
-        rate, g, curv = slope(x)
-        # the answer is the last probe with key: where the rate jumps
-        # from 0 at the saturation edge, the root is that edge
-        keyed_x = running & (rate > 0.0)
-        mu_opt = np.where(keyed_x, x, mu_opt)
-        mu_rate = np.where(keyed_x, rate, mu_rate)
     # rounding can leave the root a hair below a grid point's rate
     mu_opt = np.where(mu_rate >= grid_best, mu_opt, mu_best).reshape(shape)
     breakdown = rate_at_transmittance(mu_opt, lanes.reshape(shape), params)

@@ -106,6 +106,16 @@ def test_pulse_train_rejects_non_bits_and_bad_intensity():
     with pytest.raises(ParameterError, match="intensity"):
         PulseTrain.from_bits(owner=Owner.BOB, bits=np.array([0, 1]),
                              intensity=0.5)
+    # a float, complex or object bit is not cast to 0/1, and a wider
+    # integer is not wrapped into a byte
+    for bits in ([0.0, 1.7], [1, 0j], np.array([1, 0], dtype=object),
+                 [0, 256], [1, -255]):
+        with pytest.raises(ParameterError, match="bits"):
+            PulseTrain.from_bits(owner=Owner.BOB, bits=bits, intensity=0.1)
+    for bits in ([True, False], np.array([1, 0], dtype=np.int16)):
+        train = PulseTrain.from_bits(owner=Owner.BOB, bits=bits,
+                                     intensity=0.1)
+        assert train.bits.tolist() == [1, 0]
 
 
 def test_sifted_keys_validation():
@@ -122,6 +132,23 @@ def test_sifted_keys_validation():
     with pytest.raises(ParameterError, match="interior"):
         SiftedKeys(slots=np.array([1]), a_bits=np.array([0]),
                    b_bits=np.array([0]), c_bits=np.array([0]))
+    # nothing malformed is recast: 2-D or non-integer slots, and bits of
+    # a float, complex or object dtype, raise naming the field
+    bits = dict(a_bits=[0, 1], b_bits=[1, 1], c_bits=[1, 0])
+    for slots in (np.array([[2, 3]]), [2.7, 3.2]):
+        with pytest.raises(ParameterError, match="slots"):
+            SiftedKeys(slots=slots, **bits)
+    for name, bad in (("a_bits", [0, 1.7]), ("b_bits", [1, 1j]),
+                      ("c_bits", np.array([1, 0], dtype=object))):
+        with pytest.raises(ParameterError, match=name):
+            SiftedKeys(slots=[2, 3], **{**bits, name: bad})
+    # integer and boolean bits keep working, and so do empty inputs,
+    # which numpy reads as float64
+    keys = SiftedKeys(slots=[2, 3], a_bits=[True, False],
+                      b_bits=np.array([1, 1], dtype=np.int8),
+                      c_bits=np.array([1, 0], dtype=np.uint16))
+    assert keys.a_bits.tolist() == [1, 0] and keys.slots.tolist() == [2, 3]
+    assert len(SiftedKeys(slots=[], a_bits=[], b_bits=[], c_bits=[])) == 0
 
 
 def test_pulse_train_keeps_its_bits_packed():

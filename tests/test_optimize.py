@@ -3,6 +3,7 @@
 import functools
 import math
 import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -201,6 +202,19 @@ def test_find_crossover_exists_at_low_misalignment():
 
 def test_find_crossover_none_at_high_misalignment():
     assert find_crossover(SystemParams(misalignment=0.20)) is None
+
+
+@pytest.mark.parametrize("e_d,crossing", [
+    (0.02, 172.79296875),
+    (0.04, 251.2109375),
+    (0.05, 351.025390625),
+    (0.0515625, 402.55859375),
+    (0.051640625, None),
+])
+def test_default_crossovers_are_pinned(e_d, crossing):
+    # the default parameters' crossovers, float for float; the last two
+    # e_d straddle the largest misalignment with a crossover
+    assert find_crossover(replace(DEFAULTS, misalignment=e_d)) == crossing
 
 
 def test_find_crossover_is_deterministic():
@@ -495,9 +509,9 @@ def kernel_calls(monkeypatch):
 def test_zero_rate_bracket_end_keeps_the_optimum(kernel_calls):
     # at e_d = 0.04 and 570 km the rate is 0 at the grid bracket's upper
     # end; the search starts at the best grid point, whose slope points
-    # down, and must close in on the root below it (a search that also
-    # probed the bracket ends needed the secant to the best grid point
-    # there: a unit slope dragged it out, 31 kernel calls instead of 11)
+    # down, and must close in on the root below it. Every probe here has
+    # key, so the rule for probes without key (bisect toward the best
+    # grid point) is not reached; the saturation-edge tests cover it
     params = SystemParams(misalignment=0.04)
     eta = transmittance(570.0, params)
     ratio = (MU_MAX / MU_MIN) ** (1.0 / 63)
