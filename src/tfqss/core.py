@@ -96,11 +96,7 @@ class ProtocolConfig:
 
     def __post_init__(self) -> None:
         _check_intensity(self.intensity)
-        n_pairs = _as_int(self.n_pairs)
-        if n_pairs is None or n_pairs < 1:
-            raise ParameterError(
-                f"n_pairs={self.n_pairs!r} must be an integer >= 1")
-        object.__setattr__(self, "n_pairs", n_pairs)
+        object.__setattr__(self, "n_pairs", _as_count(self.n_pairs, "n_pairs"))
         if not self.distance >= 0.0:
             raise ParameterError(
                 f"distance={self.distance!r} must be >= 0 km")
@@ -129,6 +125,14 @@ def _as_int(value: object) -> int | None:
         return operator.index(value)
     except TypeError:
         return None
+
+
+def _as_count(value: object, name: str) -> int:
+    """value as an int >= 1; raises a ParameterError naming it if not."""
+    count = _as_int(value)
+    if count is None or count < 1:
+        raise ParameterError(f"{name}={value!r} must be an integer >= 1")
+    return count
 
 
 def _as_int_view(values: np.ndarray, name: str,

@@ -57,7 +57,7 @@ from .core import (
     SiftedKeys,
     SimulationReport,
     SystemParams,
-    _as_int,
+    _as_count,
     _check_intensity,
 )
 
@@ -77,9 +77,7 @@ def prepare_train(
     of ceil(n/32) uniform uint32 words in little-endian order. The
     train keeps them packed. n and mu are checked before the first draw.
     """
-    count = _as_int(n)
-    if count is None or count < 1:
-        raise ParameterError(f"n={n!r} must be an integer >= 1")
+    count = _as_count(n, "n")
     _check_intensity(mu)
     words = rng.integers(0, 2**32, -(-count // 32), dtype=np.uint32)
     packed = words.astype("<u4", copy=False).view(np.uint8)[:-(-count // 8)]
@@ -107,6 +105,7 @@ class DetectionRecords:
     click_b_bits: np.ndarray    # uint8 Bob's bits
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_pairs", _as_count(self.n_pairs, "n_pairs"))
         n = self.click_slots.size
         if not (self.click_outcomes.size == self.click_resolved.size
                 == self.click_a_bits.size == self.click_b_bits.size == n):
@@ -222,14 +221,9 @@ class _RemainingKeys(SiftedKeys):
 
     @cached_property
     def _keys(self) -> SiftedKeys:
-        sifted, keep = self.__dict__.pop("_split")
-        # a mask copy costs per run of kept entries, not per byte, so
-        # the three bits cross it packed into one byte: a, b, c in bits
-        # 2, 1, 0
-        bits = (sifted.a_bits << 2) | (sifted.b_bits << 1) | sifted.c_bits
-        bits = bits[keep]
-        return SiftedKeys(slots=sifted.slots[keep], a_bits=bits >> 2,
-                          b_bits=(bits >> 1) & 1, c_bits=bits & 1)
+        keys, keep = self.__dict__.pop("_split")
+        return SiftedKeys(slots=keys.slots[keep], a_bits=keys.a_bits[keep],
+                          b_bits=keys.b_bits[keep], c_bits=keys.c_bits[keep])
 
     slots = property(lambda self: self._keys.slots)
     a_bits = property(lambda self: self._keys.a_bits)
@@ -260,7 +254,7 @@ def estimate_qber(
     n = len(sifted)
     if n == 0:
         raise ValueError("empty sifted key; nothing to sample")
-    m = min(n, max(1, math.ceil(test_fraction * n)))
+    m = math.ceil(test_fraction * n)
     test_idx = rng.choice(n, size=m, replace=False)
     mismatch = sifted.c_bits.take(test_idx)
     mismatch ^= sifted.a_bits.take(test_idx)

@@ -59,6 +59,8 @@ def test_internal_leakage_values():
     assert internal_leakage(0.1, 0.5, 0.2) == pytest.approx(0.12, rel=1e-15)
     with pytest.raises(ParameterError, match="beta"):
         internal_leakage(0.1, 0.5, 1.2)
+    with pytest.raises(ParameterError, match="eta"):
+        internal_leakage(0.1, 1.2, 0.5)
 
 
 def test_general_internal_attack_dominates():

@@ -80,6 +80,8 @@ def test_config_rejects_unknown_keys_and_bad_values():
         cli.parse_config_text("n_pairs=many\n")
     with pytest.raises(cli.ConfigError, match="at least one e_d"):
         cli.parse_config_text("e_d_list=\n")
+    with pytest.raises(cli.ConfigError, match="bad value"):
+        cli.parse_config_text("mu_list=\n")
 
 
 def test_cli_overrides_beat_config_file(tmp_path):

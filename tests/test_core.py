@@ -196,6 +196,9 @@ def test_rate_point_validation():
     with pytest.raises(ParameterError, match="rate"):
         RatePoint(distance=0.0, mu_opt=0.1, gain=0.5, qber=0.0,
                   rate=-1e-9, plob=0.0, repeaterless=0.0, dps_baseline=0.0)
+    with pytest.raises(ParameterError, match="qber"):
+        RatePoint(distance=0.0, mu_opt=0.1, gain=0.5, qber=1.5,
+                  rate=0.0, plob=0.0, repeaterless=0.0, dps_baseline=0.0)
 
 
 def test_simulation_report_accounting_identity():
@@ -207,4 +210,12 @@ def test_simulation_report_accounting_identity():
     with pytest.raises(ParameterError, match="detected_slots"):
         SimulationReport(n_pairs=10, detected_slots=5, empirical_gain=0.2,
                          empirical_qber=0.0, test_slots_consumed=1,
+                         sifted=sifted, abort=False)
+    with pytest.raises(ParameterError, match="empirical_gain"):
+        SimulationReport(n_pairs=10, detected_slots=3, empirical_gain=1.5,
+                         empirical_qber=0.0, test_slots_consumed=1,
+                         sifted=sifted, abort=False)
+    with pytest.raises(ParameterError, match="empirical_qber"):
+        SimulationReport(n_pairs=10, detected_slots=3, empirical_gain=0.2,
+                         empirical_qber=-0.1, test_slots_consumed=1,
                          sifted=sifted, abort=False)

@@ -471,6 +471,9 @@ def test_sift_rejects_out_of_range_slots():
     )
     with pytest.raises(ParameterError, match="interior"):
         sift(bad, a, b)
+    _, b5 = _trains(5, 0.1, 42)
+    with pytest.raises(ParameterError, match="train lengths differ"):
+        sift(_records(4, []), a, b5)
 
 
 def _records(n_pairs, click_slots, outcomes=None, resolved=None,
@@ -510,6 +513,13 @@ def test_records_reject_clicks_outside_their_range():
     assert keys.a_bits.tolist() == [a.bits[1], a.bits[3]]
     assert keys.b_bits.tolist() == [b.bits[0], b.bits[2]]
     assert keys.c_bits.tolist() == [0, 1]  # odd slots flip the dealer
+    # n_pairs is an integer >= 1, stored as a Python int
+    for bad in (2.5, 0, -1, True, np.bool_(True), "4", None):
+        with pytest.raises(ParameterError, match="n_pairs"):
+            _records(bad, [])
+    record = _records(np.int64(4), [2, 7])
+    assert type(record.n_pairs) is int and len(record) == 6
+    assert len(_records(1, [])) == 0  # N = 1: no interior slots
 
 
 # --------------------------------------------------------- QBER estimation
@@ -586,6 +596,22 @@ def test_estimate_qber_result_holds_under_two_bytes_per_entry():
         tracemalloc.stop()
     assert len(result[1]) == n - 10**5
     assert held < 2 * n, held / n
+
+
+def test_remaining_key_first_read_allocates_only_what_it_returns():
+    # the four masked arrays take 8 + 1 + 1 + 1 = 11 bytes per remaining
+    # entry; any temporary beside them shows in the peak
+    n = 10**6
+    keys = _synthetic_keys(n, n // 50, 57)
+    _, remaining, _ = estimate_qber(keys, 0.1, 0.11,
+                                    np.random.default_rng(58))
+    tracemalloc.start()
+    try:
+        remaining.slots
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11.5 * len(remaining), peak / len(remaining)
 
 
 def test_remaining_key_is_the_kept_entries_masked_once():
