@@ -31,13 +31,15 @@ unpacked, and channel.shift_phase applies each click's phase. The
 record of a run is its clicks: DetectionRecords keeps n_pairs plus,
 per click, the slot, outcome, announced bit and the two sender bits,
 each array allocated once. sift adds only the dealer's flipped bit and
-passes the record's arrays on uncopied. The QBER split keeps the
-sifted key and a mask of the remaining entries, and masks the arrays
-out only when a caller first reads them, so a run that reports only
-the remaining count copies none. One seeded generator is consumed in
-this order: Alice's packed phase bytes, Bob's, then per sampler batch
-the gap uniforms, category uniforms and coins, then the QBER test
-sample.
+passes the record's arrays on uncopied. The QBER split marks its test
+sample in a byte mask, keeps the sifted key and that mask's
+complement, and masks the arrays out only when a caller first reads
+them, so a run that reports only the remaining count copies none. One
+seeded generator is consumed in this order: Alice's packed phase
+bytes, Bob's, then per sampler batch the gap uniforms, category
+uniforms and coins, then the QBER test sample: one uint16 word per
+sifted entry, and, unless exactly m words fall below the sample's
+threshold, one rng.choice of the entries to unmark or to add.
 """
 
 from __future__ import annotations
@@ -65,6 +67,15 @@ from .core import (
 # index buffer, allocated once, and the uint8 temporaries of each tile,
 # at most 32 KB each, then stay in cache however many slots click.
 _TILE = 1 << 15
+
+# The QBER test sample marks each sifted entry whose uint16 word, one
+# of _WORDS values, falls below a threshold this many standard
+# deviations of the marked count above m/n, so that fewer than m are
+# marked with probability below about 1e-9 and the trim to exactly m
+# unmarks only about 2,300 of a dense run's 163 k. The sample is
+# uniform whichever way it trims.
+_SAMPLE_SIGMAS = 6.0
+_WORDS = 1 << 16
 
 
 def prepare_train(
@@ -239,13 +250,15 @@ def estimate_qber(
 ) -> tuple[float, SiftedKeys, bool]:
     """Announce a random sample and estimate the error rate on it.
 
-    Consumes ceil(test_fraction * len) slots, chosen without
-    replacement; returns (estimate, remaining keys in original order,
-    abort flag). Raises on an empty sifted key. The remaining keys hold
-    the sifted key and a keep mask, a byte per sifted entry: their
-    length is known at once, and their arrays are masked out on their
-    first read, so a caller's writes to the arrays that the sifted key
-    views show in them until then.
+    Consumes m = ceil(test_fraction * len) slots, a uniformly random
+    m-subset of the sifted key (see _test_sample); returns (estimate,
+    remaining keys in original order, abort flag). Raises on an empty
+    sifted key. The errors are counted under the sample's mask, with
+    no gather, and the remaining keys hold the sifted key and the
+    mask's complement, a byte per sifted entry: their length is known
+    at once, and their arrays are masked out on their first read, so a
+    caller's writes to the arrays that the sifted key views show in
+    them until then.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ParameterError(
@@ -255,15 +268,43 @@ def estimate_qber(
     if n == 0:
         raise ValueError("empty sifted key; nothing to sample")
     m = math.ceil(test_fraction * n)
-    test_idx = rng.choice(n, size=m, replace=False)
-    mismatch = sifted.c_bits.take(test_idx)
-    mismatch ^= sifted.a_bits.take(test_idx)
-    mismatch ^= sifted.b_bits.take(test_idx)
+    p = m / n
+    threshold = math.ceil(
+        _WORDS * (p + _SAMPLE_SIGMAS * math.sqrt(p * (1.0 - p) / n)))
+    test = _test_sample(n, m, min(threshold, _WORDS), rng)
+    mismatch = sifted.a_bits ^ sifted.b_bits
+    mismatch ^= sifted.c_bits
+    mismatch &= test
     estimate = int(np.count_nonzero(mismatch)) / m
-    keep = np.ones(n, dtype=bool)
-    keep[test_idx] = False
+    keep = np.logical_not(test, out=test)
     remaining = _RemainingKeys(sifted, keep, n - m)
     return estimate, remaining, estimate > abort_threshold
+
+
+def _test_sample(n: int, m: int, threshold: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """A uniformly random m-subset of range(n), as a bool mask.
+
+    Draws one uint16 word per entry and marks the K entries whose word
+    is below threshold (at most _WORDS, which marks all). Given K, the
+    marked set is a uniform K-subset, so unmarking K - m of its entries
+    chosen uniformly, or marking m - K of the unmarked ones, leaves a
+    uniform m-subset: the distribution of rng.choice(n, m,
+    replace=False), without its n-long int64 index. Only the K marked
+    positions are ever listed.
+    """
+    test = rng.integers(0, _WORDS, n, dtype=np.uint16) < threshold
+    marked = np.flatnonzero(test)
+    k = marked.size
+    if k > m:
+        test[marked[rng.choice(k, k - m, replace=False)]] = False
+    elif k < m:
+        # unmarked entry r lies past the marked entries i with
+        # marked[i] - i <= r, the unmarked entries before them
+        add = rng.choice(n - k, m - k, replace=False)
+        add += np.searchsorted(marked - np.arange(k), add, side="right")
+        test[add] = True
+    return test
 
 
 def _check_abort_threshold(abort_threshold: float) -> None:
@@ -294,8 +335,9 @@ def run_protocol(
     b = prepare_train(Owner.BOB, config.n_pairs, config.intensity, rng)
     # the packed trains and the detection record, bar the slots and
     # sender bits the key keeps, do not outlive the sift, so they are
-    # freed before the QBER test sample, where a dense run's memory
-    # peaks: rng.choice permutes an int64 index of every sifted entry
+    # freed before the QBER test sample. There a dense run's memory
+    # peaks, at the sifted key plus three bytes per entry: the sample's
+    # uint16 words and its mask
     sifted_all = sift(run_measurement(a, b, state, rng), a, b)
     del a, b
     detected = len(sifted_all)

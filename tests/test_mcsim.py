@@ -21,6 +21,7 @@ from tfqss.core import (
 from tfqss.keyrate import gain, qber
 from tfqss.mcsim import (
     DetectionRecords,
+    _test_sample,
     estimate_qber,
     prepare_train,
     run_measurement,
@@ -29,6 +30,9 @@ from tfqss.mcsim import (
 )
 
 DEFAULTS = SystemParams()
+
+# the 0.999 quantile of the chi-square distribution on 14 degrees of freedom
+CHI2_999_14 = 36.123
 
 
 def _trains(n, mu, seed, a_bits=None, b_bits=None):
@@ -366,9 +370,9 @@ def test_measurement_allocates_each_per_click_array_once():
 def test_dense_run_peaks_under_34_bytes_per_click():
     # simulate_dense's point at half the length: one slot in five
     # clicks, four sampler batches. The run peaks at the QBER test
-    # sample, where the sifted key's 11 bytes per click meet the 8 of
-    # rng.choice's index permutation: near 21 bytes per click. Copying
-    # the remaining key out of the sifted one at once puts it near 25
+    # sample, where the sifted key's 11 bytes per click meet the
+    # sample's 2-byte words and its 1-byte mask: near 14 bytes per click
+    # (near 21 while rng.choice permuted an 8-byte index of every click)
     config = ProtocolConfig(intensity=0.4, n_pairs=2 * 10**6, distance=0.0,
                             rng_seed=3)
     tracemalloc.start()
@@ -379,6 +383,21 @@ def test_dense_run_peaks_under_34_bytes_per_click():
         tracemalloc.stop()
     assert report.detected_slots > 800_000
     assert peak < 34 * report.detected_slots, peak / report.detected_slots
+
+
+def test_dense_run_peaks_under_17_bytes_per_click():
+    # the same run: the test sample lists no index of every click, so
+    # the sifted key and the sample's words and mask lead the peak
+    config = ProtocolConfig(intensity=0.4, n_pairs=2 * 10**6, distance=0.0,
+                            rng_seed=3)
+    tracemalloc.start()
+    try:
+        report = run_protocol(DEFAULTS, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.detected_slots > 800_000
+    assert peak < 17 * report.detected_slots, peak / report.detected_slots
 
 
 def test_sparse_run_peaks_under_a_byte_per_pulse_pair():
@@ -625,9 +644,19 @@ def test_remaining_key_is_the_kept_entries_masked_once():
         empirical_qber=estimate, test_slots_consumed=m, sifted=remaining,
         abort=abort)
     assert len(report.sifted) == n - m
-    # the test sample is the fresh generator's first draw
+    # the test sample is the fresh generator's first draws: a uint16
+    # word per entry marks those below m/n plus six standard deviations,
+    # then one rng.choice unmarks the marked entries beyond m
+    rng = np.random.default_rng(60)
+    p = m / n
+    threshold = math.ceil(2**16 * (p + 6 * math.sqrt(p * (1 - p) / n)))
+    marked = np.flatnonzero(
+        rng.integers(0, 2**16, n, dtype=np.uint16) < threshold)
+    assert marked.size > m
     kept = np.ones(n, dtype=bool)
-    kept[np.random.default_rng(60).choice(n, size=m, replace=False)] = False
+    kept[marked] = False
+    kept[marked[rng.choice(marked.size, marked.size - m,
+                           replace=False)]] = True
     assert isinstance(remaining, SiftedKeys)
     for name in ("slots", "a_bits", "b_bits", "c_bits"):
         arr = getattr(remaining, name)
@@ -636,6 +665,100 @@ def test_remaining_key_is_the_kept_entries_masked_once():
         assert not arr.flags.writeable
         assert getattr(remaining, name) is arr
     assert len(remaining) == remaining.slots.size == n - m
+
+
+def test_estimate_qber_peaks_at_its_words_and_mask():
+    # a uint16 word and a mask byte per entry, then an int64 index of the
+    # about m marked entries; rng.choice(n, m) permuted 8 bytes per entry
+    n = 10**6
+    keys = _synthetic_keys(n, n // 50, 61)
+    tracemalloc.start()
+    try:
+        estimate_qber(keys, 0.1, 0.11, np.random.default_rng(62))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * n, peak / n
+
+
+def test_test_sample_tests_each_entry_equally_often():
+    # each of n = 15 entries is tested in m = 4 of 15 draws; the
+    # per-entry counts of a uniform m-subset sum to m per draw, so their
+    # normalised squared deviations sum to chi-square on n - 1 = 14
+    # degrees of freedom
+    n, m, draws = 15, 4, 12_000
+    keys = _synthetic_keys(n, 0, 63)
+    rng = np.random.default_rng(64)
+    kept = np.zeros(n, dtype=np.int64)
+    for _ in range(draws):
+        _, remaining, _ = estimate_qber(keys, 0.25, 0.11, rng)
+        assert len(remaining) == n - m  # m = ceil(0.25 * 15)
+        kept[remaining.slots - 2] += 1
+    tested = draws - kept
+    p = m / n
+    chi2 = (((tested - draws * p) ** 2).sum() * (n - 1)
+            / (n * draws * p * (1 - p)))
+    assert chi2 < CHI2_999_14, chi2
+
+
+@pytest.mark.parametrize("threshold", [1 << 13, 1 << 15, 1 << 16])
+def test_test_sample_draws_each_subset_equally_often(threshold):
+    # the 15 pairs of 6 entries, drawn mostly by marking more entries
+    # (threshold 2^13), by both trims (2^15) or by unmarking (2^16)
+    n, m, draws = 6, 2, 15_000
+    rng = np.random.default_rng(65)
+    weights = 1 << np.arange(n)
+    counts = np.zeros(1 << n, dtype=np.int64)
+    for _ in range(draws):
+        counts[weights[_test_sample(n, m, threshold, rng)].sum()] += 1
+    pairs = [(1 << i) | (1 << j) for i in range(n) for j in range(i)]
+    assert counts[pairs].sum() == draws
+    expected = draws / len(pairs)
+    chi2 = ((counts[pairs] - expected) ** 2).sum() / expected
+    assert chi2 < CHI2_999_14, chi2
+
+
+@pytest.mark.parametrize("n, m, threshold, trim", [
+    (1000, 100, 0, "add"),           # nothing marked: all m are added
+    (1000, 100, 1 << 16, "drop"),    # everything marked
+    (10**5, 10**4, 5898, "add"),     # 9.0 % marked, 10 % wanted
+    (10**5, 10**4, 7209, "drop"),    # 11.0 % marked
+    (10**5, 9976, 6553, "none"),     # exactly m below the threshold
+])
+def test_test_sample_trims_to_exactly_m_both_ways(n, m, threshold, trim):
+    # the marked entries are the generator's first n uint16 words below
+    # the threshold; an added entry must be unmarked, a dropped one marked
+    marked = np.random.default_rng(66).integers(
+        0, 2**16, n, dtype=np.uint16) < threshold
+    k = np.count_nonzero(marked)
+    assert {"add": k < m, "drop": k > m, "none": k == m}[trim], k
+    test = _test_sample(n, m, threshold, np.random.default_rng(66))
+    assert test.dtype == bool and test.shape == (n,)
+    assert np.count_nonzero(test) == m
+    if k <= m:
+        assert np.all(test[marked])
+    else:
+        assert np.all(marked[test])
+
+
+@pytest.mark.parametrize("n, test_fraction", [
+    (1, 0.5),                      # one entry, tested
+    (10, 0.95),                    # m = n
+    (1000, 0.999),                 # the threshold saturates at 2^16
+    (1000, math.nextafter(1.0, 0.0)),  # m = n, saturated
+    (1000, 5e-324),                # m = 1
+])
+def test_estimate_qber_at_the_edge_sizes(n, test_fraction):
+    keys = _synthetic_keys(n, n // 3, 67)
+    estimate, remaining, _ = estimate_qber(
+        keys, test_fraction, 0.5, np.random.default_rng(68))
+    m = math.ceil(test_fraction * n)
+    assert len(remaining) == remaining.slots.size == n - m
+    # the estimate counts exactly the errors outside the remaining key
+    errors = np.count_nonzero(keys.a_bits ^ keys.b_bits ^ keys.c_bits)
+    left = np.count_nonzero(
+        remaining.a_bits ^ remaining.b_bits ^ remaining.c_bits)
+    assert estimate == (errors - left) / m
 
 
 def test_estimate_qber_rejects_bad_arguments():
@@ -685,8 +808,8 @@ def test_run_protocol_is_reproducible():
 
 
 @pytest.mark.parametrize("args, detected, printed_qber", [
-    ((4 * 10**6, 0.0, 0.4), 1_606_031, "1.983138652e-02"),
-    ((10**7, 100.0, 0.05), 81_444, "2.160834868e-02"),
+    ((4 * 10**6, 0.0, 0.4), 1_606_031, "1.987497198e-02"),
+    ((10**7, 100.0, 0.05), 81_444, "1.841620626e-02"),
 ])
 def test_seed_one_reproduces_the_readme_numbers(args, detected, printed_qber):
     # the simulate_dense and simulate_sparse runs of the benchmark at
@@ -714,7 +837,7 @@ def test_multi_batch_run_reproduces_its_pinned_keys():
     assert report.detected_slots == 803_462
     assert report.sifted.slots.dtype == np.int64
     assert _sifted_digest(report.sifted) == (
-        "d3f9660c6a53567aab2908c7f5464b23e1244af2c9710701551b1717d66dd78f")
+        "3ad36abb8a3fa1d63d8b1fcdfda38f3e13712f3c808155b6b2c1acd9b0d47994")
 
 
 def test_sparse_run_reproduces_its_pinned_keys():
@@ -725,7 +848,7 @@ def test_sparse_run_reproduces_its_pinned_keys():
         intensity=0.05, n_pairs=2 * 10**6, distance=100.0, rng_seed=3))
     assert report.detected_slots == 16_399
     assert _sifted_digest(report.sifted) == (
-        "625fb70fe830c12ad834e249a542dae39f04dd3a011f80fe6ec4f71bc4735b63")
+        "06e3a627219edbe8945117aaaf8ec061358450817a45f807805cf435d0a9eb19")
 
 
 def test_double_heavy_run_reproduces_its_pinned_records():
