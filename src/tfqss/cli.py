@@ -144,8 +144,9 @@ def _emit(lines: list[str], output: str | None) -> None:
 
 
 def _emit_csv(header: str, rows, output: str | None) -> None:
-    _emit([header] + [",".join(_sci(v) for v in row) for row in rows],
-          output)
+    """Write header and one line per row tuple, each value as _sci has it."""
+    template = ",".join(["%.9e"] * (header.count(",") + 1))
+    _emit([header] + [template % row for row in rows], output)
 
 
 def cmd_scan(settings: dict) -> int:

@@ -33,7 +33,12 @@ evaluates a whole (lanes x grid) block of (mu, eta) points per call of
 rate_at_transmittance; each element goes through exactly the arithmetic
 of a scalar call, so an array result equals the elementwise scalar
 results bit for bit. Domain errors name the first offending element
-in C order. The optimizer's root search calls _rate_and_slope, which
+in C order. The kernels read p_d, e_d and f by name from their params
+argument, and these too may be arrays that broadcast against mu and
+eta: the optimizer gives each lane its own e_d that way, passing a
+record with SystemParams' three field names. Like mu and eta they
+enter each element's arithmetic alone, so a lane's result does not
+depend on its neighbours. The optimizer's root search calls _rate_and_slope, which
 returns the same rate together with dR/dmu and d2R/dmu2 from one pass
 over the same expressions; it validates no argument, and only the
 rate's Q == 0 check runs.
@@ -161,8 +166,11 @@ def collision_probability(e):
 def _rate_terms(mu, eta, params: SystemParams):
     """e^(-mu*eta) and the breakdown's fields (Q, E, P_co, privacy, ec, R).
 
-    mu and eta are validated arrays; p_d and e_d need no check, because
-    SystemParams validated them.
+    mu and eta are validated arrays. params' dark_count_rate,
+    misalignment and ec_efficiency are floats or arrays that broadcast
+    against them, one value per lane; they need no check, because
+    SystemParams validated them (the optimizer checks each e_d of a
+    scan the same way).
     """
     p_d = params.dark_count_rate
     q, x = _gain(mu, eta, p_d)

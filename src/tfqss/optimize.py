@@ -9,30 +9,32 @@ audit the result against dense brute-force grids and a 50-digit
 optimum.
 
 The optimizer works on lanes: a 1-D array of arm transmittances, one
-independent maximization each. The grid takes one (lanes x grid) call
-of the rate kernel keyrate.rate_at_transmittance per block of 256
-lanes, and the root search then runs all lanes in lockstep, one slope
-call per step, with np.where choosing each lane's branch. A lane's
-first probe is its best grid point; each probe moves the bracket to
-the side its slope points to, and the lane takes Newton's step where
-the slope is concave and the step stays inside its bracket, and
-bisects otherwise.
+independent maximization each, with the channel's p_d, e_d and f
+either shared or given per lane. The grid takes one (lanes x grid)
+call of the rate kernel keyrate.rate_at_transmittance per block of at
+most 192 lanes, and the root search then runs all lanes in lockstep,
+one slope call per step, with np.where choosing each lane's branch.
+A lane's first probe is its best grid point; each probe moves the
+bracket to the side its slope points to, and the lane takes Newton's
+step where the slope is concave and the step stays inside its
+bracket, and bisects otherwise.
 It stops at a zero slope, at a Newton step of at most 1e-14 of mu, one
 probe after a step of at most 1e-7 of mu (convergence is quadratic),
 once its bracket is 1e-14 of its upper end wide, or after
 _REFINE_ITERS steps. A one-lane optimization makes 5-6 kernel calls
 on the default parameters. A lane does exactly the arithmetic of a
 one-lane run, so results match one-lane calls bit for bit.
-scan_distances puts every distance of one e_d into one call, and
-find_crossover its whole coarse walk, then at most five bisection
-levels (31 midpoints) per call. grid_size is the one setting a caller
-may change.
+scan_distances puts every distance of every e_d into one call, each
+lane with its own e_d, and find_crossover its whole coarse walk, then
+at most five bisection levels (31 midpoints) per call. grid_size is
+the one setting a caller may change.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,54 +63,55 @@ _STOP = 1e-14
 # rate peaks at the saturation edge bisect there, and of 4,800 lanes
 # drawn over the admitted domain the slowest make 45 steps (48 calls)
 _REFINE_ITERS = 60
-# lanes per kernel call on the grid: one call for every walk and scan
-# the package makes (find_crossover's walk has 161 lanes, the default
-# scan 142 per e_d), while each (lanes x grid) temporary stays bounded
-_GRID_BLOCK = 256
+# lanes per kernel call on the grid, at most: the lanes split into the
+# fewest blocks of one size, so find_crossover's walk (161 lanes) takes
+# one call and the default scan (142 lanes for each of three e_d) three,
+# while each (lanes x grid) temporary stays bounded
+_GRID_BLOCK = 192
 # bisection levels find_crossover evaluates per optimizer call, at most:
 # a round stops at the level whose cells are within tol
 _BISECT_LEVELS = 5
 
 
-def maximize_rate_at_transmittance(
-    eta,
-    params: SystemParams,
-    *,
-    grid_size: int = 64,
-) -> tuple[float | np.ndarray, RateBreakdown]:
-    """Best (mu, rate breakdown) at fixed arm transmittances.
+class _Channel(NamedTuple):
+    """The channel parameters the rate kernels read, as floats or as
+    1-D arrays with one value per lane."""
 
-    Coarse logarithmic grid over (1e-6, 0.5 - 1e-6), then the root of
-    dR/dmu between the best grid point's neighbors: Newton steps on the
-    slope from the best grid point, each probe moving the bracket to
-    the side its slope points to, bisecting where the slope is not
-    concave, the step leaves the bracket or the probe rates 0, at most
-    _REFINE_ITERS steps. The answer is the last probe with key; a lane
-    keeps the best grid point where that probe rates below it. If every
-    grid point yields rate 0 the channel supports no key and (1e-6,
-    zero-rate breakdown) is returned.
+    dark_count_rate: float | np.ndarray
+    misalignment: float | np.ndarray
+    ec_efficiency: float | np.ndarray
 
-    eta is a scalar or an array of lanes, each maximized independently;
-    for an array, mu and the breakdown's fields are arrays of its shape.
+
+def _maximize_lanes(lanes: np.ndarray, channel: _Channel,
+                    grid_size) -> np.ndarray:
+    """mu_opt of each lane of the 1-D transmittance array lanes.
+
+    maximize_rate_at_transmittance's search, each lane with its own
+    channel values where a field of channel is an array.
     """
     size = _as_int(grid_size)
     if size is None or size < 16:
         raise ParameterError(
             f"grid_size={grid_size!r} must be an integer >= 16")
     grid_size = size
-    shape = np.shape(eta)
-    lanes = np.asarray(eta).reshape(-1)
     ratio = (MU_MAX / MU_MIN) ** (1.0 / (grid_size - 1))
     grid = np.array([MU_MIN * ratio**i for i in range(grid_size - 1)]
                     + [MU_MAX])
     # the grid validates eta (and raises where the gain is 0) for the
-    # slope calls below, which validate nothing
-    rates = np.empty((lanes.size, grid_size))
-    for i in range(0, lanes.size, _GRID_BLOCK):
-        rates[i:i + _GRID_BLOCK] = rate_at_transmittance(
-            grid, lanes[i:i + _GRID_BLOCK, None], params).rate
-    best = rates.argmax(axis=1)
-    grid_best = rates.max(axis=1)
+    # slope calls below, which validate nothing. It runs in the fewest
+    # blocks of at most _GRID_BLOCK lanes, all of one size, and keeps
+    # only each lane's best grid point
+    n_blocks = max(1, -(-lanes.size // _GRID_BLOCK))
+    block = max(1, -(-lanes.size // n_blocks))
+    best = np.empty(lanes.size, dtype=np.intp)
+    grid_best = np.empty(lanes.size)
+    for i in range(0, lanes.size, block):
+        rates = rate_at_transmittance(
+            grid, lanes[i:i + block, None], channel._make(
+                v[i:i + block, None] if isinstance(v, np.ndarray) else v
+                for v in channel)).rate
+        best[i:i + block] = rates.argmax(axis=1)
+        grid_best[i:i + block] = rates.max(axis=1)
     mu_best = grid[best]
     keyed = grid_best > 0.0
 
@@ -119,7 +122,7 @@ def maximize_rate_at_transmittance(
     mu_opt, mu_rate = mu_best, grid_best
     last = np.zeros(lanes.size, dtype=bool)
     for _ in range(_REFINE_ITERS + 1):
-        rate, g, curv = _rate_and_slope(x, lanes, params)
+        rate, g, curv = _rate_and_slope(x, lanes, channel)
         # the answer is the last probe with key: where the rate jumps
         # from 0 at the saturation edge, the root is that edge
         keyed_x = running & (rate > 0.0)
@@ -148,7 +151,35 @@ def maximize_rate_at_transmittance(
         last = newton & (size <= _STOP**0.5 * x)
         x = np.where(newton, target, 0.5 * (lo + hi))
     # rounding can leave the root a hair below a grid point's rate
-    mu_opt = np.where(mu_rate >= grid_best, mu_opt, mu_best).reshape(shape)
+    return np.where(mu_rate >= grid_best, mu_opt, mu_best)
+
+
+def maximize_rate_at_transmittance(
+    eta,
+    params: SystemParams,
+    *,
+    grid_size: int = 64,
+) -> tuple[float | np.ndarray, RateBreakdown]:
+    """Best (mu, rate breakdown) at fixed arm transmittances.
+
+    Coarse logarithmic grid over (1e-6, 0.5 - 1e-6), then the root of
+    dR/dmu between the best grid point's neighbors: Newton steps on the
+    slope from the best grid point, each probe moving the bracket to
+    the side its slope points to, bisecting where the slope is not
+    concave, the step leaves the bracket or the probe rates 0, at most
+    _REFINE_ITERS steps. The answer is the last probe with key; a lane
+    keeps the best grid point where that probe rates below it. If every
+    grid point yields rate 0 the channel supports no key and (1e-6,
+    zero-rate breakdown) is returned.
+
+    eta is a scalar or an array of lanes, each maximized independently;
+    for an array, mu and the breakdown's fields are arrays of its shape.
+    """
+    shape = np.shape(eta)
+    lanes = np.asarray(eta).reshape(-1)
+    mu_opt = _maximize_lanes(lanes, _Channel(
+        params.dark_count_rate, params.misalignment, params.ec_efficiency),
+        grid_size).reshape(shape)
     breakdown = rate_at_transmittance(mu_opt, lanes.reshape(shape), params)
     return (float(mu_opt) if shape == () else mu_opt), breakdown
 
@@ -176,12 +207,13 @@ def scan_distances(
     """Optimized rate and reference bounds on a distance grid.
 
     Returns {e_d: [RatePoint at l_min, l_min+step, ..., <= l_max]}; an
-    e_d listed twice gets its sweep twice under one key. Per e_d, one
-    optimizer call takes the lanes transmittance(L) for every grid
+    e_d listed twice gets its sweep twice under one key. One optimizer
+    call takes, for every e_d, the lanes transmittance(L) for every grid
     distance, which is also the repeaterless column, and
     transmittance(2L), whose rate is dps_baseline (see
-    bounds.dps_qss_baseline). The lanes and the plob column depend on
-    no e_d, so each is computed once per scan.
+    bounds.dps_qss_baseline); each lane carries its own e_d. The
+    transmittances and the plob column depend on no e_d, so each is
+    computed once per scan.
     """
     for name, value in (("l_min", l_min), ("l_max", l_max), ("step", step)):
         if not math.isfinite(value):
@@ -196,20 +228,28 @@ def scan_distances(
             f"step={step!r} is too small: (l_max - l_min) / step overflows")
     if not e_d_list:
         raise ParameterError("at least one e_d required")
+    for e_d in e_d_list:
+        replace(params, misalignment=e_d)  # raises for a bad e_d
     n_pts = int(span + 1e-9) + 1
     distances = [min(l_min + i * step, l_max) for i in range(n_pts)]
     etas = [transmittance(scale * distance, params)
             for scale in (1.0, 2.0) for distance in distances]
     plob = [plob_bound(distance, params) for distance in distances]
+    lanes = np.tile(etas, len(e_d_list))
+    channel = _Channel(params.dark_count_rate,
+                       np.repeat(e_d_list, len(etas)),
+                       params.ec_efficiency)
+    mu_opt = _maximize_lanes(lanes, channel, grid_size)
+    bd = rate_at_transmittance(mu_opt, lanes, channel)
+    # per e_d, the rows at L, then the rows at 2L
+    shape = (len(e_d_list), 2, n_pts)
+    columns = (np.reshape(v, shape).tolist()
+               for v in (mu_opt, bd.gain, bd.qber, bd.rate))
     result: dict[float, list[RatePoint]] = {e_d: [] for e_d in e_d_list}
-    for e_d in e_d_list:
-        mu_opt, bd = maximize_rate_at_transmittance(
-            etas, replace(params, misalignment=e_d), grid_size=grid_size)
-        for i, distance in enumerate(distances):
-            result[e_d].append(RatePoint(
-                distance, float(mu_opt[i]), float(bd.gain[i]),
-                float(bd.qber[i]), float(bd.rate[i]), plob[i], etas[i],
-                float(bd.rate[n_pts + i])))
+    for e_d, (mu, _), (gain, _), (qber, _), (rate, dps) in zip(
+            e_d_list, *columns):
+        result[e_d].extend(map(RatePoint, distances, mu, gain, qber, rate,
+                               plob, etas[:n_pts], dps))
     return result
 
 

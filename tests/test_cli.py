@@ -301,6 +301,15 @@ def test_non_finite_values_exit_1_naming_the_key(argv, key, capsys):
     assert err.startswith(f"error: {key}=")
 
 
+def test_scan_names_a_bad_e_d_after_the_first(capsys):
+    # the first e_d builds the SystemParams, the others only reach the
+    # scan, which checks each of them
+    code, out, err = _run(["scan", "--e_d_list", "0.02,0.7"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: misalignment=0.7 outside [0, 0.5)\n"
+
+
 def test_missing_subcommand_exits_1(capsys):
     code, _, err = _run([], capsys)
     assert code == 1

@@ -158,6 +158,35 @@ def test_scan_columns_match_reference_curves():
                 assert p.qber == bd.qber
 
 
+def test_scan_over_several_e_d_equals_one_scan_per_e_d():
+    # one optimizer call takes every e_d's lanes: lanes of different e_d
+    # share grid blocks and one root search, and each row must still be
+    # the row of a scan of that e_d alone
+    e_ds = [0.02, 0.04, 0.052]
+    table = scan_distances(0.0, 700.0, 10.0, DEFAULTS, e_ds)
+    assert list(table) == e_ds
+    for e_d in e_ds:
+        alone = scan_distances(0.0, 700.0, 10.0, DEFAULTS, [e_d])[e_d]
+        assert len(table[e_d]) == len(alone) == 71
+        assert table[e_d] == alone
+    # an e_d listed twice gets two identical sweeps under one key; with
+    # four sweeps the 568 lanes take three grid blocks of 190, so blocks
+    # hold lanes of two e_d
+    twice = scan_distances(0.0, 700.0, 10.0, DEFAULTS,
+                           [0.04, 0.02, 0.04, 0.052])
+    assert list(twice) == [0.04, 0.02, 0.052]
+    assert twice[0.04] == table[0.04] + table[0.04]
+    assert twice[0.02] == table[0.02]
+    assert twice[0.052] == table[0.052]
+
+
+@pytest.mark.parametrize("bad", [0.7, math.nan, -0.01])
+def test_scan_rejects_a_bad_e_d_anywhere_in_the_list(bad):
+    for e_ds in ([bad], [0.02, bad], [0.02, 0.04, bad]):
+        with pytest.raises(ParameterError, match="^misalignment="):
+            scan_distances(0.0, 100.0, 10.0, DEFAULTS, e_ds)
+
+
 def test_scan_validates_arguments():
     with pytest.raises(ParameterError, match="l_min"):
         scan_distances(-1.0, 100.0, 10.0, DEFAULTS, [0.02])
@@ -596,11 +625,12 @@ def test_find_crossover_makes_few_kernel_calls(kernel_calls):
 
 
 def test_scan_makes_few_kernel_calls(kernel_calls):
-    # one grid call, the best grid points, the lockstep steps and the
-    # final breakdown per e_d (33 calls with regula falsi, 61 with 16-lane
-    # grid calls and a 4-ulp stop)
+    # every e_d's 142 lanes in one optimizer call: three grid blocks of
+    # 142 lanes, the best grid points and the lockstep steps, and one
+    # final breakdown (18 calls with one optimizer call per e_d, 33 with
+    # regula falsi, 61 with 16-lane grid calls and a 4-ulp stop)
     scan_distances(0.0, 700.0, 10.0, DEFAULTS, [0.02, 0.04, 0.052])
-    assert len(kernel_calls) <= 18
+    assert len(kernel_calls) <= 8
 
 
 def test_find_crossover_evaluates_only_the_points_it_reads(monkeypatch):
