@@ -208,6 +208,10 @@ class PulseTrain:
         bits.flags.writeable = False
         return bits
 
+    def _span(self, lo: int, hi: int) -> np.ndarray:
+        """Bytes [lo, hi) of packed, which hold bits [8*lo, 8*hi)."""
+        return self.packed[lo:hi]
+
     def __len__(self) -> int:
         return self.n
 

@@ -21,29 +21,35 @@ cancels that pi shift), and keeps the sender bits read by the same rule,
 so that c = a XOR b holds exactly on every retained slot of a noiseless
 run, for both slot parities.
 
-The run is click-indexed: apart from the two N-bit trains, kept packed
-at eight bits a byte, nothing is stored per slot. run_measurement draws
-the clicks of the interior slots first (channel.detect_slots,
-phase-free), which numbers each click by its slot, then walks them
-once, in tiles of at most _TILE, and applies the rule above only there:
-it reads each sender bit once, straight from its packed byte, nothing
-unpacked, and channel.shift_phase applies each click's phase. The
-record of a run is its clicks: DetectionRecords keeps n_pairs plus,
-per click, the slot, outcome, announced bit and the two sender bits,
-each array allocated once. sift adds only the dealer's flipped bit and
-passes the record's arrays on uncopied. The QBER split marks its test
-sample in a byte mask, keeps the sifted key and that mask's
-complement, and masks the arrays out only when a caller first reads
-them, so a run that reports only the remaining count copies none. One
-seeded generator is consumed in this order: Alice's packed phase
-bytes, Bob's, then per sampler batch the gap uniforms, category
-uniforms and coins, then the QBER test sample: one uint16 word per
-sifted entry, and, unless exactly m words fall below the sample's
-threshold, one rng.choice of the entries to unmark or to add.
+The run is click-indexed: nothing is stored per slot. A train packs
+its bits eight to a byte, and run_protocol keeps not even those bytes:
+its trains hold a copy of the generator each, and draw again only the
+bytes that run_measurement reads, at most 256 KB a train at a time
+whatever N is. run_measurement draws the clicks of the interior slots
+first (channel.detect_slots, phase-free), which numbers each click by
+its slot, then walks them once, a window of at most _SPAN_SLOTS slots
+at a time, in tiles of at most _TILE clicks, and applies the rule
+above only there: it reads each sender bit once, straight from its
+packed byte, nothing unpacked, and channel.shift_phase applies each
+click's phase. The record of a run is its clicks: DetectionRecords
+keeps n_pairs plus, per click, the slot, outcome, announced bit and
+the two sender bits, each array allocated once. sift adds only the
+dealer's flipped bit and passes the record's arrays on uncopied. The
+QBER split marks its test sample in a byte mask, keeps the sifted key
+and that mask's complement, and masks the arrays out only when a
+caller first reads them, so a run that reports only the remaining
+count copies none. One seeded generator is consumed in this order:
+Alice's packed phase bytes, Bob's (which run_protocol skips, and
+draws again from copies of the generator where they are read), then
+per sampler batch the gap uniforms, category uniforms and coins, then
+the QBER test sample: one uint16 word per sifted entry, and, unless
+exactly m words fall below the sample's threshold, one rng.choice of
+the entries to unmark or to add.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -67,6 +73,12 @@ from .core import (
 # index buffer, allocated once, and the uint8 temporaries of each tile,
 # at most 32 KB each, then stay in cache however many slots click.
 _TILE = 1 << 15
+
+# The clicks within this many slots of a window's first click read one
+# span of bytes of each train, which a train of run_protocol draws again
+# for them: at most 256 KB a train whatever N is, in a few draws however
+# densely the slots click.
+_SPAN_SLOTS = 1 << 22
 
 # The QBER test sample marks each sifted entry whose uint16 word, one
 # of _WORDS values, falls below a threshold this many standard
@@ -93,6 +105,63 @@ def prepare_train(
     words = rng.integers(0, 2**32, -(-count // 32), dtype=np.uint32)
     packed = words.astype("<u4", copy=False).view(np.uint8)[:-(-count // 8)]
     return PulseTrain(owner, packed, count, mu)
+
+
+class _DrawnTrain(PulseTrain):
+    """A train of prepare_train's bytes, drawn again where they are read.
+
+    Its bytes are bytes [base, base + ceil(n/8)) of the little-endian
+    64-bit words that bit_generator, which the train owns, gives from
+    its state at construction. _span draws the words that hold the
+    bytes asked for, moving the generator to the first of them with
+    advance, which takes a negative step modulo 2**128, the period, so
+    spans come back in any order. packed draws them all, once, on its
+    first read.
+    """
+
+    def __init__(self, owner: Owner, n: int, mu: float,
+                 bit_generator: np.random.BitGenerator, base: int) -> None:
+        object.__setattr__(self, "owner", owner)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "intensity", mu)
+        object.__setattr__(self, "_generator", bit_generator)
+        object.__setattr__(self, "_base", base)
+        object.__setattr__(self, "_at", 0)  # the generator's next word
+
+    @cached_property
+    def packed(self) -> np.ndarray:
+        packed = self._span(0, -(-self.n // 8))
+        packed.flags.writeable = False
+        return packed
+
+    def _span(self, lo: int, hi: int) -> np.ndarray:
+        lo += self._base
+        hi += self._base
+        first, stop = lo >> 3, (hi + 7) >> 3
+        self._generator.advance(first - self._at)
+        object.__setattr__(self, "_at", stop)
+        words = self._generator.random_raw(stop - first)
+        skip = first << 3
+        return words.astype("<u8", copy=False).view(np.uint8)[
+            lo - skip:hi - skip]
+
+
+def _drawn_trains(n: int, mu: float, rng: np.random.Generator
+                  ) -> tuple[_DrawnTrain, _DrawnTrain]:
+    """Alice's and Bob's prepare_train trains, drawn where they are read.
+
+    Two prepare_train calls take 2*ceil(n/32) uint32 words, the low then
+    the high half of each of ceil(n/32) 64-bit words, when rng holds no
+    buffered half-word, as a fresh generator does. So Alice's bytes
+    start at byte 0 of those 64-bit words and Bob's at byte
+    4*ceil(n/32); rng skips the words, and draws on as after the calls.
+    """
+    words = -(-n // 32)
+    bits = rng.bit_generator
+    a = _DrawnTrain(Owner.ALICE, n, mu, copy.deepcopy(bits), 0)
+    b = _DrawnTrain(Owner.BOB, n, mu, copy.deepcopy(bits), 4 * words)
+    bits.advance(words)
+    return a, b
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,12 +211,15 @@ def run_measurement(
     to each slot's ideal phase difference. The clicks are drawn first
     (channel.detect_slots over the slots [2, 2N-1]), and the module
     docstring's rule gives the sender bits at the clicked slots only;
-    the record keeps them for sift. One pass reads each click's two
-    bits from the packed bytes, a tile of at most _TILE clicks at a
-    time, and applies the tile's phase bits (channel.shift_phase). The
-    pass preallocates one int64 index buffer; the rest is uint8
-    temporaries of at most 32 KB per tile. N = 1 yields no interior
-    slots.
+    the record keeps them for sift. One pass walks the clicks a window
+    of at most _SPAN_SLOTS slots at a time. Each train gives a window
+    the span of its bytes from the window's first click to its last
+    (PulseTrain._span), which run_protocol's trains draw again for it:
+    at most 256 KB each. The pass reads each click's two bits from
+    those bytes, a tile of at most _TILE clicks at a time, and applies
+    the tile's phase bits (channel.shift_phase). It preallocates one
+    int64 index buffer; the rest is uint8 temporaries of at most 32 KB
+    per tile. N = 1 yields no interior slots.
     """
     if a.owner is not Owner.ALICE or b.owner is not Owner.BOB:
         raise ParameterError("expected trains in (alice, bob) order")
@@ -166,25 +238,36 @@ def run_measurement(
     a_bits = np.empty(clicks, dtype=np.uint8)
     b_bits = np.empty(clicks, dtype=np.uint8)
     index = np.empty(min(_TILE, clicks), dtype=np.int64)
-    for lo in range(0, clicks, _TILE):
+    start = 0
+    while start < clicks:
         # slot j reads b[(j>>1)-1] = b[(j-2)>>1] and a[(j-1)>>1]. Bit i
         # is bit i & 7, most significant first, of byte i >> 3: with
         # k = 2 for Bob and 1 for Alice, the bit sits in byte (j-k) >> 4
-        # at shift ((j-k) >> 1) & 7, which the low byte of j gives
-        j = slots[lo:lo + _TILE]
-        m = j.size
-        at = index[:m]
-        low = j.astype(np.uint8)  # j mod 256
-        ab, bb = a_bits[lo:lo + m], b_bits[lo:lo + m]
-        for packed, k, out in ((b.packed, 2, bb), (a.packed, 1, ab)):
-            np.subtract(j, k, out=at)
-            at >>= 4
-            np.take(packed, at, out=out)
-            out >>= 7 - (((low - k) >> 1) & 7)
-            out &= 1
-        low &= 1  # the odd slots' pi shift, then the phase difference
-        low ^= ab ^ bb
-        shift_phase(outcomes[lo:lo + m], resolved[lo:lo + m], low)
+        # at shift ((j-k) >> 1) & 7, which the low byte of j gives. The
+        # clicks within _SPAN_SLOTS slots of the first read one span of
+        # each train, from the first click's byte to the last click's
+        stop = int(np.searchsorted(slots, slots[start] + _SPAN_SLOTS))
+        spans = []
+        for train, k in ((b, 2), (a, 1)):
+            first = (int(slots[start]) - k) >> 4
+            last = (int(slots[stop - 1]) - k) >> 4
+            spans.append((train._span(first, last + 1), k, k + (first << 4)))
+        for lo in range(start, stop, _TILE):
+            j = slots[lo:min(lo + _TILE, stop)]
+            m = j.size
+            at = index[:m]
+            low = j.astype(np.uint8)  # j mod 256
+            ab, bb = a_bits[lo:lo + m], b_bits[lo:lo + m]
+            for (span, k, offset), out in zip(spans, (bb, ab)):
+                np.subtract(j, offset, out=at)
+                at >>= 4
+                np.take(span, at, out=out)
+                out >>= 7 - (((low - k) >> 1) & 7)
+                out &= 1
+            low &= 1  # the odd slots' pi shift, then the phase difference
+            low ^= ab ^ bb
+            shift_phase(outcomes[lo:lo + m], resolved[lo:lo + m], low)
+        start = stop
     return DetectionRecords(n, slots, outcomes, resolved, a_bits, b_bits)
 
 
@@ -322,7 +405,9 @@ def run_protocol(
 
     All randomness (phase bits, detector draws, test sampling) comes
     from one generator seeded with config.rng_seed, so reruns with an
-    identical config reproduce the report exactly. Requires n_pairs >= 2
+    identical config reproduce the report exactly. The trains are the
+    bytes two prepare_train calls would draw, but drawn where they are
+    read (_drawn_trains), so no N-bit train is kept. Requires n_pairs >= 2
     (shorter trains have no interior slots) and at least one detection.
     The threshold and the link are checked before the first draw.
     """
@@ -331,13 +416,13 @@ def run_protocol(
     _check_abort_threshold(qber_abort_threshold)
     state = ChannelState.for_distance(config.distance, system)
     rng = np.random.default_rng(config.rng_seed)
-    a = prepare_train(Owner.ALICE, config.n_pairs, config.intensity, rng)
-    b = prepare_train(Owner.BOB, config.n_pairs, config.intensity, rng)
-    # the packed trains and the detection record, bar the slots and
-    # sender bits the key keeps, do not outlive the sift, so they are
-    # freed before the QBER test sample. There a dense run's memory
-    # peaks, at the sifted key plus three bytes per entry: the sample's
-    # uint16 words and its mask
+    a, b = _drawn_trains(config.n_pairs, config.intensity, rng)
+    # the trains hold no bytes, only their generators, which draw each
+    # window's bytes again where run_measurement reads them; they and
+    # the detection record, bar the slots and sender bits the key keeps,
+    # do not outlive the sift, so they are freed before the QBER test
+    # sample. There a dense run's memory peaks, at the sifted key plus
+    # three bytes per entry: the sample's uint16 words and its mask
     sifted_all = sift(run_measurement(a, b, state, rng), a, b)
     del a, b
     detected = len(sifted_all)

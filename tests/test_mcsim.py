@@ -21,6 +21,7 @@ from tfqss.core import (
 from tfqss.keyrate import gain, qber
 from tfqss.mcsim import (
     DetectionRecords,
+    _drawn_trains,
     _test_sample,
     estimate_qber,
     prepare_train,
@@ -141,6 +142,38 @@ def test_prepare_train_rejects_a_non_integer_count_before_drawing(
     with pytest.raises(ParameterError, match=match):
         prepare_train(Owner.ALICE, n, mu, rng)
     assert rng.random() == np.random.default_rng(24).random()
+
+
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 64, 65, 3_000_001])
+def test_drawn_trains_are_the_two_prepare_train_trains(n):
+    # run_protocol's trains draw their bytes again where they are read:
+    # they are the bytes of two prepare_train calls, for an odd and an
+    # even count of uint32 words each, and the generator goes on as
+    # after those calls
+    rng = np.random.default_rng(n)
+    ref = np.random.default_rng(n)
+    drawn = _drawn_trains(n, 0.1, rng)
+    kept = (prepare_train(Owner.ALICE, n, 0.1, ref),
+            prepare_train(Owner.BOB, n, 0.1, ref))
+    size = -(-n // 8)
+    # spans out of order, from the last byte back to the first, starting
+    # on an odd word (byte 4), within one word, and sharing a word
+    reads = [(size - 1, size), (4, 9), (5, 6), (6, 8), (0, 1), (1, 12),
+             (0, size), (9, 17), (size // 2, size), (3, 5)]
+    for train, ref_train in zip(drawn, kept):
+        assert train.owner is ref_train.owner and len(train) == n
+        for lo, hi in reads:
+            if hi <= size:
+                assert np.array_equal(train._span(lo, hi),
+                                      ref_train.packed[lo:hi]), (lo, hi)
+        assert np.array_equal(train.packed, ref_train.packed)
+        assert not train.packed.flags.writeable
+        assert np.array_equal(train.bits, ref_train.bits)
+    assert rng.random() == ref.random()
+    assert np.array_equal(rng.integers(0, 1 << 16, 7, dtype=np.uint16),
+                          ref.integers(0, 1 << 16, 7, dtype=np.uint16))
+    assert np.array_equal(rng.integers(0, 2, 5, dtype=np.uint8),
+                          ref.integers(0, 2, 5, dtype=np.uint8))
 
 
 # ------------------------------------------------------------ measurement
@@ -415,6 +448,51 @@ def test_sparse_run_peaks_under_a_byte_per_pulse_pair():
         tracemalloc.stop()
     assert report.detected_slots > 15_000
     assert peak < config.n_pairs, peak / config.n_pairs
+
+
+@pytest.mark.parametrize("n_pairs, distance, bytes_per_pair", [
+    (2 * 10**7, 100.0, 0.3),
+    (10**8, 400.0, 0.05),
+], ids=["100km", "400km"])
+def test_sparse_run_keeps_no_train(n_pairs, distance, bytes_per_pair):
+    # run_protocol draws the phase bytes that each window of slots
+    # reads, at most 256 KB a train, instead of keeping N/4 bytes of
+    # packed trains: near 0.20 bytes per pair at 100 km (0.45 with the
+    # trains kept) and 0.02 at 400 km. One span from the first click to
+    # the last would read both trains whole: 0.40 and 0.26
+    config = ProtocolConfig(intensity=0.05, n_pairs=n_pairs,
+                            distance=distance, rng_seed=1)
+    tracemalloc.start()
+    try:
+        report = run_protocol(DEFAULTS, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.detected_slots > 2_000
+    assert peak < bytes_per_pair * n_pairs, peak / n_pairs
+
+
+@pytest.mark.parametrize("span_slots, tile", [
+    (2, 1 << 15), (17, 3), (1000, 7)])
+def test_windows_of_few_slots_read_the_same_bits(monkeypatch, span_slots,
+                                                 tile):
+    # each window of _SPAN_SLOTS slots reads one span of each train, a
+    # tile of _TILE clicks at a time; cut into many short windows and
+    # tiles, trains kept or drawn where read give the same record
+    params = SystemParams(dark_count_rate=0.01, misalignment=0.1)
+    state = ChannelState(eta=0.1, params=params)
+    n = 20_001
+    kept = _trains(n, 0.3, 32)
+    default = run_measurement(*kept, state, np.random.default_rng(33))
+    monkeypatch.setattr("tfqss.mcsim._SPAN_SLOTS", span_slots)
+    monkeypatch.setattr("tfqss.mcsim._TILE", tile)
+    for a, b in (kept, _drawn_trains(n, 0.3, np.random.default_rng(32))):
+        records = run_measurement(a, b, state, np.random.default_rng(33))
+        assert records.click_slots.size > 1000
+        for name in ("click_slots", "click_outcomes", "click_resolved",
+                     "click_a_bits", "click_b_bits"):
+            assert np.array_equal(getattr(records, name),
+                                  getattr(default, name))
 
 
 # ----------------------------------------------------------------- sifting
