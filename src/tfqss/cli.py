@@ -12,6 +12,7 @@ run aborted on its QBER estimate.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -238,7 +239,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call.
+
+    Each add_argument asks for the terminal size, so a process that
+    calls main repeatedly builds it once; parse_args keeps no state.
+    """
     parser = _Parser(
         prog="tfqss",
         description="Twin-field differential-phase-shift QSS tools",

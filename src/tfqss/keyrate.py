@@ -28,20 +28,21 @@ the eavesdropper already knows everything.
 Each formula is written once, as a numpy expression: the functions
 here take scalars or arrays that broadcast against each other (only
 key_rate's distance must be a scalar) and return floats for scalar
-input and arrays otherwise. The optimizer
-evaluates a whole (lanes x grid) block of (mu, eta) points per call of
-rate_at_transmittance; each element goes through exactly the arithmetic
-of a scalar call, so an array result equals the elementwise scalar
-results bit for bit. Domain errors name the first offending element
-in C order. The kernels read p_d, e_d and f by name from their params
-argument, and these too may be arrays that broadcast against mu and
-eta: the optimizer gives each lane its own e_d that way, passing a
+input and arrays otherwise. Each element goes through exactly the
+arithmetic of a scalar call, so an array result equals the elementwise
+scalar results bit for bit. Domain errors name the first offending
+element in C order. The kernels read p_d, e_d and f by name from their
+params argument, and these too may be arrays that broadcast against mu
+and eta: the optimizer gives each lane its own e_d that way, passing a
 record with SystemParams' three field names. Like mu and eta they
 enter each element's arithmetic alone, so a lane's result does not
-depend on its neighbours. The optimizer's root search calls _rate_and_slope, which
-returns the same rate together with dR/dmu and d2R/dmu2 from one pass
-over the same expressions; it validates no argument, and only the
-rate's Q == 0 check runs.
+depend on its neighbours. The optimizer's grid validates its lanes
+once with _check_eta and then evaluates _rate_terms on (lanes x grid)
+tiles of (mu, eta) points, which gives rate_at_transmittance's rate
+for each of them. Its root search calls _rate_and_slope, which returns
+the same rate together with dR/dmu and d2R/dmu2 from one pass over the
+same expressions; it validates no argument, and only the rate's
+Q == 0 check runs.
 """
 
 from __future__ import annotations

@@ -10,10 +10,11 @@ optimum.
 
 The optimizer works on lanes: a 1-D array of arm transmittances, one
 independent maximization each, with the channel's p_d, e_d and f
-either shared or given per lane. The grid takes one (lanes x grid)
-call of the rate kernel keyrate.rate_at_transmittance per block of at
-most 192 lanes, and the root search then runs all lanes in lockstep,
-one slope call per step, with np.where choosing each lane's branch.
+either shared or given per lane. The grid is one call of _grid_best,
+which validates the lanes once and runs the rate kernel over tiles of
+at most 4,096 (lane, mu) points, and the root search then runs all
+lanes in lockstep, one slope call per step, with np.where choosing
+each lane's branch.
 A lane's first probe is its best grid point; each probe moves the
 bracket to the side its slope points to, and the lane takes Newton's
 step where the slope is concave and the step stays inside its
@@ -51,7 +52,12 @@ from .core import (
     SystemParams,
     _as_int,
 )
-from .keyrate import _rate_and_slope, rate_at_transmittance
+from .keyrate import (
+    _check_eta,
+    _rate_and_slope,
+    _rate_terms,
+    rate_at_transmittance,
+)
 
 MU_MIN = 1e-6
 MU_MAX = MAX_INTENSITY - 1e-6
@@ -63,11 +69,12 @@ _STOP = 1e-14
 # rate peaks at the saturation edge bisect there, and of 4,800 lanes
 # drawn over the admitted domain the slowest make 45 steps (48 calls)
 _REFINE_ITERS = 60
-# lanes per kernel call on the grid, at most: the lanes split into the
-# fewest blocks of one size, so find_crossover's walk (161 lanes) takes
-# one call and the default scan (142 lanes for each of three e_d) three,
-# while each (lanes x grid) temporary stays bounded
-_GRID_BLOCK = 192
+# (lane, mu) points per tile of the grid, at most: _grid_best splits the
+# lanes into the fewest tiles of one size, so at the default grid a
+# tile holds 64 lanes and each float64 temporary 32 KB. Those stay in
+# cache and on the heap; 80 KB ones (161 lanes) were page-faulted in
+# again on every call
+_GRID_TILE = 4096
 # bisection levels find_crossover evaluates per optimizer call, at most:
 # a round stops at the level whose cells are within tol
 _BISECT_LEVELS = 5
@@ -80,6 +87,31 @@ class _Channel(NamedTuple):
     dark_count_rate: float | np.ndarray
     misalignment: float | np.ndarray
     ec_efficiency: float | np.ndarray
+
+
+def _grid_best(grid: np.ndarray, lanes: np.ndarray,
+               channel: _Channel) -> tuple[np.ndarray, np.ndarray]:
+    """Index and rate of each lane's best point of the mu grid.
+
+    The argmax and max over the grid of
+    rate_at_transmittance(grid, lanes[:, None], channel).rate, bit for
+    bit, and with its errors: eta is validated once for all lanes, then
+    the rate runs over the fewest tiles of one size holding at most
+    _GRID_TILE points (one lane at least), so its temporaries stay
+    small however many lanes there are.
+    """
+    _check_eta(lanes)
+    n_tiles = max(1, -(-lanes.size // max(1, _GRID_TILE // grid.size)))
+    tile = max(1, -(-lanes.size // n_tiles))
+    best = np.empty(lanes.size, dtype=np.intp)
+    grid_best = np.empty(lanes.size)
+    for i in range(0, lanes.size, tile):
+        rates = _rate_terms(grid, lanes[i:i + tile, None], channel._make(
+            v[i:i + tile, None] if isinstance(v, np.ndarray) else v
+            for v in channel))[-1]
+        best[i:i + tile] = rates.argmax(axis=1)
+        grid_best[i:i + tile] = rates.max(axis=1)
+    return best, grid_best
 
 
 def _maximize_lanes(lanes: np.ndarray, channel: _Channel,
@@ -98,20 +130,8 @@ def _maximize_lanes(lanes: np.ndarray, channel: _Channel,
     grid = np.array([MU_MIN * ratio**i for i in range(grid_size - 1)]
                     + [MU_MAX])
     # the grid validates eta (and raises where the gain is 0) for the
-    # slope calls below, which validate nothing. It runs in the fewest
-    # blocks of at most _GRID_BLOCK lanes, all of one size, and keeps
-    # only each lane's best grid point
-    n_blocks = max(1, -(-lanes.size // _GRID_BLOCK))
-    block = max(1, -(-lanes.size // n_blocks))
-    best = np.empty(lanes.size, dtype=np.intp)
-    grid_best = np.empty(lanes.size)
-    for i in range(0, lanes.size, block):
-        rates = rate_at_transmittance(
-            grid, lanes[i:i + block, None], channel._make(
-                v[i:i + block, None] if isinstance(v, np.ndarray) else v
-                for v in channel)).rate
-        best[i:i + block] = rates.argmax(axis=1)
-        grid_best[i:i + block] = rates.max(axis=1)
+    # slope calls below, which validate nothing
+    best, grid_best = _grid_best(grid, lanes, channel)
     mu_best = grid[best]
     keyed = grid_best > 0.0
 

@@ -96,6 +96,17 @@ def test_cli_overrides_beat_config_file(tmp_path):
     assert settings["n_pairs"] == 10**6  # untouched default
 
 
+def test_parser_is_built_once_and_keeps_no_settings():
+    # main reuses one parser per process; a parse leaves nothing behind
+    # for the next one
+    assert cli._build_parser() is cli._build_parser()
+    first = cli._merge_settings(
+        cli._build_parser().parse_args(["simulate", "--mu", "0.09"]))
+    second = cli._merge_settings(cli._build_parser().parse_args(["scan"]))
+    assert first == {**cli.default_settings(), "mu": 0.09}
+    assert second == cli.default_settings()
+
+
 # ------------------------------------------------------------------- scan
 
 

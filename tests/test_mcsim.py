@@ -859,9 +859,12 @@ def test_estimate_qber_rejects_bad_arguments():
 
 def test_run_protocol_checks_threshold_and_link_before_drawing(monkeypatch):
     def no_draw(*args):
-        raise AssertionError("prepare_train called")
+        raise AssertionError("drew before checking")
 
-    monkeypatch.setattr("tfqss.mcsim.prepare_train", no_draw)
+    # run_protocol draws its trains with _drawn_trains and its clicks
+    # with detect_slots
+    monkeypatch.setattr("tfqss.mcsim._drawn_trains", no_draw)
+    monkeypatch.setattr("tfqss.mcsim.detect_slots", no_draw)
     config = ProtocolConfig(n_pairs=10**7)
     with pytest.raises(ParameterError, match="abort_threshold=2.0"):
         run_protocol(DEFAULTS, config, qber_abort_threshold=2.0)

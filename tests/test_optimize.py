@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -170,8 +171,8 @@ def test_scan_over_several_e_d_equals_one_scan_per_e_d():
         assert len(table[e_d]) == len(alone) == 71
         assert table[e_d] == alone
     # an e_d listed twice gets two identical sweeps under one key; with
-    # four sweeps the 568 lanes take three grid blocks of 190, so blocks
-    # hold lanes of two e_d
+    # four sweeps the 568 lanes take nine grid tiles (of 64, the last of
+    # 56), so tiles hold lanes of two e_d
     twice = scan_distances(0.0, 700.0, 10.0, DEFAULTS,
                            [0.04, 0.02, 0.04, 0.052])
     assert list(twice) == [0.04, 0.02, 0.052]
@@ -522,9 +523,9 @@ def test_mu_opt_is_the_50_digit_optimum_across_the_domain():
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """List that grows by one per rate or slope kernel call of the
-    optimizer."""
+    optimizer; its tiled grid counts as one call."""
     calls = []
-    for name in ("rate_at_transmittance", "_rate_and_slope"):
+    for name in ("rate_at_transmittance", "_rate_and_slope", "_grid_best"):
         kernel = getattr(tfqss.optimize, name)
 
         def counted(*args, kernel=kernel):
@@ -625,12 +626,13 @@ def test_find_crossover_makes_few_kernel_calls(kernel_calls):
 
 
 def test_scan_makes_few_kernel_calls(kernel_calls):
-    # every e_d's 142 lanes in one optimizer call: three grid blocks of
-    # 142 lanes, the best grid points and the lockstep steps, and one
-    # final breakdown (18 calls with one optimizer call per e_d, 33 with
-    # regula falsi, 61 with 16-lane grid calls and a 4-ulp stop)
+    # every e_d's 142 lanes in one optimizer call: one tiled grid call
+    # for all 426 lanes, the best grid points and the lockstep steps,
+    # and one final breakdown (8 calls with a grid call per block of
+    # 142 lanes, 18 with one optimizer call per e_d, 33 with regula
+    # falsi, 61 with 16-lane grid calls and a 4-ulp stop)
     scan_distances(0.0, 700.0, 10.0, DEFAULTS, [0.02, 0.04, 0.052])
-    assert len(kernel_calls) <= 8
+    assert len(kernel_calls) <= 6
 
 
 def test_find_crossover_evaluates_only_the_points_it_reads(monkeypatch):
@@ -655,3 +657,63 @@ def test_find_crossover_evaluates_only_the_points_it_reads(monkeypatch):
     assert find_crossover(DEFAULTS) == 172.79296875
     assert distances == [161, 31, 15]
     assert all(points == lanes for points, lanes in slope_points)
+
+
+def _mu_grid(size):
+    ratio = (MU_MAX / MU_MIN) ** (1.0 / (size - 1))
+    return np.array([MU_MIN * ratio**i for i in range(size - 1)] + [MU_MAX])
+
+
+@pytest.mark.parametrize("grid_size", [16, 64, 256])
+@pytest.mark.parametrize("n_lanes", [0, 1, 63, 64, 65, 161, 426])
+@pytest.mark.parametrize("per_lane", [False, True])
+def test_grid_tiles_give_the_untiled_argmax_and_max(
+        monkeypatch, grid_size, n_lanes, per_lane):
+    # each tile holds at most _GRID_TILE (lane, mu) points, and its lanes
+    # keep the best grid point one (lanes x grid) rate call gives them
+    grid = _mu_grid(grid_size)
+    lanes = np.array([transmittance(d, DEFAULTS)
+                      for d in np.linspace(0.0, 800.0, n_lanes)])
+    e_d = np.linspace(0.0, 0.1, n_lanes) if per_lane else 0.02
+    channel = tfqss.optimize._Channel(1e-6, e_d, 1.1)
+    points = []
+    terms = tfqss.optimize._rate_terms
+
+    def counted(mu, eta, params):
+        points.append(np.broadcast(mu, eta).size)
+        return terms(mu, eta, params)
+
+    monkeypatch.setattr(tfqss.optimize, "_rate_terms", counted)
+    best, best_rate = tfqss.optimize._grid_best(grid, lanes, channel)
+    whole = rate_at_transmittance(grid, lanes[:, None], channel._make(
+        v[:, None] if isinstance(v, np.ndarray) else v for v in channel))
+    rates = np.reshape(whole.rate, (n_lanes, grid_size))
+    assert np.array_equal(best, rates.argmax(axis=1))
+    assert np.array_equal(best_rate, rates.max(axis=1))
+    assert sum(points) == n_lanes * grid_size
+    assert max(points, default=0) <= tfqss.optimize._GRID_TILE
+
+
+def test_grid_tiles_raise_the_untiled_errors():
+    # the lanes are validated once, before any tile, and a lane without
+    # gain raises from whichever tile holds it
+    etas = np.linspace(0.9, 0.1, 161)
+    etas[100] = 1.5
+    with pytest.raises(ParameterError, match=r"^eta=1\.5 outside"):
+        maximize_rate_at_transmittance(etas, DEFAULTS)
+    etas[100] = 0.0
+    with pytest.raises(DegenerateChannelError):
+        maximize_rate_at_transmittance(
+            etas, replace(DEFAULTS, dark_count_rate=0.0))
+
+
+def test_find_crossover_temporaries_stay_small():
+    # the grid's tiles hold 32 KB per temporary at the default grid; one
+    # (161 x 64) block held 80 KB, and its peak was 832 KB
+    tracemalloc.start()
+    try:
+        find_crossover(DEFAULTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * 1024
