@@ -12,9 +12,10 @@ The optimizer works on lanes: a 1-D array of arm transmittances, one
 independent maximization each, with the channel's p_d, e_d and f
 either shared or given per lane. The grid is one call of _grid_best,
 which validates the lanes once and runs the rate kernel over tiles of
-at most 4,096 (lane, mu) points, and the root search then runs all
-lanes in lockstep, one slope call per step, with np.where choosing
-each lane's branch.
+at most 4,096 (lane, mu) points, and the root search then runs the
+lanes with key on the grid in lockstep, one slope call per step, with
+np.where choosing each lane's branch; the others keep MU_MIN and rate
+0, and a call with none makes no slope call.
 A lane's first probe is its best grid point; each probe moves the
 bracket to the side its slope points to, and the lane takes Newton's
 step where the slope is concave and the step stays inside its
@@ -27,8 +28,11 @@ on the default parameters. A lane does exactly the arithmetic of a
 one-lane run, so results match one-lane calls bit for bit.
 scan_distances puts every distance of every e_d into one call, each
 lane with its own e_d, and find_crossover its whole coarse walk, then
-at most five bisection levels (31 midpoints) per call. grid_size is
-the one setting a caller may change.
+at most five bisection levels (31 midpoints) per call. The search
+returns each lane's rate at mu_opt with it; find_crossover reads that
+rate, with no breakdown call, and evaluates the PLOB bound lazily:
+in ascending order, at keyed points only, up to the first point that
+beats it. grid_size is the one setting a caller may change.
 """
 
 from __future__ import annotations
@@ -88,6 +92,12 @@ class _Channel(NamedTuple):
     misalignment: float | np.ndarray
     ec_efficiency: float | np.ndarray
 
+    def take(self, index) -> _Channel:
+        """The channel of the lanes index selects: each array field
+        indexed, each float kept."""
+        return self._make(v[index] if isinstance(v, np.ndarray) else v
+                          for v in self)
+
 
 def _grid_best(grid: np.ndarray, lanes: np.ndarray,
                channel: _Channel) -> tuple[np.ndarray, np.ndarray]:
@@ -106,20 +116,24 @@ def _grid_best(grid: np.ndarray, lanes: np.ndarray,
     best = np.empty(lanes.size, dtype=np.intp)
     grid_best = np.empty(lanes.size)
     for i in range(0, lanes.size, tile):
-        rates = _rate_terms(grid, lanes[i:i + tile, None], channel._make(
-            v[i:i + tile, None] if isinstance(v, np.ndarray) else v
-            for v in channel))[-1]
+        rates = _rate_terms(grid, lanes[i:i + tile, None],
+                            channel.take(np.s_[i:i + tile, None]))[-1]
         best[i:i + tile] = rates.argmax(axis=1)
         grid_best[i:i + tile] = rates.max(axis=1)
     return best, grid_best
 
 
 def _maximize_lanes(lanes: np.ndarray, channel: _Channel,
-                    grid_size) -> np.ndarray:
-    """mu_opt of each lane of the 1-D transmittance array lanes.
+                    grid_size) -> tuple[np.ndarray, np.ndarray]:
+    """(mu_opt, rate) of each lane of the 1-D transmittance array lanes.
 
     maximize_rate_at_transmittance's search, each lane with its own
-    channel values where a field of channel is an array.
+    channel values where a field of channel is an array. The root search
+    runs on the lanes with key on the grid alone; the others keep MU_MIN
+    and rate 0, and a call without such a lane makes no slope call. The
+    rate is rate_at_transmittance(mu_opt, lanes, channel).rate bit for
+    bit: the last keyed probe's, or the best grid point's where the lane
+    keeps that point.
     """
     size = _as_int(grid_size)
     if size is None or size < 16:
@@ -132,15 +146,22 @@ def _maximize_lanes(lanes: np.ndarray, channel: _Channel,
     # the grid validates eta (and raises where the gain is 0) for the
     # slope calls below, which validate nothing
     best, grid_best = _grid_best(grid, lanes, channel)
+    # a lane without key on the grid keeps its first point, MU_MIN, and
+    # rate 0; the root search runs on the others alone
+    mu_all, rate_all = grid[best], grid_best
+    keyed = np.flatnonzero(grid_best > 0.0)
+    if keyed.size == 0:
+        return mu_all, rate_all
+    best, grid_best, lanes = best[keyed], grid_best[keyed], lanes[keyed]
+    channel = channel.take(keyed)
     mu_best = grid[best]
-    keyed = grid_best > 0.0
 
     lo = grid[np.maximum(best - 1, 0)]
     hi = grid[np.minimum(best + 1, grid_size - 1)]
     x = mu_best  # the first probe is the best grid point
-    running = keyed
+    running = np.ones(keyed.size, dtype=bool)
     mu_opt, mu_rate = mu_best, grid_best
-    last = np.zeros(lanes.size, dtype=bool)
+    last = np.zeros(keyed.size, dtype=bool)
     for _ in range(_REFINE_ITERS + 1):
         rate, g, curv = _rate_and_slope(x, lanes, channel)
         # the answer is the last probe with key: where the rate jumps
@@ -171,7 +192,10 @@ def _maximize_lanes(lanes: np.ndarray, channel: _Channel,
         last = newton & (size <= _STOP**0.5 * x)
         x = np.where(newton, target, 0.5 * (lo + hi))
     # rounding can leave the root a hair below a grid point's rate
-    return np.where(mu_rate >= grid_best, mu_opt, mu_best)
+    kept = mu_rate >= grid_best
+    mu_all[keyed] = np.where(kept, mu_opt, mu_best)
+    rate_all[keyed] = np.where(kept, mu_rate, grid_best)
+    return mu_all, rate_all
 
 
 def maximize_rate_at_transmittance(
@@ -199,7 +223,7 @@ def maximize_rate_at_transmittance(
     lanes = np.asarray(eta).reshape(-1)
     mu_opt = _maximize_lanes(lanes, _Channel(
         params.dark_count_rate, params.misalignment, params.ec_efficiency),
-        grid_size).reshape(shape)
+        grid_size)[0].reshape(shape)
     breakdown = rate_at_transmittance(mu_opt, lanes.reshape(shape), params)
     return (float(mu_opt) if shape == () else mu_opt), breakdown
 
@@ -259,7 +283,7 @@ def scan_distances(
     channel = _Channel(params.dark_count_rate,
                        np.repeat(e_d_list, len(etas)),
                        params.ec_efficiency)
-    mu_opt = _maximize_lanes(lanes, channel, grid_size)
+    mu_opt, _ = _maximize_lanes(lanes, channel, grid_size)
     bd = rate_at_transmittance(mu_opt, lanes, channel)
     # per e_d, the rows at L, then the rows at 2L
     shape = (len(e_d_list), 2, n_pts)
@@ -286,7 +310,10 @@ def find_crossover(
     Walks [0, l_max] in coarse steps, ending exactly at l_max, to
     bracket the first sign change of optimized_rate - plob, then bisects
     the bracket down to tol km (or to two adjacent floats). Returns
-    None when the rate never beats the bound on the walk.
+    None when the rate never beats the bound on the walk: a window where
+    it does, narrower than coarse_step, can lie between two walk points
+    and be missed (at e_d = 0.051602 the rate beats PLOB on
+    410.155-414.32 km, and the 5 km walk returns None).
 
     The whole walk is one optimizer call. Each bisection round takes
     the midpoints of its next levels, at most _BISECT_LEVELS and none
@@ -295,7 +322,9 @@ def find_crossover(
     Each midpoint is 0.5 * (a + b) of its own cell, so this is the
     float a one-point-at-a-time bisection returns wherever the excess
     changes sign once in the bracket; elsewhere it is the first
-    crossing among the points evaluated.
+    crossing among the points evaluated. Each call reads the rates the
+    search returns, and PLOB only at keyed points up to its first
+    crossing: PLOB >= 0, so rate > plob is the test rate - plob > 0.
     """
     if not 0.0 <= l_max < math.inf:
         raise ParameterError(f"l_max={l_max!r} must be >= 0 and finite")
@@ -306,11 +335,17 @@ def find_crossover(
         raise ParameterError(f"coarse_step={coarse_step!r} is too small: "
                              "l_max / coarse_step overflows")
 
-    def excess(distances: list[float]) -> np.ndarray:
-        etas = [transmittance(distance, params) for distance in distances]
-        _, bd = maximize_rate_at_transmittance(
-            etas, params, grid_size=grid_size)
-        return bd.rate - [plob_bound(d, params) for d in distances]
+    channel = _Channel(params.dark_count_rate, params.misalignment,
+                       params.ec_efficiency)
+
+    def first_crossing(distances: list[float]) -> int:
+        # the first distance whose optimized rate beats PLOB, else
+        # len(distances); a point with rate 0 never does
+        lanes = np.array([transmittance(d, params) for d in distances])
+        rates = _maximize_lanes(lanes, channel, grid_size)[1].tolist()
+        return next((i for i, (d, rate) in enumerate(zip(distances, rates))
+                     if rate > 0.0 and rate > plob_bound(d, params)),
+                    len(distances))
 
     n_steps = int(l_max / coarse_step + 1e-9)
     walk = [min(i * coarse_step, l_max) for i in range(n_steps + 1)]
@@ -323,12 +358,11 @@ def find_crossover(
     live = len(walk)
     if params.dark_count_rate == 0.0:
         live = sum(MU_MIN * transmittance(d, params) > 0.0 for d in walk)
-    crossed = np.flatnonzero(excess(walk[:live]) > 0.0)
-    if crossed.size == 0:
+    i = first_crossing(walk[:live])
+    if i == live:
         if live < len(walk):
-            excess(walk[live:])  # raises DegenerateChannelError
+            first_crossing(walk[live:])  # raises DegenerateChannelError
         return None
-    i = int(crossed[0])
     if i == 0:
         return 0.0
     lo, hi = walk[i - 1], walk[i]
@@ -344,6 +378,6 @@ def find_crossover(
             if min(b - a for a, b in zip(edges, edges[1:])) <= tol:
                 break
         # the first cell where the excess turns positive; at hi it is
-        j = int(np.argmax(np.append(excess(edges[1:-1]) > 0.0, True)))
+        j = first_crossing(edges[1:-1])
         lo, hi = edges[j], edges[j + 1]
     return hi

@@ -618,11 +618,46 @@ def test_saturation_edge_lane_closes_its_bracket(kernel_calls):
 
 def test_find_crossover_makes_few_kernel_calls(kernel_calls):
     # the walk's 161 lanes take one grid call, and each lane stops once
-    # its Newton step is at rounding level: six calls per optimizer call
-    # for the walk and two bisection rounds (29 with regula falsi, 43
-    # with 16-lane grid calls and a 4-ulp stop)
+    # its Newton step is at rounding level: five calls per optimizer call
+    # for the walk and two bisection rounds, which read the search's own
+    # rate and make no breakdown call (18 with one, 29 with regula falsi,
+    # 43 with 16-lane grid calls and a 4-ulp stop)
     assert find_crossover(DEFAULTS) == 172.79296875
-    assert len(kernel_calls) <= 18
+    assert len(kernel_calls) <= 15
+
+
+def test_lanes_without_key_make_no_slope_call(kernel_calls):
+    # at e_d = 0.2 no walk point has key on the grid: the grid call is
+    # the walk's only kernel call (three with a slope call for the best
+    # grid points and a breakdown)
+    assert find_crossover(SystemParams(misalignment=0.2)) is None
+    assert len(kernel_calls) == 1
+    # beyond the cutoff one lane takes its grid and breakdown calls
+    kernel_calls.clear()
+    mu_opt, bd = optimize_mu(1000.0, DEFAULTS)
+    assert (mu_opt, bd.rate) == (MU_MIN, 0.0)
+    assert len(kernel_calls) == 2
+
+
+def test_find_crossover_evaluates_plob_only_where_the_rate_keys(
+        monkeypatch):
+    # PLOB >= 0, so a point with rate 0 never beats it, and no point
+    # past the first crossing of a call is read: 36 walk points up to
+    # 175 km, then 18 and 14 midpoints in the two rounds (207 when every
+    # point of every call was evaluated)
+    distances = []
+
+    def counted(distance, params):
+        distances.append(distance)
+        return plob_bound(distance, params)
+
+    monkeypatch.setattr(tfqss.optimize, "plob_bound", counted)
+    # without key anywhere, PLOB is never evaluated
+    assert find_crossover(SystemParams(misalignment=0.2)) is None
+    assert distances == []
+    assert find_crossover(DEFAULTS) == 172.79296875
+    assert len(distances) == 68
+    assert all(optimize_mu(d, DEFAULTS)[1].rate > 0.0 for d in distances)
 
 
 def test_scan_makes_few_kernel_calls(kernel_calls):
@@ -640,23 +675,56 @@ def test_find_crossover_evaluates_only_the_points_it_reads(monkeypatch):
     # (31 midpoints), and four (15) once a cell is within tol; each
     # slope call probes one point per lane, the best grid point first
     distances, slope_points = [], []
-    maximize = tfqss.optimize.maximize_rate_at_transmittance
+    maximize = tfqss.optimize._maximize_lanes
     slope = tfqss.optimize._rate_and_slope
 
-    def counted_maximize(eta, params, **kwargs):
-        distances.append(len(eta))
-        return maximize(eta, params, **kwargs)
+    def counted_maximize(lanes, channel, grid_size):
+        distances.append(len(lanes))
+        return maximize(lanes, channel, grid_size)
 
     def counted_slope(mu, eta, params):
         slope_points.append((np.size(mu), np.size(eta)))
         return slope(mu, eta, params)
 
-    monkeypatch.setattr(tfqss.optimize, "maximize_rate_at_transmittance",
+    monkeypatch.setattr(tfqss.optimize, "_maximize_lanes",
                         counted_maximize)
     monkeypatch.setattr(tfqss.optimize, "_rate_and_slope", counted_slope)
     assert find_crossover(DEFAULTS) == 172.79296875
     assert distances == [161, 31, 15]
     assert all(points == lanes for points, lanes in slope_points)
+
+
+def test_lanes_of_the_domain_match_one_lane_calls_bit_for_bit():
+    # the first 300 draws of the audit domain, one row of uniforms for
+    # eta_d, the exponent of p_d, alpha, f, e_d and L each, in one call:
+    # each lane has its own p_d, e_d and f, and lanes with and without
+    # key interleave. Each gets a one-lane call's mu and rate, and the
+    # rate is the kernel's at that mu, which find_crossover reads
+    # instead of a breakdown
+    draws = np.random.default_rng(0).uniform(size=(3000, 6))[:300]
+    low = np.array([0.05, -12.0, 0.15, 1.0, 0.0, 0.0])
+    high = np.array([1.0, -2.0, 0.35, 1.5, 0.12, 800.0])
+    rows = (low + (high - low) * draws).tolist()
+    params = [SystemParams(detector_efficiency=eta_d,
+                           dark_count_rate=10.0**exponent,
+                           attenuation=alpha, ec_efficiency=f,
+                           misalignment=e_d)
+              for eta_d, exponent, alpha, f, e_d, _ in rows]
+    lanes = np.array([transmittance(row[5], p)
+                      for row, p in zip(rows, params)])
+    channel = tfqss.optimize._Channel(*(
+        np.array([getattr(p, name) for p in params])
+        for name in ("dark_count_rate", "misalignment", "ec_efficiency")))
+    mu_opt, rate = tfqss.optimize._maximize_lanes(lanes, channel, 64)
+    keyed = rate > 0.0
+    assert np.count_nonzero(keyed[1:] != keyed[:-1]) >= 20
+    one_lane = [maximize_rate_at_transmittance(eta, p)
+                for eta, p in zip(lanes.tolist(), params)]
+    one_mu, one_rate = np.array([(m, bd.rate) for m, bd in one_lane]).T
+    assert mu_opt.tobytes() == one_mu.tobytes()
+    assert rate.tobytes() == one_rate.tobytes()
+    assert rate.tobytes() == rate_at_transmittance(
+        mu_opt, lanes, channel).rate.tobytes()
 
 
 def _mu_grid(size):
