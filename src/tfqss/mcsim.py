@@ -280,7 +280,8 @@ def sift(
     retained slot satisfies c = a XOR b up to channel noise. The slots
     and sender bits are the record's own, which run_measurement read at
     the clicks by the module docstring's rule; they are passed on
-    uncopied, and only the dealer's bits are allocated.
+    uncopied, and only the dealer's bits are allocated. The slots are
+    not scanned again for their range, which the record checked.
     """
     n = len(a)
     if len(b) != n:
@@ -292,8 +293,8 @@ def sift(
     c_bits = records.click_slots.astype(np.uint8)
     c_bits &= 1
     c_bits ^= records.click_resolved
-    return SiftedKeys(slots=records.click_slots, a_bits=records.click_a_bits,
-                      b_bits=records.click_b_bits, c_bits=c_bits)
+    return SiftedKeys._of_interior(records.click_slots, records.click_a_bits,
+                                   records.click_b_bits, c_bits)
 
 
 class _RemainingKeys(SiftedKeys):
@@ -301,8 +302,9 @@ class _RemainingKeys(SiftedKeys):
 
     Its length is the mask's count, given. The first read of any of its
     four arrays masks all four out of the sifted key, once, and checks
-    them as SiftedKeys does; the sifted key and the mask are let go
-    then. A caller that only counts the remaining entries copies none.
+    them as SiftedKeys does, but for the slots' minimum, which the
+    sifted key checked; the sifted key and the mask are let go then. A
+    caller that only counts the remaining entries copies none.
     """
 
     def __init__(self, sifted: SiftedKeys, keep: np.ndarray,
@@ -316,8 +318,8 @@ class _RemainingKeys(SiftedKeys):
     @cached_property
     def _keys(self) -> SiftedKeys:
         keys, keep = self.__dict__.pop("_split")
-        return SiftedKeys(slots=keys.slots[keep], a_bits=keys.a_bits[keep],
-                          b_bits=keys.b_bits[keep], c_bits=keys.c_bits[keep])
+        return SiftedKeys._of_interior(keys.slots[keep], keys.a_bits[keep],
+                                       keys.b_bits[keep], keys.c_bits[keep])
 
     slots = property(lambda self: self._keys.slots)
     a_bits = property(lambda self: self._keys.a_bits)

@@ -10,29 +10,38 @@ optimum.
 
 The optimizer works on lanes: a 1-D array of arm transmittances, one
 independent maximization each, with the channel's p_d, e_d and f
-either shared or given per lane. The grid is one call of _grid_best,
-which validates the lanes once and runs the rate kernel over tiles of
-at most 4,096 (lane, mu) points, and the root search then runs the
-lanes with key on the grid in lockstep, one slope call per step, with
-np.where choosing each lane's branch; the others keep MU_MIN and rate
-0, and a call with none makes no slope call.
-A lane's first probe is its best grid point; each probe moves the
-bracket to the side its slope points to, and the lane takes Newton's
-step where the slope is concave and the step stays inside its
-bracket, and bisects otherwise.
+either shared or given per lane. It has two stages. The grid stage is
+one call of _grid_best, which validates the lanes once and runs the
+rate kernel over tiles of at most 4,096 (lane, mu) points; it gives
+each lane with key on the grid its start, the best grid point, and its
+bracket, that point's neighbors. The others keep MU_MIN and rate 0, and
+a call with none makes no slope call. The root search (_root_search)
+then runs the lanes in lockstep from their starts, one slope call per
+step, with np.where choosing each lane's branch.
+Each probe moves the bracket to the side its slope points to, and the
+lane takes Newton's step where the slope is concave and the step stays
+inside its bracket, and bisects otherwise.
 It stops at a zero slope, at a Newton step of at most 1e-14 of mu, one
 probe after a step of at most 1e-7 of mu (convergence is quadratic),
 once its bracket is 1e-14 of its upper end wide, or after
 _REFINE_ITERS steps. A one-lane optimization makes 5-6 kernel calls
 on the default parameters. A lane does exactly the arithmetic of a
 one-lane run, so results match one-lane calls bit for bit.
+A caller that knows where the optimum lies skips the grid:
+_maximize_from takes each lane's start and bracket, and only a lane
+whose search does not stop by Newton's criteria at a probe with key
+runs the grid stage, in the same call.
 scan_distances puts every distance of every e_d into one call, each
-lane with its own e_d, and find_crossover its whole coarse walk, then
-at most five bisection levels (31 midpoints) per call. The search
-returns each lane's rate at mu_opt with it; find_crossover reads that
-rate, with no breakdown call, and evaluates the PLOB bound lazily:
-in ascending order, at keyed points only, up to the first point that
-beats it. grid_size is the one setting a caller may change.
+lane with its own e_d (6 kernel calls at the defaults), and
+find_crossover its whole coarse walk, then at most five bisection
+levels (31 midpoints) per call. Its rounds start from the optima of
+their ends, with no grid call, so a crossing search at the defaults
+makes 9 kernel calls: the walk's grid and four slope steps, and two
+slope steps per round. The search returns each lane's rate at mu_opt
+with it; find_crossover reads that rate, with no breakdown call, and
+evaluates the PLOB bound lazily: in ascending order, at keyed points
+only, up to the first point that beats it. grid_size is the one
+setting a caller may change.
 """
 
 from __future__ import annotations
@@ -73,12 +82,22 @@ _STOP = 1e-14
 # rate peaks at the saturation edge bisect there, and of 4,800 lanes
 # drawn over the admitted domain the slowest make 45 steps (48 calls)
 _REFINE_ITERS = 60
+# root-search steps of a lane started by its caller (_maximize_from), at
+# most: Newton from a start 1e-3 off the root stops after four probes,
+# and a lane still bisecting after eight has no root in its bracket,
+# such as one whose rate peaks at the saturation edge (about 40 steps)
+_WARM_STEPS = 8
 # (lane, mu) points per tile of the grid, at most: _grid_best splits the
 # lanes into the fewest tiles of one size, so at the default grid a
 # tile holds 64 lanes and each float64 temporary 32 KB. Those stay in
 # cache and on the heap; 80 KB ones (161 lanes) were page-faulted in
 # again on every call
 _GRID_TILE = 4096
+# a warm-started rate within this fraction of PLOB leaves find_crossover's
+# test to the grid search, which a sequential bisection runs: warm and
+# grid-started optima agree to rounding, and their rates by up to 2.4e-12
+# of the rate over 1,000 draws of the parameter domain
+_TIE = 1e-9
 # bisection levels find_crossover evaluates per optimizer call, at most:
 # a round stops at the level whose cells are within tol
 _BISECT_LEVELS = 5
@@ -128,12 +147,14 @@ def _maximize_lanes(lanes: np.ndarray, channel: _Channel,
     """(mu_opt, rate) of each lane of the 1-D transmittance array lanes.
 
     maximize_rate_at_transmittance's search, each lane with its own
-    channel values where a field of channel is an array. The root search
-    runs on the lanes with key on the grid alone; the others keep MU_MIN
-    and rate 0, and a call without such a lane makes no slope call. The
-    rate is rate_at_transmittance(mu_opt, lanes, channel).rate bit for
-    bit: the last keyed probe's, or the best grid point's where the lane
-    keeps that point.
+    channel values where a field of channel is an array. The grid stage
+    picks each lane's start, its best grid point, and its bracket, that
+    point's neighbors; _root_search then runs on the lanes with key on
+    the grid alone. The others keep MU_MIN and rate 0, and a call
+    without such a lane makes no slope call. The rate is
+    rate_at_transmittance(mu_opt, lanes, channel).rate bit for bit: the
+    last keyed probe's, or the best grid point's where the lane keeps
+    that point.
     """
     size = _as_int(grid_size)
     if size is None or size < 16:
@@ -152,17 +173,63 @@ def _maximize_lanes(lanes: np.ndarray, channel: _Channel,
     keyed = np.flatnonzero(grid_best > 0.0)
     if keyed.size == 0:
         return mu_all, rate_all
-    best, grid_best, lanes = best[keyed], grid_best[keyed], lanes[keyed]
-    channel = channel.take(keyed)
+    best, grid_best = best[keyed], grid_best[keyed]
     mu_best = grid[best]
+    mu_opt, mu_rate, _ = _root_search(
+        mu_best, grid_best, grid[np.maximum(best - 1, 0)],
+        grid[np.minimum(best + 1, grid_size - 1)], lanes[keyed],
+        channel.take(keyed))
+    # rounding can leave the root a hair below a grid point's rate
+    kept = mu_rate >= grid_best
+    mu_all[keyed] = np.where(kept, mu_opt, mu_best)
+    rate_all[keyed] = np.where(kept, mu_rate, grid_best)
+    return mu_all, rate_all
 
-    lo = grid[np.maximum(best - 1, 0)]
-    hi = grid[np.minimum(best + 1, grid_size - 1)]
-    x = mu_best  # the first probe is the best grid point
-    running = np.ones(keyed.size, dtype=bool)
-    mu_opt, mu_rate = mu_best, grid_best
-    last = np.zeros(keyed.size, dtype=bool)
-    for _ in range(_REFINE_ITERS + 1):
+
+def _maximize_from(lanes: np.ndarray, channel: _Channel, grid_size,
+                   start: np.ndarray, lo: np.ndarray,
+                   hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mu_opt, rate) of each lane, its root search started at start
+    inside the bracket [lo, hi], with no grid call.
+
+    A lane keeps this warm answer only where its search stopped by
+    Newton's criteria at a probe with key within _WARM_STEPS steps; the
+    answer is then _maximize_lanes' to rounding, since both stop at the
+    same root from different probes. Every other lane, whose bracket
+    held no root or whose probes lost key, takes the grid search of
+    _maximize_lanes in the same call, and its answer bit for bit. The
+    lanes are validated as the grid validates them.
+    """
+    _check_eta(lanes)
+    mu_opt, rate, converged = _root_search(
+        start, np.zeros(lanes.size), lo, hi, lanes, channel, _WARM_STEPS)
+    cold = np.flatnonzero(~converged)
+    if cold.size:
+        mu_opt[cold], rate[cold] = _maximize_lanes(
+            lanes[cold], channel.take(cold), grid_size)
+    return mu_opt, rate
+
+
+def _root_search(x: np.ndarray, rate_x: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray, lanes: np.ndarray, channel: _Channel,
+                 steps: int = _REFINE_ITERS
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lockstep root search of dR/dmu from the start x, whose rate is
+    rate_x, inside the bracket [lo, hi] of each lane, at most steps steps.
+
+    Returns each lane's (mu_opt, rate), the last probe with key, or x and
+    rate_x where none has key, and whether the lane stopped by Newton's
+    criteria (a step at rounding level) at a probe with key: a lane that
+    stopped otherwise closed its bracket, ended on a probe without key
+    or where the slope is not concave, or ran out of steps. One slope
+    call per step; lanes and channel are validated by the caller.
+    """
+    start = x
+    running = np.ones(lanes.size, dtype=bool)
+    mu_opt, mu_rate = x, rate_x
+    last = np.zeros(lanes.size, dtype=bool)
+    converged = last
+    for _ in range(steps + 1):
         rate, g, curv = _rate_and_slope(x, lanes, channel)
         # the answer is the last probe with key: where the rate jumps
         # from 0 at the saturation edge, the root is that edge
@@ -170,8 +237,8 @@ def _maximize_lanes(lanes: np.ndarray, channel: _Channel,
         mu_opt = np.where(keyed_x, x, mu_opt)
         mu_rate = np.where(keyed_x, rate, mu_rate)
         # where the rate is clamped to 0 its slope and curvature are 0,
-        # yet the maximum lies toward the best grid point
-        g = np.where(rate > 0.0, g, mu_best - x)
+        # yet the maximum lies toward the start
+        g = np.where(rate > 0.0, g, start - x)
         up = running & (g > 0.0)  # the root lies above x
         down = running & (g < 0.0)
         lo, hi = np.where(up, x, lo), np.where(down, x, hi)
@@ -183,19 +250,16 @@ def _maximize_lanes(lanes: np.ndarray, channel: _Channel,
         newton = concave & (lo < target) & (target < hi)
         size = np.abs(step)
         # a step below _STOP of x leaves x at the root to rounding
-        running = ((up | down) & ~last & ~(concave & (size <= _STOP * x))
-                   & (hi - lo > _STOP * hi))
+        at_root = last | (concave & (size <= _STOP * x))
+        converged = converged | (keyed_x & at_root)
+        running = ((up | down) & ~at_root & (hi - lo > _STOP * hi))
         if not running.any():
             break
         # convergence is quadratic: a step below sqrt(_STOP) of x leaves
         # the next probe at the root to rounding
         last = newton & (size <= _STOP**0.5 * x)
         x = np.where(newton, target, 0.5 * (lo + hi))
-    # rounding can leave the root a hair below a grid point's rate
-    kept = mu_rate >= grid_best
-    mu_all[keyed] = np.where(kept, mu_opt, mu_best)
-    rate_all[keyed] = np.where(kept, mu_rate, grid_best)
-    return mu_all, rate_all
+    return mu_opt, mu_rate, converged
 
 
 def maximize_rate_at_transmittance(
@@ -297,6 +361,26 @@ def scan_distances(
     return result
 
 
+def _start_between(distances: list[float], end_a: tuple[float, float],
+                   end_b: tuple[float, float]
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(start, lo, hi) of _maximize_from for lanes at distances between
+    two points whose (distance, mu_opt) are end_a and end_b.
+
+    mu_opt is monotone in L wherever the optimum is an interior root of
+    the slope, rather than the saturation edge (which takes f <
+    1/h(6/19)), so each lane starts at the two optima's linear
+    interpolation in L, inside their bracket widened by sqrt(_STOP) of
+    its upper end: the ends' optima are roots only to rounding.
+    """
+    (l_a, mu_a), (l_b, mu_b) = end_a, end_b
+    pad = _STOP**0.5 * max(mu_a, mu_b)
+    lo = np.full(len(distances), max(MU_MIN, min(mu_a, mu_b) - pad))
+    hi = np.full(len(distances), min(MU_MAX, max(mu_a, mu_b) + pad))
+    t = (np.array(distances) - l_a) / (l_b - l_a)
+    return np.clip(mu_a + (mu_b - mu_a) * t, lo, hi), lo, hi
+
+
 def find_crossover(
     params: SystemParams,
     *,
@@ -325,6 +409,13 @@ def find_crossover(
     crossing among the points evaluated. Each call reads the rates the
     search returns, and PLOB only at keyed points up to its first
     crossing: PLOB >= 0, so rate > plob is the test rate - plob > 0.
+    A round whose two ends have key makes no grid call: each midpoint's
+    root search starts from the ends' mu_opt interpolated in L, inside
+    their bracket (_maximize_from), and only a lane whose search does
+    not converge there takes the grid. A round with an end without key
+    runs the grid search, and so does a round where a rate read lies
+    within _TIE of PLOB: warm and grid starts give the same optimum
+    only to rounding, and there rounding decides the test.
     """
     if not 0.0 <= l_max < math.inf:
         raise ParameterError(f"l_max={l_max!r} must be >= 0 and finite")
@@ -338,14 +429,40 @@ def find_crossover(
     channel = _Channel(params.dark_count_rate, params.misalignment,
                        params.ec_efficiency)
 
-    def first_crossing(distances: list[float]) -> int:
-        # the first distance whose optimized rate beats PLOB, else
-        # len(distances); a point with rate 0 never does
+    def above_plob(distances: list[float], rates: list[float]
+                   ) -> tuple[int, bool]:
+        # the first distance whose rate beats PLOB, else len(distances),
+        # and whether a rate read up to it lies within _TIE of PLOB.
+        # PLOB >= 0, so a point with rate 0 never beats it and PLOB is
+        # read at keyed points only
+        tie = False
+        for i, (d, rate) in enumerate(zip(distances, rates)):
+            if rate > 0.0:
+                plob = plob_bound(d, params)
+                tie = tie or abs(rate - plob) <= _TIE * rate
+                if rate > plob:
+                    return i, tie
+        return len(distances), tie
+
+    def first_crossing(distances: list[float], ends=None
+                       ) -> tuple[int, list[float | None]]:
+        # above_plob's index for the optimized rates at distances, and
+        # each distance's mu_opt, None where it has no key. ends, the
+        # (distance, mu_opt) of a round's two ends, warm-starts the lanes;
+        # a round whose warm rates tie with PLOB takes the grid search
         lanes = np.array([transmittance(d, params) for d in distances])
-        rates = _maximize_lanes(lanes, channel, grid_size)[1].tolist()
-        return next((i for i, (d, rate) in enumerate(zip(distances, rates))
-                     if rate > 0.0 and rate > plob_bound(d, params)),
-                    len(distances))
+        tie = True
+        if ends is not None:
+            mu, rates = _maximize_from(lanes, channel, grid_size,
+                                       *_start_between(distances, *ends))
+            rates = rates.tolist()
+            i, tie = above_plob(distances, rates)
+        if tie:
+            mu, rates = _maximize_lanes(lanes, channel, grid_size)
+            rates = rates.tolist()
+            i, _ = above_plob(distances, rates)
+        return i, [m if rate > 0.0 else None
+                   for m, rate in zip(mu.tolist(), rates)]
 
     n_steps = int(l_max / coarse_step + 1e-9)
     walk = [min(i * coarse_step, l_max) for i in range(n_steps + 1)]
@@ -358,7 +475,7 @@ def find_crossover(
     live = len(walk)
     if params.dark_count_rate == 0.0:
         live = sum(MU_MIN * transmittance(d, params) > 0.0 for d in walk)
-    i = first_crossing(walk[:live])
+    i, mu = first_crossing(walk[:live])
     if i == live:
         if live < len(walk):
             first_crossing(walk[live:])  # raises DegenerateChannelError
@@ -366,6 +483,7 @@ def find_crossover(
     if i == 0:
         return 0.0
     lo, hi = walk[i - 1], walk[i]
+    mu = mu[i - 1:i + 1]
     while hi - lo > tol and lo < 0.5 * (lo + hi) < hi:
         # the next levels' cells in ascending order, each midpoint
         # 0.5 * (a + b) of its own cell, as a sequential bisection has it.
@@ -378,6 +496,8 @@ def find_crossover(
             if min(b - a for a, b in zip(edges, edges[1:])) <= tol:
                 break
         # the first cell where the excess turns positive; at hi it is
-        j = first_crossing(edges[1:-1])
+        ends = None if None in mu else tuple(zip((lo, hi), mu))
+        j, inner = first_crossing(edges[1:-1], ends)
+        mu = [mu[0], *inner, mu[1]][j:j + 2]
         lo, hi = edges[j], edges[j + 1]
     return hi

@@ -1,6 +1,7 @@
 """Intensity optimization, distance scans, and crossover search."""
 
 import functools
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -617,13 +618,14 @@ def test_saturation_edge_lane_closes_its_bracket(kernel_calls):
 
 
 def test_find_crossover_makes_few_kernel_calls(kernel_calls):
-    # the walk's 161 lanes take one grid call, and each lane stops once
-    # its Newton step is at rounding level: five calls per optimizer call
-    # for the walk and two bisection rounds, which read the search's own
-    # rate and make no breakdown call (18 with one, 29 with regula falsi,
-    # 43 with 16-lane grid calls and a 4-ulp stop)
+    # the walk's 161 lanes take one grid call and four slope steps, and
+    # each lane stops once its Newton step is at rounding level; the two
+    # bisection rounds start warm from their ends' optima, with no grid
+    # call, and take two slope steps each. No call makes a breakdown (15
+    # with a grid call per round, 18 with a breakdown, 29 with regula
+    # falsi, 43 with 16-lane grid calls and a 4-ulp stop)
     assert find_crossover(DEFAULTS) == 172.79296875
-    assert len(kernel_calls) <= 15
+    assert len(kernel_calls) <= 9
 
 
 def test_lanes_without_key_make_no_slope_call(kernel_calls):
@@ -671,27 +673,171 @@ def test_scan_makes_few_kernel_calls(kernel_calls):
 
 
 def test_find_crossover_evaluates_only_the_points_it_reads(monkeypatch):
-    # the walk's 161 distances, then two bisection rounds: five levels
-    # (31 midpoints), and four (15) once a cell is within tol; each
-    # slope call probes one point per lane, the best grid point first
-    distances, slope_points = [], []
-    maximize = tfqss.optimize._maximize_lanes
+    # the walk's 161 distances, its root search on the ones with key,
+    # then two bisection rounds: five levels (31 midpoints), and four
+    # (15) once a cell is within tol. Each kernel call takes the lanes of
+    # one of these, and each slope call probes one point per lane
+    walk = np.array([transmittance(d, DEFAULTS) for d in range(0, 801, 5)])
+    keyed = np.count_nonzero(
+        maximize_rate_at_transmittance(walk, DEFAULTS)[1].rate > 0.0)
+    lanes, slope_points = [], []
+    grid = tfqss.optimize._grid_best
     slope = tfqss.optimize._rate_and_slope
 
-    def counted_maximize(lanes, channel, grid_size):
-        distances.append(len(lanes))
-        return maximize(lanes, channel, grid_size)
+    def counted_grid(mu, eta, channel):
+        lanes.append(eta.size)
+        return grid(mu, eta, channel)
 
     def counted_slope(mu, eta, params):
+        lanes.append(np.size(eta))
         slope_points.append((np.size(mu), np.size(eta)))
         return slope(mu, eta, params)
 
-    monkeypatch.setattr(tfqss.optimize, "_maximize_lanes",
-                        counted_maximize)
+    monkeypatch.setattr(tfqss.optimize, "_grid_best", counted_grid)
     monkeypatch.setattr(tfqss.optimize, "_rate_and_slope", counted_slope)
     assert find_crossover(DEFAULTS) == 172.79296875
-    assert distances == [161, 31, 15]
-    assert all(points == lanes for points, lanes in slope_points)
+    assert [n for n, _ in itertools.groupby(lanes)] == [161, keyed, 31, 15]
+    assert all(points == n for points, n in slope_points)
+
+
+def test_crossover_rounds_make_no_grid_call(kernel_calls, monkeypatch):
+    # the walk is the crossing search's one grid call: each bisection
+    # round starts from its ends' optima (three grid calls when every
+    # round ran the grid)
+    grid_calls = []
+    grid = tfqss.optimize._grid_best
+
+    def counted(*args):
+        grid_calls.append(1)
+        return grid(*args)
+
+    monkeypatch.setattr(tfqss.optimize, "_grid_best", counted)
+    assert find_crossover(DEFAULTS) == 172.79296875
+    assert len(grid_calls) == 1
+    assert len(kernel_calls) <= 10
+
+
+def _crossover_rounds(monkeypatch, params):
+    """find_crossover(params) and the (distances, lanes, channel, mu_opt,
+    rate) of each warm round it ran."""
+    rounds, distances = [], []
+    warm = tfqss.optimize._maximize_from
+    start_between = tfqss.optimize._start_between
+
+    def recorded_start(points, *ends):
+        distances.append(points)
+        return start_between(points, *ends)
+
+    def recorded(lanes, channel, *args):
+        mu_opt, rate = warm(lanes, channel, *args)
+        rounds.append((distances[-1], lanes, channel, mu_opt, rate))
+        return mu_opt, rate
+
+    monkeypatch.setattr(tfqss.optimize, "_start_between", recorded_start)
+    monkeypatch.setattr(tfqss.optimize, "_maximize_from", recorded)
+    return find_crossover(params), rounds
+
+
+@pytest.mark.parametrize("e_d", [0.02, 0.04, 0.05, 0.0515625, 0.051640625])
+def test_warm_crossover_rounds_match_the_cold_search(monkeypatch, e_d):
+    # each midpoint of a warm round gets the grid search's optimum to
+    # rounding, and the same answer to "does the rate beat PLOB". The
+    # two searches stop at the root from different probes, so they agree
+    # to the last bit only on some lanes: here mu_opt within 48 ulps and
+    # the rate within 2e-14 of it. Every round here is warm: no rate
+    # lies within _TIE of PLOB
+    params = replace(DEFAULTS, misalignment=e_d)
+    crossing, rounds = _crossover_rounds(monkeypatch, params)
+    assert len(rounds) == (0 if crossing is None else 2)
+    for distances, lanes, channel, mu_opt, rate in rounds:
+        cold_mu, cold_rate = tfqss.optimize._maximize_lanes(lanes, channel, 64)
+        assert np.all(rate > 0.0)
+        np.testing.assert_allclose(mu_opt, cold_mu, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(rate, cold_rate, rtol=1e-13, atol=0.0)
+        assert lanes.tolist() == [transmittance(d, params) for d in distances]
+        plob = np.array([plob_bound(d, params) for d in distances])
+        assert np.array_equal(rate > plob, cold_rate > plob)
+
+
+def _domain_params(row):
+    """SystemParams of one row of the audit domain's uniforms."""
+    low = np.array([0.05, -12.0, 0.15, 1.0, 0.0])
+    high = np.array([1.0, -2.0, 0.35, 1.5, 0.12])
+    eta_d, exponent, alpha, f, e_d = (low + (high - low) * row[:5]).tolist()
+    return SystemParams(detector_efficiency=eta_d,
+                        dark_count_rate=10.0**exponent, attenuation=alpha,
+                        ec_efficiency=f, misalignment=e_d)
+
+
+@pytest.mark.parametrize("case", ["other e_d", "non-monotone draw"])
+def test_crossover_lanes_whose_bracket_misses_the_optimum_fall_back(
+        monkeypatch, case):
+    # a warm lane whose bracket excludes its optimum closes the bracket
+    # on an end instead of converging, and takes the cold search: the
+    # bracket forced from e_d = 0.02's optima on e_d = 0.04's lanes, and
+    # draw 19 of the audit domain (f = 1.033, below 1/h(6/19)), whose
+    # mu_opt jumps within 85-90 km
+    if case == "other e_d":
+        params = replace(DEFAULTS, misalignment=0.04)
+        ends_from, l_a, l_b = replace(DEFAULTS, misalignment=0.02), 170., 175.
+    else:
+        params = _domain_params(
+            np.random.default_rng(0).uniform(size=(3000, 6))[19])
+        ends_from, l_a, l_b = params, 85.0, 90.0
+    channel = tfqss.optimize._Channel(
+        params.dark_count_rate, params.misalignment, params.ec_efficiency)
+    (mu_a, mu_b), _ = maximize_rate_at_transmittance(
+        np.array([transmittance(d, ends_from) for d in (l_a, l_b)]),
+        ends_from)
+    distances = [l_a + (l_b - l_a) * k / 32 for k in range(1, 32)]
+    lanes = np.array([transmittance(d, params) for d in distances])
+    start, lo, hi = tfqss.optimize._start_between(
+        distances, (l_a, mu_a), (l_b, mu_b))
+    cold_mu, cold_rate = tfqss.optimize._maximize_lanes(lanes, channel, 64)
+    outside = (cold_mu < lo) | (cold_mu > hi)
+    assert np.count_nonzero(outside) >= 20
+    grid_lanes = []
+    grid = tfqss.optimize._grid_best
+
+    def counted(mu, eta, channel):
+        grid_lanes.append(eta.size)
+        return grid(mu, eta, channel)
+
+    monkeypatch.setattr(tfqss.optimize, "_grid_best", counted)
+    mu_opt, rate = tfqss.optimize._maximize_from(
+        lanes, channel, 64, start, lo, hi)
+    assert len(grid_lanes) == 1 and grid_lanes[0] >= np.count_nonzero(outside)
+    assert mu_opt[outside].tobytes() == cold_mu[outside].tobytes()
+    assert rate[outside].tobytes() == cold_rate[outside].tobytes()
+
+
+def test_crossover_lanes_at_the_saturation_edge_stop_warm_early(
+        kernel_calls):
+    # draw 0 of the audit domain (f = 1.008) has its optimum where P_co
+    # reaches 1/2 on 615-616 km, its crossing cell at a 1 km walk: the
+    # slope has no root there, so a warm lane bisects toward the edge,
+    # stops after _WARM_STEPS steps and takes the grid search, whose
+    # answer it returns bit for bit (42 warm probes, until the bracket
+    # closed, without that cap)
+    params = _domain_params(
+        np.random.default_rng(0).uniform(size=(3000, 6))[0])
+    channel = tfqss.optimize._Channel(
+        params.dark_count_rate, params.misalignment, params.ec_efficiency)
+    (mu_a, mu_b), _ = maximize_rate_at_transmittance(
+        np.array([transmittance(d, params) for d in (615.0, 616.0)]), params)
+    distances = [615.0 + k / 32 for k in range(1, 32)]
+    lanes = np.array([transmittance(d, params) for d in distances])
+    kernel_calls.clear()
+    cold_mu, cold_rate = tfqss.optimize._maximize_lanes(lanes, channel, 64)
+    cold_calls = len(kernel_calls)
+    kernel_calls.clear()
+    mu_opt, rate = tfqss.optimize._maximize_from(
+        lanes, channel, 64, *tfqss.optimize._start_between(
+            distances, (615.0, mu_a), (616.0, mu_b)))
+    assert len(kernel_calls) == (
+        tfqss.optimize._WARM_STEPS + 1 + cold_calls)
+    assert mu_opt.tobytes() == cold_mu.tobytes()
+    assert rate.tobytes() == cold_rate.tobytes()
 
 
 def test_lanes_of_the_domain_match_one_lane_calls_bit_for_bit():
