@@ -229,7 +229,7 @@ class SiftedKeys:
     b_bits: np.ndarray
     c_bits: np.ndarray
 
-    def __post_init__(self, interior: bool = False) -> None:
+    def __post_init__(self) -> None:
         slots = _as_int_view(self.slots, "slots", np.int64)
         object.__setattr__(self, "slots", slots)
         for name in ("a_bits", "b_bits", "c_bits"):
@@ -239,21 +239,8 @@ class SiftedKeys:
         if not (self.a_bits.size == self.b_bits.size
                 == self.c_bits.size == n):
             raise ParameterError("sifted arrays must have equal length")
-        if n and not interior and slots.min() < 2:
+        if n and slots.min() < 2:
             raise ParameterError("sifted slots must be interior (>= 2)")
-
-    @classmethod
-    def _of_interior(cls, slots: np.ndarray, a_bits: np.ndarray,
-                     b_bits: np.ndarray, c_bits: np.ndarray) -> SiftedKeys:
-        """SiftedKeys of slots already checked to be interior, as a
-        DetectionRecords' click_slots are: every check but the second
-        scan of the slots' minimum."""
-        keys = object.__new__(cls)
-        for name, value in zip(("slots", "a_bits", "b_bits", "c_bits"),
-                               (slots, a_bits, b_bits, c_bits)):
-            object.__setattr__(keys, name, value)
-        keys.__post_init__(interior=True)
-        return keys
 
     def __len__(self) -> int:
         return int(self.slots.size)

@@ -36,13 +36,11 @@ params argument, and these too may be arrays that broadcast against mu
 and eta: the optimizer gives each lane its own e_d that way, passing a
 record with SystemParams' three field names. Like mu and eta they
 enter each element's arithmetic alone, so a lane's result does not
-depend on its neighbours. The optimizer's grid validates its lanes
-once with _check_eta and then evaluates _rate_terms on (lanes x grid)
-tiles of (mu, eta) points, which gives rate_at_transmittance's rate
-for each of them. Its root search calls _rate_and_slope, which returns
-the same rate together with dR/dmu and d2R/dmu2 from one pass over the
-same expressions; it validates no argument, and only the rate's
-Q == 0 check runs.
+depend on its neighbours. _rate_terms gives rate_at_transmittance's
+rate of eta that its caller validated with _check_eta, and
+_rate_and_slope the same rate together with dR/dmu and d2R/dmu2 from
+one pass over the same expressions; it validates no argument, and only
+the rate's Q == 0 check runs.
 """
 
 from __future__ import annotations

@@ -27,13 +27,12 @@ its trains hold a copy of the generator each, and draw again only the
 bytes that run_measurement reads, at most 256 KB a train at a time
 whatever N is. run_measurement draws the clicks of the interior slots
 first (channel.detect_slots, phase-free), which numbers each click by
-its slot, then walks them once, a window of at most _SPAN_SLOTS slots
-at a time, in tiles of at most _TILE clicks, and applies the rule
-above only there: it reads each sender bit once, straight from its
-packed byte, nothing unpacked, and channel.shift_phase applies each
-click's phase. The record of a run is its clicks: DetectionRecords
-keeps n_pairs plus, per click, the slot, outcome, announced bit and
-the two sender bits, each array allocated once. sift adds only the
+its slot, then walks them once in tiles and applies the rule above
+only there: it reads each sender bit once, straight from its packed
+byte, nothing unpacked, and channel.shift_phase applies each click's
+phase. The record of a run is its clicks: DetectionRecords keeps
+n_pairs plus, per click, the slot, outcome, announced bit and the two
+sender bits, each array allocated once. sift adds only the
 dealer's flipped bit and passes the record's arrays on uncopied. The
 QBER split marks its test sample in a byte mask, keeps the sifted key
 and that mask's complement, and masks the arrays out only when a
@@ -69,15 +68,14 @@ from .core import (
     _check_intensity,
 )
 
-# run_measurement reads the clicks this many at a time: its one int64
-# index buffer, allocated once, and the uint8 temporaries of each tile,
-# at most 32 KB each, then stay in cache however many slots click.
+# A tile of run_measurement holds at most this many clicks: its one
+# int64 index buffer, allocated once, and the uint8 temporaries of each
+# tile, at most 32 KB each, then stay in cache however many slots click.
 _TILE = 1 << 15
 
-# The clicks within this many slots of a window's first click read one
-# span of bytes of each train, which a train of run_protocol draws again
-# for them: at most 256 KB a train whatever N is, in a few draws however
-# densely the slots click.
+# A tile also spans at most this many slots, so the span of bytes it
+# reads of each train, which a train of run_protocol draws again for it,
+# is at most 256 KB whatever N is.
 _SPAN_SLOTS = 1 << 22
 
 # The QBER test sample marks each sifted entry whose uint16 word, one
@@ -211,15 +209,15 @@ def run_measurement(
     to each slot's ideal phase difference. The clicks are drawn first
     (channel.detect_slots over the slots [2, 2N-1]), and the module
     docstring's rule gives the sender bits at the clicked slots only;
-    the record keeps them for sift. One pass walks the clicks a window
-    of at most _SPAN_SLOTS slots at a time. Each train gives a window
-    the span of its bytes from the window's first click to its last
-    (PulseTrain._span), which run_protocol's trains draw again for it:
-    at most 256 KB each. The pass reads each click's two bits from
-    those bytes, a tile of at most _TILE clicks at a time, and applies
-    the tile's phase bits (channel.shift_phase). It preallocates one
-    int64 index buffer; the rest is uint8 temporaries of at most 32 KB
-    per tile. N = 1 yields no interior slots.
+    the record keeps them for sift. One pass walks the clicks in tiles
+    of at most _TILE clicks within _SPAN_SLOTS slots. Each train gives
+    a tile the span of its bytes from the tile's first click to its
+    last (PulseTrain._span), which run_protocol's trains draw again for
+    it: at most 256 KB each. The pass reads each click's two bits from
+    those bytes and applies the tile's phase bits
+    (channel.shift_phase). It preallocates one int64 index buffer; the
+    rest is uint8 temporaries of at most 32 KB per tile. N = 1 yields
+    no interior slots.
     """
     if a.owner is not Owner.ALICE or b.owner is not Owner.BOB:
         raise ParameterError("expected trains in (alice, bob) order")
@@ -238,36 +236,33 @@ def run_measurement(
     a_bits = np.empty(clicks, dtype=np.uint8)
     b_bits = np.empty(clicks, dtype=np.uint8)
     index = np.empty(min(_TILE, clicks), dtype=np.int64)
-    start = 0
-    while start < clicks:
-        # slot j reads b[(j>>1)-1] = b[(j-2)>>1] and a[(j-1)>>1]. Bit i
-        # is bit i & 7, most significant first, of byte i >> 3: with
-        # k = 2 for Bob and 1 for Alice, the bit sits in byte (j-k) >> 4
-        # at shift ((j-k) >> 1) & 7, which the low byte of j gives. The
-        # clicks within _SPAN_SLOTS slots of the first read one span of
-        # each train, from the first click's byte to the last click's
-        stop = int(np.searchsorted(slots, slots[start] + _SPAN_SLOTS))
-        spans = []
-        for train, k in ((b, 2), (a, 1)):
-            first = (int(slots[start]) - k) >> 4
-            last = (int(slots[stop - 1]) - k) >> 4
-            spans.append((train._span(first, last + 1), k, k + (first << 4)))
-        for lo in range(start, stop, _TILE):
-            j = slots[lo:min(lo + _TILE, stop)]
-            m = j.size
-            at = index[:m]
-            low = j.astype(np.uint8)  # j mod 256
-            ab, bb = a_bits[lo:lo + m], b_bits[lo:lo + m]
-            for (span, k, offset), out in zip(spans, (bb, ab)):
-                np.subtract(j, offset, out=at)
-                at >>= 4
-                np.take(span, at, out=out)
-                out >>= 7 - (((low - k) >> 1) & 7)
-                out &= 1
-            low &= 1  # the odd slots' pi shift, then the phase difference
-            low ^= ab ^ bb
-            shift_phase(outcomes[lo:lo + m], resolved[lo:lo + m], low)
-        start = stop
+    lo = 0
+    while lo < clicks:
+        # a tile is at most _TILE clicks within _SPAN_SLOTS slots of its
+        # first. Slot j reads b[(j>>1)-1] = b[(j-2)>>1] and a[(j-1)>>1].
+        # Bit i is bit i & 7, most significant first, of byte i >> 3:
+        # with k = 2 for Bob and 1 for Alice, the bit sits in byte
+        # (j-k) >> 4 at shift ((j-k) >> 1) & 7, which the low byte of j
+        # gives. Each train's span runs from the first click's byte to
+        # the last click's
+        j = slots[lo:lo + _TILE]
+        j = j[:np.searchsorted(j, j[0] + _SPAN_SLOTS)]
+        m = j.size
+        at = index[:m]
+        low = j.astype(np.uint8)  # j mod 256
+        ab, bb = a_bits[lo:lo + m], b_bits[lo:lo + m]
+        for train, k, out in ((b, 2, bb), (a, 1, ab)):
+            first = (int(j[0]) - k) >> 4
+            span = train._span(first, ((int(j[-1]) - k) >> 4) + 1)
+            np.subtract(j, k + (first << 4), out=at)
+            at >>= 4
+            np.take(span, at, out=out)
+            out >>= 7 - (((low - k) >> 1) & 7)
+            out &= 1
+        low &= 1  # the odd slots' pi shift, then the phase difference
+        low ^= ab ^ bb
+        shift_phase(outcomes[lo:lo + m], resolved[lo:lo + m], low)
+        lo += m
     return DetectionRecords(n, slots, outcomes, resolved, a_bits, b_bits)
 
 
@@ -280,8 +275,7 @@ def sift(
     retained slot satisfies c = a XOR b up to channel noise. The slots
     and sender bits are the record's own, which run_measurement read at
     the clicks by the module docstring's rule; they are passed on
-    uncopied, and only the dealer's bits are allocated. The slots are
-    not scanned again for their range, which the record checked.
+    uncopied, and only the dealer's bits are allocated.
     """
     n = len(a)
     if len(b) != n:
@@ -293,8 +287,8 @@ def sift(
     c_bits = records.click_slots.astype(np.uint8)
     c_bits &= 1
     c_bits ^= records.click_resolved
-    return SiftedKeys._of_interior(records.click_slots, records.click_a_bits,
-                                   records.click_b_bits, c_bits)
+    return SiftedKeys(records.click_slots, records.click_a_bits,
+                      records.click_b_bits, c_bits)
 
 
 class _RemainingKeys(SiftedKeys):
@@ -302,9 +296,8 @@ class _RemainingKeys(SiftedKeys):
 
     Its length is the mask's count, given. The first read of any of its
     four arrays masks all four out of the sifted key, once, and checks
-    them as SiftedKeys does, but for the slots' minimum, which the
-    sifted key checked; the sifted key and the mask are let go then. A
-    caller that only counts the remaining entries copies none.
+    them as SiftedKeys does; the sifted key and the mask are let go
+    then. A caller that only counts the remaining entries copies none.
     """
 
     def __init__(self, sifted: SiftedKeys, keep: np.ndarray,
@@ -318,8 +311,8 @@ class _RemainingKeys(SiftedKeys):
     @cached_property
     def _keys(self) -> SiftedKeys:
         keys, keep = self.__dict__.pop("_split")
-        return SiftedKeys._of_interior(keys.slots[keep], keys.a_bits[keep],
-                                       keys.b_bits[keep], keys.c_bits[keep])
+        return SiftedKeys(keys.slots[keep], keys.a_bits[keep],
+                          keys.b_bits[keep], keys.c_bits[keep])
 
     slots = property(lambda self: self._keys.slots)
     a_bits = property(lambda self: self._keys.a_bits)
@@ -419,14 +412,11 @@ def run_protocol(
     state = ChannelState.for_distance(config.distance, system)
     rng = np.random.default_rng(config.rng_seed)
     a, b = _drawn_trains(config.n_pairs, config.intensity, rng)
-    # the trains hold no bytes, only their generators, which draw each
-    # window's bytes again where run_measurement reads them; they and
     # the detection record, bar the slots and sender bits the key keeps,
-    # do not outlive the sift, so they are freed before the QBER test
+    # does not outlive the sift, so it is freed before the QBER test
     # sample. There a dense run's memory peaks, at the sifted key plus
     # three bytes per entry: the sample's uint16 words and its mask
     sifted_all = sift(run_measurement(a, b, state, rng), a, b)
-    del a, b
     detected = len(sifted_all)
     interior = 2 * config.n_pairs - 2
     if detected == 0:

@@ -1,47 +1,14 @@
 """Deterministic intensity optimization, distance scans and crossovers.
 
-The rate is maximized over mu with a coarse logarithmic grid, then the
-root of the analytic slope dR/dmu between the best grid point's
-neighbors, found by safeguarded Newton steps on the slope
-(keyrate._rate_and_slope gives R, dR/dmu and d2R/dmu2 in one pass). No
-stage is stochastic, so repeated runs give bit-identical optima; tests
-audit the result against dense brute-force grids and a 50-digit
-optimum.
-
-The optimizer works on lanes: a 1-D array of arm transmittances, one
-independent maximization each, with the channel's p_d, e_d and f
-either shared or given per lane. It has two stages. The grid stage is
-one call of _grid_best, which validates the lanes once and runs the
-rate kernel over tiles of at most 4,096 (lane, mu) points; it gives
-each lane with key on the grid its start, the best grid point, and its
-bracket, that point's neighbors. The others keep MU_MIN and rate 0, and
-a call with none makes no slope call. The root search (_root_search)
-then runs the lanes in lockstep from their starts, one slope call per
-step, with np.where choosing each lane's branch.
-Each probe moves the bracket to the side its slope points to, and the
-lane takes Newton's step where the slope is concave and the step stays
-inside its bracket, and bisects otherwise.
-It stops at a zero slope, at a Newton step of at most 1e-14 of mu, one
-probe after a step of at most 1e-7 of mu (convergence is quadratic),
-once its bracket is 1e-14 of its upper end wide, or after
-_REFINE_ITERS steps. A one-lane optimization makes 5-6 kernel calls
-on the default parameters. A lane does exactly the arithmetic of a
-one-lane run, so results match one-lane calls bit for bit.
-A caller that knows where the optimum lies skips the grid:
-_maximize_from takes each lane's start and bracket, and only a lane
-whose search does not stop by Newton's criteria at a probe with key
-runs the grid stage, in the same call.
-scan_distances puts every distance of every e_d into one call, each
-lane with its own e_d (6 kernel calls at the defaults), and
-find_crossover its whole coarse walk, then at most five bisection
-levels (31 midpoints) per call. Its rounds start from the optima of
-their ends, with no grid call, so a crossing search at the defaults
-makes 9 kernel calls: the walk's grid and four slope steps, and two
-slope steps per round. The search returns each lane's rate at mu_opt
-with it; find_crossover reads that rate, with no breakdown call, and
-evaluates the PLOB bound lazily: in ascending order, at keyed points
-only, up to the first point that beats it. grid_size is the one
-setting a caller may change.
+The rate is maximized over mu on lanes: a 1-D array of arm
+transmittances, one independent maximization each, with the channel's
+p_d, e_d and f shared or given per lane (_Channel). A coarse
+logarithmic grid (_grid_best) gives each lane its start and bracket,
+and a lockstep root search of the analytic slope dR/dmu (_root_search)
+refines it. No stage is stochastic, so repeated runs give bit-identical
+optima, and a lane does exactly the arithmetic of a one-lane run, so
+results match one-lane calls bit for bit. grid_size is the one setting
+a caller may change.
 """
 
 from __future__ import annotations
@@ -87,11 +54,11 @@ _REFINE_ITERS = 60
 # and a lane still bisecting after eight has no root in its bracket,
 # such as one whose rate peaks at the saturation edge (about 40 steps)
 _WARM_STEPS = 8
-# (lane, mu) points per tile of the grid, at most: _grid_best splits the
-# lanes into the fewest tiles of one size, so at the default grid a
-# tile holds 64 lanes and each float64 temporary 32 KB. Those stay in
-# cache and on the heap; 80 KB ones (161 lanes) were page-faulted in
-# again on every call
+# (lane, mu) points per tile of the grid, at most: _grid_best cuts the
+# lanes into tiles of _GRID_TILE // grid_size lanes, one at least, so
+# at the default grid a tile holds 64 lanes and each float64 temporary
+# 32 KB. Those stay in cache and on the heap; 80 KB ones (161 lanes)
+# were page-faulted in again on every call
 _GRID_TILE = 4096
 # a warm-started rate within this fraction of PLOB leaves find_crossover's
 # test to the grid search, which a sequential bisection runs: warm and
@@ -125,13 +92,12 @@ def _grid_best(grid: np.ndarray, lanes: np.ndarray,
     The argmax and max over the grid of
     rate_at_transmittance(grid, lanes[:, None], channel).rate, bit for
     bit, and with its errors: eta is validated once for all lanes, then
-    the rate runs over the fewest tiles of one size holding at most
-    _GRID_TILE points (one lane at least), so its temporaries stay
-    small however many lanes there are.
+    the rate runs over tiles of _GRID_TILE // grid.size lanes (one at
+    least), so its temporaries stay small however many lanes there
+    are.
     """
     _check_eta(lanes)
-    n_tiles = max(1, -(-lanes.size // max(1, _GRID_TILE // grid.size)))
-    tile = max(1, -(-lanes.size // n_tiles))
+    tile = max(1, _GRID_TILE // grid.size)
     best = np.empty(lanes.size, dtype=np.intp)
     grid_best = np.empty(lanes.size)
     for i in range(0, lanes.size, tile):
@@ -176,7 +142,7 @@ def _maximize_lanes(lanes: np.ndarray, channel: _Channel,
     best, grid_best = best[keyed], grid_best[keyed]
     mu_best = grid[best]
     mu_opt, mu_rate, _ = _root_search(
-        mu_best, grid_best, grid[np.maximum(best - 1, 0)],
+        mu_best, grid[np.maximum(best - 1, 0)],
         grid[np.minimum(best + 1, grid_size - 1)], lanes[keyed],
         channel.take(keyed))
     # rounding can leave the root a hair below a grid point's rate
@@ -202,7 +168,7 @@ def _maximize_from(lanes: np.ndarray, channel: _Channel, grid_size,
     """
     _check_eta(lanes)
     mu_opt, rate, converged = _root_search(
-        start, np.zeros(lanes.size), lo, hi, lanes, channel, _WARM_STEPS)
+        start, lo, hi, lanes, channel, _WARM_STEPS)
     cold = np.flatnonzero(~converged)
     if cold.size:
         mu_opt[cold], rate[cold] = _maximize_lanes(
@@ -210,15 +176,15 @@ def _maximize_from(lanes: np.ndarray, channel: _Channel, grid_size,
     return mu_opt, rate
 
 
-def _root_search(x: np.ndarray, rate_x: np.ndarray, lo: np.ndarray,
-                 hi: np.ndarray, lanes: np.ndarray, channel: _Channel,
+def _root_search(x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 lanes: np.ndarray, channel: _Channel,
                  steps: int = _REFINE_ITERS
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The lockstep root search of dR/dmu from the start x, whose rate is
-    rate_x, inside the bracket [lo, hi] of each lane, at most steps steps.
+    """The lockstep root search of dR/dmu from the start x inside the
+    bracket [lo, hi] of each lane, at most steps steps.
 
     Returns each lane's (mu_opt, rate), the last probe with key, or x and
-    rate_x where none has key, and whether the lane stopped by Newton's
+    rate 0 where none has key, and whether the lane stopped by Newton's
     criteria (a step at rounding level) at a probe with key: a lane that
     stopped otherwise closed its bracket, ended on a probe without key
     or where the slope is not concave, or ran out of steps. One slope
@@ -226,7 +192,7 @@ def _root_search(x: np.ndarray, rate_x: np.ndarray, lo: np.ndarray,
     """
     start = x
     running = np.ones(lanes.size, dtype=bool)
-    mu_opt, mu_rate = x, rate_x
+    mu_opt, mu_rate = x, np.zeros(lanes.size)
     last = np.zeros(lanes.size, dtype=bool)
     converged = last
     for _ in range(steps + 1):
@@ -282,6 +248,8 @@ def maximize_rate_at_transmittance(
 
     eta is a scalar or an array of lanes, each maximized independently;
     for an array, mu and the breakdown's fields are arrays of its shape.
+    params is read by field name, so a _Channel may give each lane its
+    own p_d, e_d or f.
     """
     shape = np.shape(eta)
     lanes = np.asarray(eta).reshape(-1)
@@ -319,7 +287,8 @@ def scan_distances(
     call takes, for every e_d, the lanes transmittance(L) for every grid
     distance, which is also the repeaterless column, and
     transmittance(2L), whose rate is dps_baseline (see
-    bounds.dps_qss_baseline); each lane carries its own e_d. The
+    bounds.dps_qss_baseline); each lane carries its own e_d in the
+    _Channel given as maximize_rate_at_transmittance's params. The
     transmittances and the plob column depend on no e_d, so each is
     computed once per scan.
     """
@@ -347,8 +316,8 @@ def scan_distances(
     channel = _Channel(params.dark_count_rate,
                        np.repeat(e_d_list, len(etas)),
                        params.ec_efficiency)
-    mu_opt, _ = _maximize_lanes(lanes, channel, grid_size)
-    bd = rate_at_transmittance(mu_opt, lanes, channel)
+    mu_opt, bd = maximize_rate_at_transmittance(lanes, channel,
+                                                grid_size=grid_size)
     # per e_d, the rows at L, then the rows at 2L
     shape = (len(e_d_list), 2, n_pts)
     columns = (np.reshape(v, shape).tolist()

@@ -151,23 +151,6 @@ def test_sifted_keys_validation():
     assert len(SiftedKeys(slots=[], a_bits=[], b_bits=[], c_bits=[])) == 0
 
 
-def test_sifted_keys_of_interior_skips_only_the_slots_minimum():
-    # sift's path for slots its record already checked: the same frozen
-    # arrays as the public constructor, and every other check kept
-    bits = dict(a_bits=np.array([0, 1]), b_bits=np.array([1, 1]),
-                c_bits=np.array([1, 0]))
-    keys = SiftedKeys._of_interior(np.array([2, 5]), *bits.values())
-    public = SiftedKeys(slots=np.array([2, 5]), **bits)
-    for name in ("slots", "a_bits", "b_bits", "c_bits"):
-        assert getattr(keys, name).tobytes() == getattr(public, name).tobytes()
-        assert not getattr(keys, name).flags.writeable
-    with pytest.raises(ParameterError, match="b_bits must contain only"):
-        SiftedKeys._of_interior(np.array([2, 5]), bits["a_bits"],
-                                np.array([1, 2]), bits["c_bits"])
-    with pytest.raises(ParameterError, match="equal length"):
-        SiftedKeys._of_interior(np.array([2]), *bits.values())
-
-
 def test_pulse_train_keeps_its_bits_packed():
     # the caller's array stays writable: the train holds its own packed
     # bytes, most significant bit first, and unpacks them on demand

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import tfqss.mcsim
 from tfqss.channel import ChannelState, transmittance
 from tfqss.core import (
     Outcome,
@@ -21,6 +22,7 @@ from tfqss.core import (
 from tfqss.keyrate import gain, qber
 from tfqss.mcsim import (
     DetectionRecords,
+    _DrawnTrain,
     _drawn_trains,
     _test_sample,
     estimate_qber,
@@ -325,9 +327,10 @@ def test_records_carry_the_sender_bits_at_every_click():
 @pytest.mark.parametrize("tile", [1, 8, 13])
 def test_phase_lookup_reads_the_same_bits_across_span_boundaries(
         monkeypatch, tile):
-    # run_measurement reads the sender bits a tile of clicks at a time;
-    # tiles of 1, 8 and 13 clicks cut the click list into many tiles,
-    # and the record does not change
+    # run_measurement reads the sender bits a tile of clicks at a time,
+    # each tile from its own span of each train; tiles of 1, 8 and 13
+    # clicks cut the click list into many tiles and spans, and the
+    # record does not change
     params = SystemParams(dark_count_rate=0.05, misalignment=0.1)
     state = ChannelState(eta=0.5, params=params)
     a, b = _trains(20_000, 0.3, 30)
@@ -455,7 +458,7 @@ def test_sparse_run_peaks_under_a_byte_per_pulse_pair():
     (10**8, 400.0, 0.05),
 ], ids=["100km", "400km"])
 def test_sparse_run_keeps_no_train(n_pairs, distance, bytes_per_pair):
-    # run_protocol draws the phase bytes that each window of slots
+    # run_protocol draws the phase bytes that each tile of clicks
     # reads, at most 256 KB a train, instead of keeping N/4 bytes of
     # packed trains: near 0.20 bytes per pair at 100 km (0.45 with the
     # trains kept) and 0.02 at 400 km. One span from the first click to
@@ -476,9 +479,9 @@ def test_sparse_run_keeps_no_train(n_pairs, distance, bytes_per_pair):
     (2, 1 << 15), (17, 3), (1000, 7)])
 def test_windows_of_few_slots_read_the_same_bits(monkeypatch, span_slots,
                                                  tile):
-    # each window of _SPAN_SLOTS slots reads one span of each train, a
-    # tile of _TILE clicks at a time; cut into many short windows and
-    # tiles, trains kept or drawn where read give the same record
+    # a tile holds at most _TILE clicks within _SPAN_SLOTS slots and
+    # reads one span of each train; cut into many tiles by either cap,
+    # trains kept or drawn where read give the same record
     params = SystemParams(dark_count_rate=0.01, misalignment=0.1)
     state = ChannelState(eta=0.1, params=params)
     n = 20_001
@@ -493,6 +496,49 @@ def test_windows_of_few_slots_read_the_same_bits(monkeypatch, span_slots,
                      "click_a_bits", "click_b_bits"):
             assert np.array_equal(getattr(records, name),
                                   getattr(default, name))
+
+
+@pytest.mark.parametrize("n, mu, distance", [
+    (2 * 10**6, 0.4, 0.0), (5 * 10**6, 0.05, 100.0)], ids=["dense", "sparse"])
+def test_tiles_keep_to_their_click_and_slot_caps(monkeypatch, n, mu,
+                                                 distance):
+    # a tile ends at _TILE clicks, which cuts the dense run (one slot in
+    # five clicks), or at _SPAN_SLOTS slots, which cuts the sparse one
+    # (0.41 %), and reads one span of each train of at most
+    # _SPAN_SLOTS // 16 + 1 bytes; the record is an unwatched run's
+    state = ChannelState.for_distance(distance, DEFAULTS)
+
+    def measure():
+        rng = np.random.default_rng(3)
+        return run_measurement(*_drawn_trains(n, mu, rng), state, rng)
+
+    default = measure()
+    spans, tiles = [], []
+    span, shift = _DrawnTrain._span, tfqss.mcsim.shift_phase
+
+    def watched_span(self, lo, hi):
+        spans.append(hi - lo)
+        return span(self, lo, hi)
+
+    def watched_shift(outcomes, resolved, phase):
+        tiles.append(outcomes.size)
+        return shift(outcomes, resolved, phase)
+
+    monkeypatch.setattr(_DrawnTrain, "_span", watched_span)
+    monkeypatch.setattr(tfqss.mcsim, "shift_phase", watched_shift)
+    records = measure()
+    for name in ("click_slots", "click_outcomes", "click_resolved",
+                 "click_a_bits", "click_b_bits"):
+        assert np.array_equal(getattr(records, name), getattr(default, name))
+    assert sum(tiles) == records.click_slots.size
+    assert len(spans) == 2 * len(tiles)
+    assert max(spans) <= tfqss.mcsim._SPAN_SLOTS // 16 + 1
+    assert max(tiles) <= tfqss.mcsim._TILE
+    if distance == 0.0:
+        assert max(tiles) == tfqss.mcsim._TILE
+    else:
+        assert len(tiles) >= 3
+        assert max(spans) > tfqss.mcsim._SPAN_SLOTS // 32
 
 
 # ----------------------------------------------------------------- sifting

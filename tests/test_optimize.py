@@ -672,6 +672,25 @@ def test_scan_makes_few_kernel_calls(kernel_calls):
     assert len(kernel_calls) <= 6
 
 
+def test_scan_is_one_call_of_the_module_optimizer(monkeypatch):
+    # the scan's lanes go through tfqss.optimize.maximize_rate_at_transmittance,
+    # looked up as the module attribute that a tracer wraps, once a scan
+    calls = []
+    maximize = tfqss.optimize.maximize_rate_at_transmittance
+
+    def counted(eta, params, **kwargs):
+        calls.append((np.size(eta), kwargs))
+        return maximize(eta, params, **kwargs)
+
+    monkeypatch.setattr(tfqss.optimize, "maximize_rate_at_transmittance",
+                        counted)
+    scan_distances(0.0, 700.0, 10.0, DEFAULTS, [0.02, 0.04, 0.052])
+    assert calls == [(426, {"grid_size": 64})]
+    calls.clear()
+    scan_distances(0.0, 0.0, 1.0, DEFAULTS, [0.02], grid_size=16)
+    assert calls == [(2, {"grid_size": 16})]
+
+
 def test_find_crossover_evaluates_only_the_points_it_reads(monkeypatch):
     # the walk's 161 distances, its root search on the ones with key,
     # then two bisection rounds: five levels (31 midpoints), and four
