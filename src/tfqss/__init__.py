@@ -6,7 +6,7 @@ bounds, and reference curves for benchmarking.
 """
 
 from .attacks import LeakageReport, beta_bound, leakage_report
-from .bounds import dps_qss_baseline, plob_bound, repeaterless_bound
+from .bounds import plob_bound, repeaterless_bound
 from .channel import ChannelState, click_probability, transmittance
 from .core import (
     Outcome,
@@ -28,7 +28,9 @@ from .keyrate import (
     rate_at_transmittance,
 )
 from .mcsim import run_measurement, run_protocol, sift
-from .optimize import find_crossover, maximize_rate_at_transmittance, optimize_mu, scan_distances
+from .optimize import (dps_qss_baseline, find_crossover,
+                       maximize_rate_at_transmittance, optimize_mu,
+                       scan_distances)
 
 __version__ = "0.1.0"
 

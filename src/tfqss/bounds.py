@@ -1,19 +1,18 @@
-"""Reference curves the protocol's rate is compared against.
+"""Closed-form reference curves the protocol's rate is compared against.
 
-All three are expressed in bits per channel use over the same distance
-axis as the protocol rate (total sender-sender distance L in km), and
-all three derive from channel.transmittance:
+Both are expressed in bits per channel use over the same distance axis
+as the protocol rate (total sender-sender distance L in km), and both
+derive from channel.transmittance:
 
 * plob_bound: secret-key capacity of the direct end-to-end channel,
   -log2(1 - transmittance(2L)).
 * repeaterless_bound: the single-arm transmittance transmittance(L),
   the linear scaling a measuring middle node buys.
-* dps_qss_baseline: the same rate formula evaluated as if one sender
-  had to cover the full distance alone (transmittance(2L)), with the
-  intensity re-optimized independently: the "no twin-field advantage"
-  yardstick, equal to the optimized protocol rate at 2L.
 
-Note the first two cross near 19 km at default parameters: they take
+The single-sender baseline, which runs the optimizer, is
+optimize.dps_qss_baseline.
+
+Note the two cross near 19 km at default parameters: they take
 different exponents, so neither dominates the other for all L. The
 capacity statement -log2(1-x) > x holds at equal arguments, i.e.
 plob_bound(L) > repeaterless_bound(2L) for every L >= 0.
@@ -51,24 +50,3 @@ def plob_bound(distance: float, params: SystemParams) -> float:
 def repeaterless_bound(distance: float, params: SystemParams) -> float:
     """Single-arm linear transmittance eta_d * 10^(-alpha*L/20)."""
     return transmittance(distance, params)
-
-
-def dps_qss_baseline(
-    distance: float,
-    params: SystemParams,
-    *,
-    grid_size: int = 64,
-) -> float:
-    """Rate with the full path on one arm, intensity re-optimized.
-
-    Identical formula and optimizer as the protocol rate, but the
-    transmittance carries the whole distance (exponent alpha*L/10), so
-    dps_qss_baseline(L) equals the optimized protocol rate at 2L.
-    """
-    # imported here: optimize imports this module for its scan columns
-    from .optimize import maximize_rate_at_transmittance
-
-    eta = _full_path_transmittance(distance, params)
-    _, breakdown = maximize_rate_at_transmittance(
-        eta, params, grid_size=grid_size)
-    return breakdown.rate

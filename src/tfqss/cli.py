@@ -131,10 +131,6 @@ def _system_params(settings: dict) -> SystemParams:
     )
 
 
-def _sci(value: float) -> str:
-    return f"{value:.9e}"
-
-
 def _emit(lines: list[str], output: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if output:
@@ -145,7 +141,7 @@ def _emit(lines: list[str], output: str | None) -> None:
 
 
 def _emit_csv(header: str, rows, output: str | None) -> None:
-    """Write header and one line per row tuple, each value as _sci has it."""
+    """Write header and one line per row tuple, each value as %.9e."""
     template = ",".join(["%.9e"] * (header.count(",") + 1))
     _emit([header] + [template % row for row in rows], output)
 
@@ -175,12 +171,11 @@ def cmd_scan(settings: dict) -> int:
 
 
 def _zscore(empirical: float, expected: float, n: int) -> float:
-    variance = expected * (1.0 - expected) / n if n > 0 else 0.0
-    if variance <= 0.0:
-        if empirical == expected:
-            return 0.0
-        return math.copysign(math.inf, empirical - expected)
-    return (empirical - expected) / math.sqrt(variance)
+    # n >= 1 always, and expected is 0 only for the QBER at e_d = p_d = 0,
+    # where the sampler draws no error: sd is 0 only where empirical ==
+    # expected
+    sd = math.sqrt(expected * (1.0 - expected) / n)
+    return (empirical - expected) / sd if sd else 0.0
 
 
 def cmd_simulate(settings: dict) -> int:
@@ -204,12 +199,12 @@ def cmd_simulate(settings: dict) -> int:
         f"n_pairs={report.n_pairs}",
         f"interior_slots={interior}",
         f"detected_slots={report.detected_slots}",
-        f"empirical_gain={_sci(report.empirical_gain)}",
-        f"analytic_gain={_sci(analytic_gain)}",
-        f"gain_z={_sci(_zscore(report.empirical_gain, analytic_gain, interior))}",
-        f"empirical_qber={_sci(report.empirical_qber)}",
-        f"analytic_qber={_sci(analytic_qber)}",
-        f"qber_z={_sci(_zscore(report.empirical_qber, analytic_qber, report.test_slots_consumed))}",
+        f"empirical_gain={report.empirical_gain:.9e}",
+        f"analytic_gain={analytic_gain:.9e}",
+        f"gain_z={_zscore(report.empirical_gain, analytic_gain, interior):.9e}",
+        f"empirical_qber={report.empirical_qber:.9e}",
+        f"analytic_qber={analytic_qber:.9e}",
+        f"qber_z={_zscore(report.empirical_qber, analytic_qber, report.test_slots_consumed):.9e}",
         f"test_slots_consumed={report.test_slots_consumed}",
         f"sifted_remaining={len(report.sifted)}",
         f"abort={'true' if report.abort else 'false'}",

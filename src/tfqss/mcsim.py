@@ -23,12 +23,13 @@ run, for both slot parities.
 
 The run is click-indexed: nothing is stored per slot. A train packs
 its bits eight to a byte, and run_protocol keeps not even those bytes:
-its trains hold a copy of the generator each, and draw again only the
-bytes that run_measurement reads, at most 256 KB a train at a time
-whatever N is. run_measurement draws the clicks of the interior slots
-first (channel.detect_slots, phase-free), which numbers each click by
-its slot, then walks them once in tiles and applies the rule above
-only there: it reads each sender bit once, straight from its packed
+its trains (_DrawnTrain) are plain records of a copy of the generator
+and its next word, and draw again only the bytes that run_measurement
+reads, at most 256 KB a train at a time whatever N is.
+run_measurement draws the clicks of the interior slots first
+(channel.detect_slots, phase-free), which numbers each click by its
+slot, then walks them once in tiles and applies the rule above only
+there: it reads each sender bit once, straight from its packed
 byte, nothing unpacked, and channel.shift_phase applies each click's
 phase. The record of a run is its clicks: DetectionRecords keeps
 n_pairs plus, per click, the slot, outcome, announced bit and the two
@@ -105,40 +106,37 @@ def prepare_train(
     return PulseTrain(owner, packed, count, mu)
 
 
-class _DrawnTrain(PulseTrain):
+@dataclass
+class _DrawnTrain:
     """A train of prepare_train's bytes, drawn again where they are read.
 
     Its bytes are bytes [base, base + ceil(n/8)) of the little-endian
     64-bit words that bit_generator, which the train owns, gives from
-    its state at construction. _span draws the words that hold the
-    bytes asked for, moving the generator to the first of them with
-    advance, which takes a negative step modulo 2**128, the period, so
-    spans come back in any order. packed draws them all, once, on its
-    first read.
+    its state at construction; at is the generator's next word. _span
+    draws the words that hold the bytes asked for, moving the generator
+    to the first of them with advance, which takes a negative step
+    modulo 2**128, the period, so spans come back in any order. It
+    stands in for a PulseTrain where run_measurement and sift read one:
+    owner, intensity, len and _span.
     """
 
-    def __init__(self, owner: Owner, n: int, mu: float,
-                 bit_generator: np.random.BitGenerator, base: int) -> None:
-        object.__setattr__(self, "owner", owner)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "intensity", mu)
-        object.__setattr__(self, "_generator", bit_generator)
-        object.__setattr__(self, "_base", base)
-        object.__setattr__(self, "_at", 0)  # the generator's next word
+    owner: Owner
+    n: int
+    intensity: float
+    bit_generator: np.random.BitGenerator
+    base: int
+    at: int = 0
 
-    @cached_property
-    def packed(self) -> np.ndarray:
-        packed = self._span(0, -(-self.n // 8))
-        packed.flags.writeable = False
-        return packed
+    def __len__(self) -> int:
+        return self.n
 
     def _span(self, lo: int, hi: int) -> np.ndarray:
-        lo += self._base
-        hi += self._base
+        lo += self.base
+        hi += self.base
         first, stop = lo >> 3, (hi + 7) >> 3
-        self._generator.advance(first - self._at)
-        object.__setattr__(self, "_at", stop)
-        words = self._generator.random_raw(stop - first)
+        self.bit_generator.advance(first - self.at)
+        self.at = stop
+        words = self.bit_generator.random_raw(stop - first)
         skip = first << 3
         return words.astype("<u8", copy=False).view(np.uint8)[
             lo - skip:hi - skip]
@@ -212,12 +210,11 @@ def run_measurement(
     the record keeps them for sift. One pass walks the clicks in tiles
     of at most _TILE clicks within _SPAN_SLOTS slots. Each train gives
     a tile the span of its bytes from the tile's first click to its
-    last (PulseTrain._span), which run_protocol's trains draw again for
-    it: at most 256 KB each. The pass reads each click's two bits from
-    those bytes and applies the tile's phase bits
-    (channel.shift_phase). It preallocates one int64 index buffer; the
-    rest is uint8 temporaries of at most 32 KB per tile. N = 1 yields
-    no interior slots.
+    last (its _span), which run_protocol's trains draw again for it: at
+    most 256 KB each. The pass reads each click's two bits from those
+    bytes and applies the tile's phase bits (channel.shift_phase). It
+    preallocates one int64 index buffer; the rest is uint8 temporaries
+    of at most 32 KB per tile. N = 1 yields no interior slots.
     """
     if a.owner is not Owner.ALICE or b.owner is not Owner.BOB:
         raise ParameterError("expected trains in (alice, bob) order")
@@ -369,7 +366,8 @@ def _test_sample(n: int, m: int, threshold: int,
     chosen uniformly, or marking m - K of the unmarked ones, leaves a
     uniform m-subset: the distribution of rng.choice(n, m,
     replace=False), without its n-long int64 index. Only the K marked
-    positions are ever listed.
+    positions are listed, and the unmarked ones too where fewer than m
+    are marked, which happens with probability below about 1e-9.
     """
     test = rng.integers(0, _WORDS, n, dtype=np.uint16) < threshold
     marked = np.flatnonzero(test)
@@ -377,11 +375,8 @@ def _test_sample(n: int, m: int, threshold: int,
     if k > m:
         test[marked[rng.choice(k, k - m, replace=False)]] = False
     elif k < m:
-        # unmarked entry r lies past the marked entries i with
-        # marked[i] - i <= r, the unmarked entries before them
         add = rng.choice(n - k, m - k, replace=False)
-        add += np.searchsorted(marked - np.arange(k), add, side="right")
-        test[add] = True
+        test[np.flatnonzero(~test)[add]] = True
     return test
 
 

@@ -19,10 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-# dps_qss_baseline is not called here; it stays bound as
-# tfqss.optimize.dps_qss_baseline, which bench/tracing.py wraps (the
-# benchmark's traced run fails without it)
-from .bounds import dps_qss_baseline, plob_bound  # noqa: F401
+from .bounds import _full_path_transmittance, plob_bound
 from .channel import transmittance
 from .core import (
     MAX_INTENSITY,
@@ -271,6 +268,25 @@ def optimize_mu(
         transmittance(distance, params), params, grid_size=grid_size)
 
 
+def dps_qss_baseline(
+    distance: float,
+    params: SystemParams,
+    *,
+    grid_size: int = 64,
+) -> float:
+    """Rate with the full path on one arm, intensity re-optimized.
+
+    Identical formula and optimizer as the protocol rate, but the
+    transmittance carries the whole distance (exponent alpha*L/10), so
+    dps_qss_baseline(L) equals the optimized protocol rate at 2L: the
+    "no twin-field advantage" yardstick.
+    """
+    eta = _full_path_transmittance(distance, params)
+    _, breakdown = maximize_rate_at_transmittance(
+        eta, params, grid_size=grid_size)
+    return breakdown.rate
+
+
 def scan_distances(
     l_min: float,
     l_max: float,
@@ -287,7 +303,7 @@ def scan_distances(
     call takes, for every e_d, the lanes transmittance(L) for every grid
     distance, which is also the repeaterless column, and
     transmittance(2L), whose rate is dps_baseline (see
-    bounds.dps_qss_baseline); each lane carries its own e_d in the
+    dps_qss_baseline); each lane carries its own e_d in the
     _Channel given as maximize_rate_at_transmittance's params. The
     transmittances and the plob column depend on no e_d, so each is
     computed once per scan.
@@ -398,40 +414,36 @@ def find_crossover(
     channel = _Channel(params.dark_count_rate, params.misalignment,
                        params.ec_efficiency)
 
-    def above_plob(distances: list[float], rates: list[float]
-                   ) -> tuple[int, bool]:
-        # the first distance whose rate beats PLOB, else len(distances),
-        # and whether a rate read up to it lies within _TIE of PLOB.
-        # PLOB >= 0, so a point with rate 0 never beats it and PLOB is
-        # read at keyed points only
+    def first_crossing(distances: list[float], ends=None
+                       ) -> tuple[int, list[tuple[float, float | None]]]:
+        # the first distance whose optimized rate beats PLOB, else
+        # len(distances), and each distance's (distance, mu_opt), mu_opt
+        # None where it has no key. ends, the (distance, mu_opt) of a
+        # round's two ends, warm-starts the lanes where both have key;
+        # a warm round with a rate read within _TIE of PLOB runs again
+        # cold. PLOB >= 0, so a point with rate 0 never beats it and
+        # PLOB is read at keyed points only
+        lanes = np.array([transmittance(d, params) for d in distances])
+        warm = ends is not None and None not in (ends[0][1], ends[1][1])
+        if warm:
+            mu, rates = _maximize_from(lanes, channel, grid_size,
+                                       *_start_between(distances, *ends))
+        else:
+            mu, rates = _maximize_lanes(lanes, channel, grid_size)
+        rates = rates.tolist()
         tie = False
         for i, (d, rate) in enumerate(zip(distances, rates)):
             if rate > 0.0:
                 plob = plob_bound(d, params)
                 tie = tie or abs(rate - plob) <= _TIE * rate
                 if rate > plob:
-                    return i, tie
-        return len(distances), tie
-
-    def first_crossing(distances: list[float], ends=None
-                       ) -> tuple[int, list[float | None]]:
-        # above_plob's index for the optimized rates at distances, and
-        # each distance's mu_opt, None where it has no key. ends, the
-        # (distance, mu_opt) of a round's two ends, warm-starts the lanes;
-        # a round whose warm rates tie with PLOB takes the grid search
-        lanes = np.array([transmittance(d, params) for d in distances])
-        tie = True
-        if ends is not None:
-            mu, rates = _maximize_from(lanes, channel, grid_size,
-                                       *_start_between(distances, *ends))
-            rates = rates.tolist()
-            i, tie = above_plob(distances, rates)
-        if tie:
-            mu, rates = _maximize_lanes(lanes, channel, grid_size)
-            rates = rates.tolist()
-            i, _ = above_plob(distances, rates)
-        return i, [m if rate > 0.0 else None
-                   for m, rate in zip(mu.tolist(), rates)]
+                    break
+        else:
+            i = len(distances)
+        if warm and tie:
+            return first_crossing(distances)
+        return i, [(d, m if rate > 0.0 else None)
+                   for d, m, rate in zip(distances, mu.tolist(), rates)]
 
     n_steps = int(l_max / coarse_step + 1e-9)
     walk = [min(i * coarse_step, l_max) for i in range(n_steps + 1)]
@@ -444,15 +456,15 @@ def find_crossover(
     live = len(walk)
     if params.dark_count_rate == 0.0:
         live = sum(MU_MIN * transmittance(d, params) > 0.0 for d in walk)
-    i, mu = first_crossing(walk[:live])
+    i, points = first_crossing(walk[:live])
     if i == live:
         if live < len(walk):
             first_crossing(walk[live:])  # raises DegenerateChannelError
         return None
-    if i == 0:
-        return 0.0
-    lo, hi = walk[i - 1], walk[i]
-    mu = mu[i - 1:i + 1]
+    # i > 0: key needs E <= 6/19, so dark clicks are at most 12/19 of
+    # the gain Q and R(0) <= Q(1 - 2mu) < 0.34 eta_d < PLOB(0)
+    ends = points[i - 1:i + 1]
+    (lo, _), (hi, _) = ends
     while hi - lo > tol and lo < 0.5 * (lo + hi) < hi:
         # the next levels' cells in ascending order, each midpoint
         # 0.5 * (a + b) of its own cell, as a sequential bisection has it.
@@ -465,8 +477,7 @@ def find_crossover(
             if min(b - a for a, b in zip(edges, edges[1:])) <= tol:
                 break
         # the first cell where the excess turns positive; at hi it is
-        ends = None if None in mu else tuple(zip((lo, hi), mu))
         j, inner = first_crossing(edges[1:-1], ends)
-        mu = [mu[0], *inner, mu[1]][j:j + 2]
-        lo, hi = edges[j], edges[j + 1]
+        ends = [ends[0], *inner, ends[1]][j:j + 2]
+        (lo, _), (hi, _) = ends
     return hi

@@ -15,7 +15,7 @@ import pytest
 
 from tfqss import cli
 from tfqss.attacks import beta_bound
-from tfqss.bounds import dps_qss_baseline, plob_bound, repeaterless_bound
+from tfqss.bounds import plob_bound, repeaterless_bound
 from tfqss.channel import ChannelState, transmittance
 from tfqss.core import Owner, ProtocolConfig, SystemParams
 from tfqss.keyrate import binary_entropy, collision_probability, gain, qber
@@ -23,6 +23,7 @@ from tfqss.mcsim import prepare_train, run_measurement, run_protocol, sift
 from tfqss.optimize import (
     MU_MAX,
     MU_MIN,
+    dps_qss_baseline,
     find_crossover,
     optimize_mu,
     scan_distances,

@@ -5,10 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from tfqss.bounds import dps_qss_baseline, plob_bound, repeaterless_bound
+from tfqss.bounds import plob_bound, repeaterless_bound
 from tfqss.channel import transmittance
 from tfqss.core import ParameterError, SystemParams
-from tfqss.optimize import maximize_rate_at_transmittance, optimize_mu
+from tfqss.optimize import (
+    dps_qss_baseline,
+    maximize_rate_at_transmittance,
+    optimize_mu,
+)
 
 DEFAULTS = SystemParams()
 

@@ -214,6 +214,7 @@ def test_simulate_noiseless_run_has_zero_qber(capsys):
         "--distance", "50", "--mu", "0.3"], capsys)
     assert code == 0
     assert "empirical_qber=0.000000000e+00" in out
+    assert "qber_z=0.000000000e+00" in out
     assert "abort=false" in out
 
 

@@ -168,9 +168,6 @@ def test_drawn_trains_are_the_two_prepare_train_trains(n):
             if hi <= size:
                 assert np.array_equal(train._span(lo, hi),
                                       ref_train.packed[lo:hi]), (lo, hi)
-        assert np.array_equal(train.packed, ref_train.packed)
-        assert not train.packed.flags.writeable
-        assert np.array_equal(train.bits, ref_train.bits)
     assert rng.random() == ref.random()
     assert np.array_equal(rng.integers(0, 1 << 16, 7, dtype=np.uint16),
                           ref.integers(0, 1 << 16, 7, dtype=np.uint16))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import tfqss.optimize
-from tfqss.bounds import dps_qss_baseline, plob_bound, repeaterless_bound
+from tfqss.bounds import plob_bound, repeaterless_bound
 from tfqss.channel import transmittance
 from tfqss.core import ParameterError, SystemParams
 from tfqss.keyrate import (
@@ -24,6 +24,7 @@ from tfqss.keyrate import (
 from tfqss.optimize import (
     MU_MAX,
     MU_MIN,
+    dps_qss_baseline,
     find_crossover,
     maximize_rate_at_transmittance,
     optimize_mu,
@@ -890,6 +891,28 @@ def test_lanes_of_the_domain_match_one_lane_calls_bit_for_bit():
     assert rate.tobytes() == one_rate.tobytes()
     assert rate.tobytes() == rate_at_transmittance(
         mu_opt, lanes, channel).rate.tobytes()
+
+
+def test_no_rate_beats_plob_at_zero_distance():
+    # find_crossover's walk never crosses at its first point, 0 km: key
+    # needs E <= 6/19, so dark clicks are at most 12/19 of the gain Q,
+    # and R(0) <= Q(1 - 2 mu) <= (19/7) mu eta_d (1 - 2 mu) < 0.34 eta_d,
+    # below PLOB(0) >= eta_d / ln 2. The 3,000 draws of the audit domain
+    # at L = 0, then the corners of p_d and eta_d at e_d = 0 and f = 1
+    params = [_domain_params(row)
+              for row in np.random.default_rng(0).uniform(size=(3000, 6))]
+    params += [SystemParams(detector_efficiency=eta_d, dark_count_rate=p_d,
+                            ec_efficiency=1.0, misalignment=0.0)
+               for p_d in (0.0, 1e-3, 0.49)
+               for eta_d in (1e-3, 0.5, 1.0 - 1e-6)]
+    lanes = np.array([transmittance(0.0, p) for p in params])
+    channel = tfqss.optimize._Channel(*(
+        np.array([getattr(p, name) for p in params])
+        for name in ("dark_count_rate", "misalignment", "ec_efficiency")))
+    _, rate = tfqss.optimize._maximize_lanes(lanes, channel, 64)
+    plob = np.array([plob_bound(0.0, p) for p in params])
+    assert np.all(rate < plob)
+    assert np.all(rate < 0.34 * lanes)
 
 
 def _mu_grid(size):
