@@ -40,7 +40,9 @@ depend on its neighbours. _rate_terms gives rate_at_transmittance's
 rate of eta that its caller validated with _check_eta, and
 _rate_and_slope the same rate together with dR/dmu and d2R/dmu2 from
 one pass over the same expressions; it validates no argument, and only
-the rate's Q == 0 check runs.
+the rate's Q == 0 check runs. _key_window gives each lane the range of
+an ascending mu grid outside which _rate_terms rates exactly 0, from
+closed forms, so that the optimizer's grid evaluates that range alone.
 """
 
 from __future__ import annotations
@@ -54,6 +56,15 @@ from .core import MAX_INTENSITY, ParameterError, RateBreakdown, SystemParams
 
 
 _LN2 = math.log(2.0)
+# the error rate where P_co = 1/2, above which no privacy credit remains,
+# and its binary entropy
+_E_SAT = 6.0 / 19.0
+_H_SAT = (-_E_SAT * math.log2(_E_SAT)
+          - (1.0 - _E_SAT) * math.log2(1.0 - _E_SAT))
+# relative widening of E_top in _key_window: far above the rounding of
+# the kernel's E and of its key test, far below a cell of the mu grid
+_TOP_MARGIN = 1e-9
+_ZERO_GAIN = "gain is zero (p_d = 0 and mu*eta = 0); QBER undefined"
 
 
 class DegenerateChannelError(ValueError):
@@ -93,8 +104,7 @@ def _gain(mu, eta, p_d):
 def _qber(q, decay, p_d, e_d):
     """E from Q and e^(-mu*eta); DegenerateChannelError where Q = 0."""
     if (q == 0.0).any():
-        raise DegenerateChannelError(
-            "gain is zero (p_d = 0 and mu*eta = 0); QBER undefined")
+        raise DegenerateChannelError(_ZERO_GAIN)
     dark = 2.0 * p_d * decay
     # dark <= q holds exactly (their difference is 1 - e^(-mu*eta)), so
     # the true value is <= 1/2; division rounding can poke an ulp above
@@ -186,6 +196,74 @@ def _rate_terms(mu, eta, params: SystemParams):
         -(1.0 - 2.0 * mu) * np.log2(np.where(saturated, 1.0, p_co)))
     rate = np.maximum(0.0, q * (privacy - ec_term))
     return decay, q, e, p_co, privacy, ec_term, rate
+
+
+def _error_top(f: float) -> float:
+    """E_top(f): at ec_efficiency f no E above it keys.
+
+    The key needs P_co(E) >= 1/2, so E <= 6/19, and -log2 P_co(E) >
+    f h(E). At 6/19 the left side is 1, so where f h(6/19) <= 1 (within
+    _TOP_MARGIN) E_top is 6/19. Elsewhere -log2 P_co(E) - f h(E), 1 at
+    E = 0, changes sign once on [0, 6/19]: on (0, 3/19), where both
+    terms of its derivative are negative. E_top is that root, by Newton
+    steps bracketed by bisection.
+    """
+    if f * _H_SAT <= 1.0 + _TOP_MARGIN:
+        return _E_SAT
+    lo, hi, e = 0.0, _E_SAT, 0.05
+    for _ in range(100):
+        p = 1.0 - e * e - (1.0 - 6.0 * e) ** 2 / 2.0
+        log_e, log_1e = math.log2(e), math.log2(1.0 - e)
+        g = -math.log2(p) + f * (e * log_e + (1.0 - e) * log_1e)
+        lo, hi = (e, hi) if g > 0.0 else (lo, e)
+        step = g / (-(6.0 - 38.0 * e) / (p * _LN2) - f * (log_1e - log_e))
+        if abs(step) <= 1e-12 * e:
+            return e - step
+        e = e - step if lo < e - step < hi else 0.5 * (lo + hi)
+    return hi
+
+
+def _key_window(grid: np.ndarray, eta: np.ndarray, params: SystemParams
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """[lo, hi): the indices of the ascending mu grid outside which
+    _rate_terms(grid, eta[:, None], params) rates exactly 0, per lane.
+
+    E falls towards e_d as mu*eta grows (it is e_d where p_d = 0), and
+    the key needs E <= E_top(f) (_error_top): so mu >= mu_lo =
+    log1p(2 p_d (1 - r)/r)/eta, where E = E_top, with r = (E_top -
+    e_d)/(1/2 - e_d), and a lane with e_d >= E_top has no key. The key
+    also needs 1 - 2 mu > f h(E)/(-log2 P_co(E)) at an E in [e_d, 6/19];
+    that ratio rises from 0 to one peak and falls to h(6/19) at 6/19,
+    with no interior minimum, so mu < mu_hi = (1 - f min(h(e_d)/(-log2
+    P_co(e_d)), h(6/19)))/2. The window is conservative: E_top is
+    widened by _TOP_MARGIN, and the window by one grid cell each side.
+
+    eta is a validated 1-D array; params' fields are floats or arrays
+    with one value per lane. Raises DegenerateChannelError where p_d = 0
+    and grid[0]*eta = 0, as the kernel does at that point.
+    """
+    p_d, e_d = params.dark_count_rate, params.misalignment
+    f = params.ec_efficiency
+    if ((p_d == 0.0) & (grid[0] * eta == 0.0)).any():
+        raise DegenerateChannelError(_ZERO_GAIN)
+    if np.ndim(f) == 0:
+        top = _error_top(float(f))
+    else:
+        values, inverse = np.unique(f, return_inverse=True)
+        top = np.array([_error_top(v) for v in values.tolist()])[inverse]
+    r = (top * (1.0 + _TOP_MARGIN) - e_d) / (0.5 - e_d)
+    keyed = r > 0.0
+    r = np.where(keyed, r, 1.0)
+    x_lo = np.log1p(2.0 * p_d * (1.0 - r) / r)
+    with np.errstate(over="ignore"):
+        mu_lo = np.divide(x_lo, eta, out=np.full(eta.shape, np.inf),
+                          where=eta > 0.0)
+    e = np.minimum(e_d, _E_SAT)
+    ratio = _binary_entropy(e) / -np.log2(_collision_probability(e))
+    mu_hi = 0.5 * (1.0 - f * np.minimum(ratio, _H_SAT))
+    lo = np.maximum(np.searchsorted(grid, mu_lo) - 1, 0)
+    hi = np.minimum(np.searchsorted(grid, mu_hi, "right") + 1, grid.size)
+    return lo, np.where(keyed, np.maximum(lo, hi), lo)
 
 
 def rate_at_transmittance(mu, eta, params: SystemParams) -> RateBreakdown:

@@ -196,8 +196,8 @@ class DetectionRecords:
 
 
 def run_measurement(
-    a: PulseTrain,
-    b: PulseTrain,
+    a: PulseTrain | _DrawnTrain,
+    b: PulseTrain | _DrawnTrain,
     state: ChannelState,
     rng: np.random.Generator,
 ) -> DetectionRecords:
@@ -264,7 +264,8 @@ def run_measurement(
 
 
 def sift(
-    records: DetectionRecords, a: PulseTrain, b: PulseTrain
+    records: DetectionRecords, a: PulseTrain | _DrawnTrain,
+    b: PulseTrain | _DrawnTrain
 ) -> SiftedKeys:
     """Keep clicked slots and align the three parties' bits.
 

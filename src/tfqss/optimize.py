@@ -3,12 +3,14 @@
 The rate is maximized over mu on lanes: a 1-D array of arm
 transmittances, one independent maximization each, with the channel's
 p_d, e_d and f shared or given per lane (_Channel). A coarse
-logarithmic grid (_grid_best) gives each lane its start and bracket,
-and a lockstep root search of the analytic slope dR/dmu (_root_search)
-refines it. No stage is stochastic, so repeated runs give bit-identical
-optima, and a lane does exactly the arithmetic of a one-lane run, so
-results match one-lane calls bit for bit. grid_size is the one setting
-a caller may change.
+logarithmic grid (_grid_best), evaluated only inside each lane's key
+window (keyrate._key_window), outside which the rate is exactly 0,
+gives each lane its start and bracket, and a lockstep root search of
+the analytic slope dR/dmu (_root_search) refines it. No stage is
+stochastic, so repeated runs give bit-identical optima, and a lane
+does exactly the arithmetic of a one-lane run, so results match
+one-lane calls bit for bit. grid_size is the one setting a caller may
+change.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .core import (
 )
 from .keyrate import (
     _check_eta,
+    _key_window,
     _rate_and_slope,
     _rate_terms,
     rate_at_transmittance,
@@ -51,12 +54,12 @@ _REFINE_ITERS = 60
 # and a lane still bisecting after eight has no root in its bracket,
 # such as one whose rate peaks at the saturation edge (about 40 steps)
 _WARM_STEPS = 8
-# (lane, mu) points per tile of the grid, at most: _grid_best cuts the
-# lanes into tiles of _GRID_TILE // grid_size lanes, one at least, so
-# at the default grid a tile holds 64 lanes and each float64 temporary
-# 32 KB. Those stay in cache and on the heap; 80 KB ones (161 lanes)
-# were page-faulted in again on every call
-_GRID_TILE = 4096
+# (lane, mu) points per tile of the grid, at most: _grid_best gathers
+# whole key windows into flat tiles of up to this many points, so each
+# float64 temporary holds 16 KB. Those stay in cache and on the heap;
+# 80 KB ones (161 lanes of 64 points) were page-faulted in again on
+# every call
+_GRID_TILE = 2048
 # a warm-started rate within this fraction of PLOB leaves find_crossover's
 # test to the grid search, which a sequential bisection runs: warm and
 # grid-started optima agree to rounding, and their rates by up to 2.4e-12
@@ -89,19 +92,36 @@ def _grid_best(grid: np.ndarray, lanes: np.ndarray,
     The argmax and max over the grid of
     rate_at_transmittance(grid, lanes[:, None], channel).rate, bit for
     bit, and with its errors: eta is validated once for all lanes, then
-    the rate runs over tiles of _GRID_TILE // grid.size lanes (one at
-    least), so its temporaries stay small however many lanes there
-    are.
+    the rate runs only at the (lane, mu) points of each lane's key
+    window (_key_window), outside which it is exactly 0. Whole windows
+    are gathered into flat tiles of at most _GRID_TILE points (one
+    window at least), so its temporaries stay small however many lanes
+    there are. A lane without a keyed point keeps index 0 and rate 0.
     """
     _check_eta(lanes)
-    tile = max(1, _GRID_TILE // grid.size)
-    best = np.empty(lanes.size, dtype=np.intp)
-    grid_best = np.empty(lanes.size)
-    for i in range(0, lanes.size, tile):
-        rates = _rate_terms(grid, lanes[i:i + tile, None],
-                            channel.take(np.s_[i:i + tile, None]))[-1]
-        best[i:i + tile] = rates.argmax(axis=1)
-        grid_best[i:i + tile] = rates.max(axis=1)
+    lo, hi = _key_window(grid, lanes, channel)
+    held = np.flatnonzero(hi > lo)
+    lo, counts = lo[held], (hi - lo)[held]
+    ends = np.cumsum(counts)
+    best = np.zeros(lanes.size, dtype=np.intp)
+    grid_best = np.zeros(lanes.size)
+    i = 0
+    while i < held.size:
+        # the next windows that fill a tile, one at least, whole
+        base = ends[i] - counts[i]
+        j = max(i + 1, int(np.searchsorted(ends, base + _GRID_TILE, "right")))
+        n, tile = counts[i:j], held[i:j]
+        first = ends[i:j] - n - base
+        lane = np.repeat(tile, n)
+        index = np.arange(lane.size) + np.repeat(lo[i:j] - first, n)
+        rates = _rate_terms(grid[index], lanes[lane], channel.take(lane))[-1]
+        top = np.maximum.reduceat(rates, first)
+        # each lane's first point at its max, as argmax picks it
+        best[tile] = np.minimum.reduceat(np.where(
+            rates == np.repeat(top, n), index, grid.size), first)
+        grid_best[tile] = top
+        i = j
+    best[grid_best == 0.0] = 0
     return best, grid_best
 
 

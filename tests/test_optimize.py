@@ -15,9 +15,12 @@ import tfqss.optimize
 from tfqss.bounds import plob_bound, repeaterless_bound
 from tfqss.channel import transmittance
 from tfqss.core import ParameterError, SystemParams
+import tfqss.keyrate
 from tfqss.keyrate import (
     DegenerateChannelError,
     _rate_and_slope,
+    binary_entropy,
+    collision_probability,
     key_rate,
     rate_at_transmittance,
 )
@@ -946,7 +949,8 @@ def test_grid_tiles_give_the_untiled_argmax_and_max(
     rates = np.reshape(whole.rate, (n_lanes, grid_size))
     assert np.array_equal(best, rates.argmax(axis=1))
     assert np.array_equal(best_rate, rates.max(axis=1))
-    assert sum(points) == n_lanes * grid_size
+    lo, hi = tfqss.keyrate._key_window(grid, lanes, channel)
+    assert sum(points) == np.sum(hi - lo)
     assert max(points, default=0) <= tfqss.optimize._GRID_TILE
 
 
@@ -963,9 +967,106 @@ def test_grid_tiles_raise_the_untiled_errors():
             etas, replace(DEFAULTS, dark_count_rate=0.0))
 
 
+def _assert_grid_best_is_the_whole_grid(lanes, channel):
+    """_grid_best's argmax and max against one (lanes x grid) rate call,
+    bit for bit; returns the call's rates."""
+    grid = _mu_grid(64)
+    best, best_rate = tfqss.optimize._grid_best(grid, lanes, channel)
+    rates = rate_at_transmittance(grid, lanes[:, None], channel._make(
+        v[:, None] if isinstance(v, np.ndarray) else v for v in channel)).rate
+    assert best.tobytes() == rates.argmax(axis=1).tobytes()
+    assert best_rate.tobytes() == rates.max(axis=1).tobytes()
+    return rates
+
+
+def _per_lane_channel(params):
+    return tfqss.optimize._Channel(*(
+        np.array([getattr(p, name) for p in params])
+        for name in ("dark_count_rate", "misalignment", "ec_efficiency")))
+
+
+def test_grid_key_windows_keep_the_whole_grids_best_on_the_domain():
+    # the first 300 draws of the audit domain, one row of uniforms each
+    # (row-major draw order), at nine distances each, in one call: the
+    # grid evaluates only each lane's key window, and outside it the
+    # rate must be exactly 0
+    draws = np.random.default_rng(0).uniform(size=(3000, 6))[:300]
+    params = [_domain_params(row) for row in draws
+              for _ in range(9)]
+    distances = [0.0, 25.0, 50.0, 100.0, 200.0, 300.0, 400.0, 600.0,
+                 800.0] * len(draws)
+    lanes = np.array([transmittance(d, p)
+                      for d, p in zip(distances, params)])
+    rates = _assert_grid_best_is_the_whole_grid(
+        lanes, _per_lane_channel(params))
+    assert np.count_nonzero(rates.max(axis=1) > 0.0) >= 500  # 639 of 2,700
+
+
+def test_grid_key_windows_keep_the_whole_grids_best_at_the_edges():
+    # the closed form's edges: no dark counts (E = e_d exactly) and
+    # subnormal-scale ones, f where f h(6/19) = 1 and one ulp either
+    # side, where E_top jumps from 6/19 to the root below 3/19, e_d at
+    # and one ulp below E_top and at 6/19, and links out to 3,000 km
+    f_sat = 1.0 / binary_entropy(6.0 / 19.0)
+    params = []
+    for f in (1.0, np.nextafter(f_sat, 0.0), f_sat,
+              np.nextafter(f_sat, 2.0), 1.16, 3.0):
+        top = tfqss.keyrate._error_top(f)
+        for e_d in (0.0, top, np.nextafter(top, 0.0), 6.0 / 19.0):
+            for p_d in (0.0, 1e-300, 1e-8, 0.4):
+                params.append(SystemParams(
+                    dark_count_rate=p_d, ec_efficiency=f, misalignment=e_d))
+    distances = [0.0, 1.0, 10.0, 100.0, 300.0, 600.0, 1000.0, 2000.0,
+                 3000.0]
+    lanes = np.array([transmittance(d, p)
+                      for p in params for d in distances])
+    params = [p for p in params for _ in distances]
+    rates = _assert_grid_best_is_the_whole_grid(
+        lanes, _per_lane_channel(params))
+    keyed = rates.max(axis=1) > 0.0
+    # the lanes without dark counts at e_d = 6/19 and f = 1 key at E = e_d
+    assert keyed[[i for i, p in enumerate(params)
+                  if p.dark_count_rate == 0.0 and p.misalignment == 6 / 19
+                  and p.ec_efficiency == 1.0]].all()
+    assert np.count_nonzero(keyed) >= 150  # 198 of 864
+
+
+@pytest.mark.parametrize("f", [
+    (1.0 + 1e-6) / binary_entropy(6.0 / 19.0), 1.16, 1.5, 3.0, 10.0])
+def test_key_window_shapes_hold_on_a_dense_error_grid(f):
+    # the two facts _key_window rests on. Where f h(6/19) > 1,
+    # -log2 P_co(E) - f h(E) changes sign once on [0, 6/19], at
+    # _error_top(f); and h(E)/(-log2 P_co(E)) has no interior minimum,
+    # so its minimum over [e_d, 6/19] is at an end
+    e = np.linspace(0.0, 6.0 / 19.0, 200_001)
+    privacy = -np.log2(collision_probability(e))
+    entropy = binary_entropy(e)
+    sign = np.sign(privacy - f * entropy)
+    assert np.count_nonzero(sign[1:] != sign[:-1]) == 1
+    top = tfqss.keyrate._error_top(f)
+    assert (sign[e < top * (1.0 - 1e-9)] > 0).all()
+    assert (sign[e > top * (1.0 + 1e-9)] < 0).all()
+    falls = np.diff(entropy[1:] / privacy[1:]) < 0.0
+    assert falls.any() and falls[np.argmax(falls):].all()
+
+
+def test_grid_raises_for_a_zero_gain_lane_whose_window_is_empty():
+    # without dark counts, e_d = 0.3 leaves no key window on any lane,
+    # so the grid evaluates no rate; the lane with eta = 0 still raises,
+    # as the whole grid would
+    channel = tfqss.optimize._Channel(0.0, 0.3, DEFAULTS.ec_efficiency)
+    etas = np.linspace(0.9, 0.1, 161)
+    lo, hi = tfqss.keyrate._key_window(_mu_grid(64), etas, channel)
+    assert np.array_equal(lo, hi)
+    etas[100] = 0.0
+    with pytest.raises(DegenerateChannelError):
+        tfqss.optimize._grid_best(_mu_grid(64), etas, channel)
+
+
 def test_find_crossover_temporaries_stay_small():
-    # the grid's tiles hold 32 KB per temporary at the default grid; one
-    # (161 x 64) block held 80 KB, and its peak was 832 KB
+    # the grid's flat tiles of key windows hold 16 KB per temporary (266
+    # KB peak; 378 KB with 32 KB tiles of whole lanes); one (161 x 64)
+    # block held 80 KB, and its peak was 832 KB
     tracemalloc.start()
     try:
         find_crossover(DEFAULTS)
