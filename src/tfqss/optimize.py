@@ -6,11 +6,14 @@ p_d, e_d and f shared or given per lane (_Channel). A coarse
 logarithmic grid (_grid_best), evaluated only inside each lane's key
 window (keyrate._key_window), outside which the rate is exactly 0,
 gives each lane its start and bracket, and a lockstep root search of
-the analytic slope dR/dmu (_root_search) refines it. No stage is
-stochastic, so repeated runs give bit-identical optima, and a lane
-does exactly the arithmetic of a one-lane run, so results match
-one-lane calls bit for bit. grid_size is the one setting a caller may
-change.
+the analytic slope dR/dmu (_root_search) refines it. find_crossover's
+bisection rounds start that root search from their ends' optima
+instead, with no grid call; a round stands only if every lane
+converges and no rate lies within _TIE of PLOB, and otherwise runs
+again through the grid search. No stage is stochastic, so repeated
+runs give bit-identical optima, and a lane does exactly the arithmetic
+of a one-lane run, so results match one-lane calls bit for bit.
+grid_size is the one setting a caller may change.
 """
 
 from __future__ import annotations
@@ -49,10 +52,11 @@ _STOP = 1e-14
 # rate peaks at the saturation edge bisect there, and of 4,800 lanes
 # drawn over the admitted domain the slowest make 45 steps (48 calls)
 _REFINE_ITERS = 60
-# root-search steps of a lane started by its caller (_maximize_from), at
-# most: Newton from a start 1e-3 off the root stops after four probes,
-# and a lane still bisecting after eight has no root in its bracket,
-# such as one whose rate peaks at the saturation edge (about 40 steps)
+# root-search steps of a warm crossover round (find_crossover), at most:
+# Newton from a start 1e-3 off the root stops after four probes, and a
+# lane still bisecting after eight has no root in its bracket, such as
+# one whose rate peaks at the saturation edge (about 40 steps). Such a
+# lane does not converge, so its round runs again cold
 _WARM_STEPS = 8
 # (lane, mu) points per tile of the grid, at most: _grid_best gathers
 # whole key windows into flat tiles of up to this many points, so each
@@ -60,10 +64,11 @@ _WARM_STEPS = 8
 # 80 KB ones (161 lanes of 64 points) were page-faulted in again on
 # every call
 _GRID_TILE = 2048
-# a warm-started rate within this fraction of PLOB leaves find_crossover's
-# test to the grid search, which a sequential bisection runs: warm and
-# grid-started optima agree to rounding, and their rates by up to 2.4e-12
-# of the rate over 1,000 draws of the parameter domain
+# a warm-started rate within this fraction of PLOB runs find_crossover's
+# round again cold, as a round with an unconverged lane does, so the
+# grid search decides the test: warm and grid-started optima agree to
+# rounding, and their rates by up to 2.4e-12 of the rate over 1,000
+# draws of the parameter domain
 _TIE = 1e-9
 # bisection levels find_crossover evaluates per optimizer call, at most:
 # a round stops at the level whose cells are within tol
@@ -169,30 +174,6 @@ def _maximize_lanes(lanes: np.ndarray, channel: _Channel,
     return mu_all, rate_all
 
 
-def _maximize_from(lanes: np.ndarray, channel: _Channel, grid_size,
-                   start: np.ndarray, lo: np.ndarray,
-                   hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(mu_opt, rate) of each lane, its root search started at start
-    inside the bracket [lo, hi], with no grid call.
-
-    A lane keeps this warm answer only where its search stopped by
-    Newton's criteria at a probe with key within _WARM_STEPS steps; the
-    answer is then _maximize_lanes' to rounding, since both stop at the
-    same root from different probes. Every other lane, whose bracket
-    held no root or whose probes lost key, takes the grid search of
-    _maximize_lanes in the same call, and its answer bit for bit. The
-    lanes are validated as the grid validates them.
-    """
-    _check_eta(lanes)
-    mu_opt, rate, converged = _root_search(
-        start, lo, hi, lanes, channel, _WARM_STEPS)
-    cold = np.flatnonzero(~converged)
-    if cold.size:
-        mu_opt[cold], rate[cold] = _maximize_lanes(
-            lanes[cold], channel.take(cold), grid_size)
-    return mu_opt, rate
-
-
 def _root_search(x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                  lanes: np.ndarray, channel: _Channel,
                  steps: int = _REFINE_ITERS
@@ -204,8 +185,10 @@ def _root_search(x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     rate 0 where none has key, and whether the lane stopped by Newton's
     criteria (a step at rounding level) at a probe with key: a lane that
     stopped otherwise closed its bracket, ended on a probe without key
-    or where the slope is not concave, or ran out of steps. One slope
-    call per step; lanes and channel are validated by the caller.
+    or where the slope is not concave, or ran out of steps. A warm
+    crossover round stands only where every lane converged, and runs
+    again through the grid search otherwise. One slope call per step;
+    lanes and channel are validated by the caller.
     """
     start = x
     running = np.ones(lanes.size, dtype=bool)
@@ -331,8 +314,10 @@ def scan_distances(
     for name, value in (("l_min", l_min), ("l_max", l_max), ("step", step)):
         if not math.isfinite(value):
             raise ParameterError(f"{name}={value!r} must be finite")
-    if l_min < 0.0 or l_max < l_min:
-        raise ParameterError("need 0 <= l_min <= l_max")
+    if l_min < 0.0:
+        raise ParameterError(f"l_min={l_min!r} must be >= 0")
+    if l_max < l_min:
+        raise ParameterError(f"l_max={l_max!r} must be >= l_min={l_min!r}")
     if step <= 0.0:
         raise ParameterError(f"step={step!r} must be > 0")
     span = (l_max - l_min) / step
@@ -369,8 +354,8 @@ def scan_distances(
 def _start_between(distances: list[float], end_a: tuple[float, float],
                    end_b: tuple[float, float]
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(start, lo, hi) of _maximize_from for lanes at distances between
-    two points whose (distance, mu_opt) are end_a and end_b.
+    """(x, lo, hi) of _root_search for lanes at distances between two
+    points whose (distance, mu_opt) are end_a and end_b.
 
     mu_opt is monotone in L wherever the optimum is an interior root of
     the slope, rather than the saturation edge (which takes f <
@@ -414,13 +399,15 @@ def find_crossover(
     crossing among the points evaluated. Each call reads the rates the
     search returns, and PLOB only at keyed points up to its first
     crossing: PLOB >= 0, so rate > plob is the test rate - plob > 0.
-    A round whose two ends have key makes no grid call: each midpoint's
-    root search starts from the ends' mu_opt interpolated in L, inside
-    their bracket (_maximize_from), and only a lane whose search does
-    not converge there takes the grid. A round with an end without key
-    runs the grid search, and so does a round where a rate read lies
-    within _TIE of PLOB: warm and grid starts give the same optimum
-    only to rounding, and there rounding decides the test.
+    A round whose two ends have key starts warm, with no grid call:
+    each midpoint's root search starts from the ends' mu_opt
+    interpolated in L, inside their bracket (_start_between), for at
+    most _WARM_STEPS steps. It stands only if every lane converges and
+    no rate read lies within _TIE of PLOB; otherwise the round runs
+    again whole through the grid search, as does a round with an end
+    without key. Warm and grid starts give the same optimum only to
+    rounding, so a converged warm lane answers rate > plob as the grid
+    search does except within _TIE, where rounding decides the test.
     """
     if not 0.0 <= l_max < math.inf:
         raise ParameterError(f"l_max={l_max!r} must be >= 0 and finite")
@@ -439,29 +426,31 @@ def find_crossover(
         # the first distance whose optimized rate beats PLOB, else
         # len(distances), and each distance's (distance, mu_opt), mu_opt
         # None where it has no key. ends, the (distance, mu_opt) of a
-        # round's two ends, warm-starts the lanes where both have key;
-        # a warm round with a rate read within _TIE of PLOB runs again
-        # cold. PLOB >= 0, so a point with rate 0 never beats it and
-        # PLOB is read at keyed points only
+        # round's two ends, warm-starts the lanes where both have key.
+        # A warm round stands only if every lane converged and no rate
+        # read lies within _TIE of PLOB; else it runs again cold. PLOB
+        # >= 0, so a point with rate 0 never beats it and PLOB is read
+        # at keyed points only
         lanes = np.array([transmittance(d, params) for d in distances])
         warm = ends is not None and None not in (ends[0][1], ends[1][1])
         if warm:
-            mu, rates = _maximize_from(lanes, channel, grid_size,
-                                       *_start_between(distances, *ends))
+            mu, rates, converged = _root_search(
+                *_start_between(distances, *ends), lanes, channel,
+                _WARM_STEPS)
+            if not converged.all():
+                return first_crossing(distances)
         else:
             mu, rates = _maximize_lanes(lanes, channel, grid_size)
         rates = rates.tolist()
-        tie = False
         for i, (d, rate) in enumerate(zip(distances, rates)):
             if rate > 0.0:
                 plob = plob_bound(d, params)
-                tie = tie or abs(rate - plob) <= _TIE * rate
+                if warm and abs(rate - plob) <= _TIE * rate:
+                    return first_crossing(distances)
                 if rate > plob:
                     break
         else:
             i = len(distances)
-        if warm and tie:
-            return first_crossing(distances)
         return i, [(d, m if rate > 0.0 else None)
                    for d, m, rate in zip(distances, mu.tolist(), rates)]
 

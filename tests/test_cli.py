@@ -305,12 +305,27 @@ def test_invalid_parameter_value_exits_1(capsys):
     (["scan", "--l_max", "1e300", "--l_step", "1e-10"], "l_step"),
     # no effect, but still a count
     (["scan", "--threads", "0"], "threads"),
+    # were "need 0 <= l_min <= l_max", naming neither key nor value
+    (["scan", "--l_min", "-1"], "l_min"),
+    (["scan", "--l_min", "5", "--l_max", "3"], "l_max"),
 ])
 def test_non_finite_values_exit_1_naming_the_key(argv, key, capsys):
     code, out, err = _run(argv, capsys)
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: {key}=")
+
+
+def test_scan_without_dark_counts_past_the_gain_underflow_exits_1(capsys):
+    # at p_d = 0 and 10 dB/km, mu*eta underflows to 0 well before 2,000
+    # km: the optimizer's DegenerateChannelError is a ValueError, so main
+    # prints it and writes no row
+    code, out, err = _run(
+        ["scan", "--p_d", "0", "--alpha", "10", "--l_max", "2000"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == ("error: gain is zero (p_d = 0 and mu*eta = 0); "
+                   "QBER undefined\n")
 
 
 def test_scan_names_a_bad_e_d_after_the_first(capsys):

@@ -744,20 +744,22 @@ def _crossover_rounds(monkeypatch, params):
     """find_crossover(params) and the (distances, lanes, channel, mu_opt,
     rate) of each warm round it ran."""
     rounds, distances = [], []
-    warm = tfqss.optimize._maximize_from
+    search = tfqss.optimize._root_search
     start_between = tfqss.optimize._start_between
 
     def recorded_start(points, *ends):
         distances.append(points)
         return start_between(points, *ends)
 
-    def recorded(lanes, channel, *args):
-        mu_opt, rate = warm(lanes, channel, *args)
-        rounds.append((distances[-1], lanes, channel, mu_opt, rate))
-        return mu_opt, rate
+    def recorded(x, lo, hi, lanes, channel, *steps):
+        mu_opt, rate, converged = search(x, lo, hi, lanes, channel, *steps)
+        # a warm round's search; the grid search's runs _REFINE_ITERS
+        if steps == (tfqss.optimize._WARM_STEPS,):
+            rounds.append((distances[-1], lanes, channel, mu_opt, rate))
+        return mu_opt, rate, converged
 
     monkeypatch.setattr(tfqss.optimize, "_start_between", recorded_start)
-    monkeypatch.setattr(tfqss.optimize, "_maximize_from", recorded)
+    monkeypatch.setattr(tfqss.optimize, "_root_search", recorded)
     return find_crossover(params), rounds
 
 
@@ -793,13 +795,13 @@ def _domain_params(row):
 
 
 @pytest.mark.parametrize("case", ["other e_d", "non-monotone draw"])
-def test_crossover_lanes_whose_bracket_misses_the_optimum_fall_back(
-        monkeypatch, case):
+def test_crossover_lanes_whose_bracket_misses_the_optimum_fall_back(case):
     # a warm lane whose bracket excludes its optimum closes the bracket
-    # on an end instead of converging, and takes the cold search: the
-    # bracket forced from e_d = 0.02's optima on e_d = 0.04's lanes, and
-    # draw 19 of the audit domain (f = 1.033, below 1/h(6/19)), whose
-    # mu_opt jumps within 85-90 km
+    # on an end instead of converging, so its round cannot stand and
+    # runs again through the grid search: the bracket forced from e_d =
+    # 0.02's optima on e_d = 0.04's lanes, and draw 19 of the audit
+    # domain (f = 1.033, below 1/h(6/19)), whose mu_opt jumps within
+    # 85-90 km
     if case == "other e_d":
         params = replace(DEFAULTS, misalignment=0.04)
         ends_from, l_a, l_b = replace(DEFAULTS, misalignment=0.02), 170., 175.
@@ -816,31 +818,21 @@ def test_crossover_lanes_whose_bracket_misses_the_optimum_fall_back(
     lanes = np.array([transmittance(d, params) for d in distances])
     start, lo, hi = tfqss.optimize._start_between(
         distances, (l_a, mu_a), (l_b, mu_b))
-    cold_mu, cold_rate = tfqss.optimize._maximize_lanes(lanes, channel, 64)
+    cold_mu, _ = tfqss.optimize._maximize_lanes(lanes, channel, 64)
     outside = (cold_mu < lo) | (cold_mu > hi)
     assert np.count_nonzero(outside) >= 20
-    grid_lanes = []
-    grid = tfqss.optimize._grid_best
-
-    def counted(mu, eta, channel):
-        grid_lanes.append(eta.size)
-        return grid(mu, eta, channel)
-
-    monkeypatch.setattr(tfqss.optimize, "_grid_best", counted)
-    mu_opt, rate = tfqss.optimize._maximize_from(
-        lanes, channel, 64, start, lo, hi)
-    assert len(grid_lanes) == 1 and grid_lanes[0] >= np.count_nonzero(outside)
-    assert mu_opt[outside].tobytes() == cold_mu[outside].tobytes()
-    assert rate[outside].tobytes() == cold_rate[outside].tobytes()
+    _, _, converged = tfqss.optimize._root_search(
+        start, lo, hi, lanes, channel, tfqss.optimize._WARM_STEPS)
+    assert not converged[outside].any()
 
 
 def test_crossover_lanes_at_the_saturation_edge_stop_warm_early(
         kernel_calls):
     # draw 0 of the audit domain (f = 1.008) has its optimum where P_co
     # reaches 1/2 on 615-616 km, its crossing cell at a 1 km walk: the
-    # slope has no root there, so a warm lane bisects toward the edge,
-    # stops after _WARM_STEPS steps and takes the grid search, whose
-    # answer it returns bit for bit (42 warm probes, until the bracket
+    # slope has no root there, so a warm lane bisects toward the edge
+    # and stops after _WARM_STEPS steps unconverged, and its round runs
+    # again through the grid search (42 warm probes, until the bracket
     # closed, without that cap)
     params = _domain_params(
         np.random.default_rng(0).uniform(size=(3000, 6))[0])
@@ -851,16 +843,67 @@ def test_crossover_lanes_at_the_saturation_edge_stop_warm_early(
     distances = [615.0 + k / 32 for k in range(1, 32)]
     lanes = np.array([transmittance(d, params) for d in distances])
     kernel_calls.clear()
-    cold_mu, cold_rate = tfqss.optimize._maximize_lanes(lanes, channel, 64)
-    cold_calls = len(kernel_calls)
-    kernel_calls.clear()
-    mu_opt, rate = tfqss.optimize._maximize_from(
-        lanes, channel, 64, *tfqss.optimize._start_between(
-            distances, (615.0, mu_a), (616.0, mu_b)))
-    assert len(kernel_calls) == (
-        tfqss.optimize._WARM_STEPS + 1 + cold_calls)
-    assert mu_opt.tobytes() == cold_mu.tobytes()
-    assert rate.tobytes() == cold_rate.tobytes()
+    _, _, converged = tfqss.optimize._root_search(
+        *tfqss.optimize._start_between(
+            distances, (615.0, mu_a), (616.0, mu_b)),
+        lanes, channel, tfqss.optimize._WARM_STEPS)
+    assert len(kernel_calls) == tfqss.optimize._WARM_STEPS + 1
+    assert not converged.any()
+
+
+def _crossover_calls(monkeypatch):
+    """List that grows by "grid" per grid call of the optimizer, and by
+    "warm" or "unsettled" per warm round's root search, as every lane
+    of it converged or not."""
+    calls = []
+    grid, search = tfqss.optimize._grid_best, tfqss.optimize._root_search
+
+    def counted_grid(*args):
+        calls.append("grid")
+        return grid(*args)
+
+    def counted_search(*args):
+        mu_opt, rate, converged = search(*args)
+        if args[5:] == (tfqss.optimize._WARM_STEPS,):
+            calls.append("warm" if converged.all() else "unsettled")
+        return mu_opt, rate, converged
+
+    monkeypatch.setattr(tfqss.optimize, "_grid_best", counted_grid)
+    monkeypatch.setattr(tfqss.optimize, "_root_search", counted_search)
+    return calls
+
+
+def test_crossover_rounds_at_the_saturation_edge_run_again_cold(
+        monkeypatch):
+    # draw 0 of the audit domain at a 1 km walk: both bisection rounds
+    # of its crossing cell, 615-616 km, start warm, leave lanes at the
+    # saturation edge unconverged, and run again through the grid
+    # search, which gives the crossing that the grid alone gives
+    params = _domain_params(
+        np.random.default_rng(0).uniform(size=(3000, 6))[0])
+    calls = _crossover_calls(monkeypatch)
+    assert find_crossover(params, coarse_step=1.0) == 615.953125
+    assert calls == ["grid", "unsettled", "grid", "unsettled", "grid"]
+
+
+def test_crossover_rounds_within_the_tie_of_plob_run_again_cold(
+        monkeypatch):
+    # bisected to adjacent floats, the last rounds' rates lie within
+    # _TIE of PLOB: each such round runs again through the grid search,
+    # and the crossing is the grid search's to the last bit (kept warm,
+    # it was one float lower, where the rate is below PLOB)
+    params = replace(DEFAULTS, misalignment=0.05)
+    calls = _crossover_calls(monkeypatch)
+    crossing = find_crossover(params, coarse_step=1.0, tol=1e-300)
+    # the last round started warm, then ran the grid search
+    assert calls[-2] != "grid" and calls[-1] == "grid"
+
+    def excess(distance):
+        return optimize_mu(distance, params)[1].rate - plob_bound(
+            distance, params)
+
+    assert excess(crossing) > 0.0
+    assert excess(math.nextafter(crossing, 0.0)) <= 0.0
 
 
 def test_lanes_of_the_domain_match_one_lane_calls_bit_for_bit():

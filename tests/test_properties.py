@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from tfqss.attacks import leakage_report
 from tfqss.bounds import plob_bound, repeaterless_bound
 from tfqss.channel import click_probability, transmittance
-from tfqss.core import MAX_INTENSITY, SystemParams
-from tfqss.keyrate import gain, key_rate, qber
-from tfqss.optimize import MU_MAX, MU_MIN, optimize_mu
+from tfqss.core import MAX_INTENSITY, ProtocolConfig, SystemParams
+from tfqss.keyrate import DegenerateChannelError, gain, key_rate, qber
+from tfqss.mcsim import run_protocol
+from tfqss.optimize import MU_MAX, MU_MIN, optimize_mu, scan_distances
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -106,3 +107,77 @@ def test_leakage_report_ordering_holds(mu, distance, params):
     assert general == min(1.0, 2.0 * mu)
     assert 0.0 <= report.internal_split_leakage <= general + 1e-15
     assert 0.0 <= report.external_leakage <= general + 1e-15
+
+
+# every admitted value, out to the ends of each range; half the draws
+# keep a fiber's loss, so that links of a few hundred km still click
+extreme_params = st.builds(
+    SystemParams,
+    detector_efficiency=st.floats(0.0, 1.0, exclude_min=True),
+    dark_count_rate=dark_rates,
+    attenuation=st.one_of(st.floats(1e-3, 1.0),
+                          st.floats(0.0, 1e300, exclude_min=True)),
+    ec_efficiency=st.floats(1.0, 1e300),
+    misalignment=misalignments,
+)
+
+
+@PROPERTY
+@given(params=extreme_params,
+       l_min=st.one_of(st.floats(0.0, 500.0), st.floats(0.0, 5000.0)),
+       span=st.floats(0.0, 5000.0), cells=st.integers(1, 3),
+       e_ds=st.lists(misalignments, min_size=1, max_size=3))
+def test_scan_rows_keep_their_bounds_or_the_gain_is_zero(
+        params, l_min, span, cells, e_ds):
+    # one row per distance for each e_d, each a RatePoint within its
+    # bounds; without dark counts a lane whose mu*eta underflows to 0
+    # has no QBER, and the scan raises
+    step = span / cells if span / cells > 0.0 else 1.0
+    try:
+        table = scan_distances(l_min, l_min + span, step, params, e_ds)
+    except DegenerateChannelError:
+        assert params.dark_count_rate == 0.0
+        return
+    n = len(table[e_ds[0]]) // e_ds.count(e_ds[0])
+    distances = [pt.distance for pt in table[e_ds[0]][:n]]
+    assert distances[0] == l_min and distances[-1] <= l_min + span
+    assert distances == sorted(distances) and len(distances) <= cells + 2
+    for e_d in e_ds:
+        rows = table[e_d]
+        assert len(rows) == e_ds.count(e_d) * len(distances)
+        assert [pt.distance for pt in rows] == distances * e_ds.count(e_d)
+        for pt in rows:
+            assert MU_MIN <= pt.mu_opt <= MU_MAX
+            assert 0.0 <= pt.gain <= 1.0 and 0.0 <= pt.qber <= 0.5
+            assert 0.0 <= pt.rate < math.inf
+            assert min(pt.plob, pt.repeaterless, pt.dps_baseline) >= 0.0
+
+
+@PROPERTY
+@given(params=extreme_params,
+       mu=st.floats(0.0, MAX_INTENSITY, exclude_min=True, exclude_max=True),
+       n_pairs=st.integers(2, 20_000),
+       distance=st.one_of(st.floats(0.0, 300.0), st.floats(0.0, 1e6)),
+       seed=st.integers(0, 2**64 - 1),
+       test_fraction=st.floats(0.0, 1.0, exclude_min=True,
+                               exclude_max=True))
+def test_run_protocol_accounts_for_every_detection(
+        params, mu, n_pairs, distance, seed, test_fraction):
+    # each detection is either a test slot or a sifted one, and the
+    # sifted slots are interior and in train order; a run without a
+    # click, or whose arm transmittance underflows, raises instead
+    config = ProtocolConfig(intensity=mu, n_pairs=n_pairs,
+                            distance=distance, rng_seed=seed,
+                            test_fraction=test_fraction)
+    try:
+        report = run_protocol(params, config)
+    except ValueError as exc:
+        assert str(exc).startswith("no detections") or (
+            "link too long" in str(exc))
+        return
+    assert report.detected_slots == (
+        report.test_slots_consumed + len(report.sifted))
+    slots = report.sifted.slots
+    assert slots.size == len(report.sifted)
+    assert np.all((2 <= slots) & (slots <= 2 * n_pairs - 1))
+    assert np.all(np.diff(slots) > 0)
