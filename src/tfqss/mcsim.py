@@ -28,29 +28,42 @@ and its next word, and draw again only the bytes that run_measurement
 reads, at most 256 KB a train at a time whatever N is.
 run_measurement draws the clicks of the interior slots first
 (channel.detect_slots, phase-free), which numbers each click by its
-slot, then walks them once in tiles and applies the rule above only
-there: it reads each sender bit once, straight from its packed
+slot, then _measure walks them once in tiles and applies the rule
+above only there: it reads each sender bit once, straight from its packed
 byte, nothing unpacked, and channel.shift_phase applies each click's
 phase. The record of a run is its clicks: DetectionRecords keeps
 n_pairs plus, per click, the slot, outcome, announced bit and the two
 sender bits, each array allocated once. sift adds only the
 dealer's flipped bit and passes the record's arrays on uncopied. The
-QBER split marks its test sample in a byte mask, keeps the sifted key
-and that mask's complement, and masks the arrays out only when a
+QBER split marks its test sample in a byte mask and keeps that mask's
+complement; the remaining keys' arrays are masked out only when a
 caller first reads them, so a run that reports only the remaining
-count copies none. One seeded generator is consumed in this order:
-Alice's packed phase bytes, Bob's (which run_protocol skips, and
-draws again from copies of the generator where they are read), then
-per sampler batch the gap uniforms, category uniforms and coins, then
-the QBER test sample: one uint16 word per sifted entry, and, unless
-exactly m words fall below the sample's threshold, one rng.choice of
-the entries to unmark or to add.
+count copies none.
+
+run_protocol builds no whole record. A single click's error bit
+a ^ b ^ c is the port the sampler drew for phase 0, whatever the
+phase: 0 where the matching detector fired alone, 1 where the wrong
+one did (run_protocol's docstring has the derivation). So it counts
+the test sample's errors from the sampler's announced bits, and runs
+the record path (the tile loop, then sift) on the double clicks
+alone, whose error bit depends on the senders' bits. Its sifted key
+is measured and sifted again on its first read, from a copy of the
+generator saved after the trains; the stream order is unchanged, so
+the key is the one the whole record gives. One seeded generator is
+consumed in this order: Alice's packed phase bytes, Bob's (which
+run_protocol skips, and draws again from copies of the generator
+where they are read), then per sampler batch the gap uniforms,
+category uniforms and coins, then the QBER test sample: one uint16
+word per sifted entry, and, unless exactly m words fall below the
+sample's threshold, one rng.choice of the entries to unmark or to
+add.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -58,6 +71,7 @@ import numpy as np
 
 from .channel import ChannelState, detect_slots, shift_phase
 from .core import (
+    Outcome,
     Owner,
     ParameterError,
     ProtocolConfig,
@@ -205,16 +219,10 @@ def run_measurement(
 
     Slot outcomes follow the channel's threshold-detector model applied
     to each slot's ideal phase difference. The clicks are drawn first
-    (channel.detect_slots over the slots [2, 2N-1]), and the module
-    docstring's rule gives the sender bits at the clicked slots only;
-    the record keeps them for sift. One pass walks the clicks in tiles
-    of at most _TILE clicks within _SPAN_SLOTS slots. Each train gives
-    a tile the span of its bytes from the tile's first click to its
-    last (its _span), which run_protocol's trains draw again for it: at
-    most 256 KB each. The pass reads each click's two bits from those
-    bytes and applies the tile's phase bits (channel.shift_phase). It
-    preallocates one int64 index buffer; the rest is uint8 temporaries
-    of at most 32 KB per tile. N = 1 yields no interior slots.
+    (channel.detect_slots over the slots [2, 2N-1]), and _measure reads
+    the sender bits at the clicked slots only, by the module
+    docstring's rule; the record keeps them for sift. N = 1 yields no
+    interior slots.
     """
     if a.owner is not Owner.ALICE or b.owner is not Owner.BOB:
         raise ParameterError("expected trains in (alice, bob) order")
@@ -224,11 +232,34 @@ def run_measurement(
     if a.intensity != b.intensity:
         raise ParameterError("senders must use the same intensity")
 
-    n = len(a)
     # the range goes positionally: bench/tracing.py counts the slots
     # from the first argument
     slots, outcomes, resolved = detect_slots(
-        range(2, 2 * n), a.intensity, state.eta, state.params, rng)
+        range(2, 2 * len(a)), a.intensity, state.eta, state.params, rng)
+    return _measure(a, b, slots, outcomes, resolved)
+
+
+def _measure(
+    a: PulseTrain | _DrawnTrain,
+    b: PulseTrain | _DrawnTrain,
+    slots: np.ndarray,
+    outcomes: np.ndarray,
+    resolved: np.ndarray,
+) -> DetectionRecords:
+    """The record of some of detect_slots' clicks, phases applied.
+
+    slots, outcomes and resolved are detect_slots' outputs for the
+    trains' interior, or a subset of them in ascending slot order; the
+    record takes outcomes and resolved over and applies the phases to
+    them in place. One pass walks the clicks in tiles of at most _TILE
+    clicks within _SPAN_SLOTS slots. Each train gives a tile the span
+    of its bytes from the tile's first click to its last (its _span),
+    which run_protocol's trains draw again for it: at most 256 KB each.
+    The pass reads each click's two bits from those bytes and applies
+    the tile's phase bits (channel.shift_phase). It preallocates one
+    int64 index buffer; the rest is uint8 temporaries of at most 32 KB
+    per tile.
+    """
     clicks = slots.size
     a_bits = np.empty(clicks, dtype=np.uint8)
     b_bits = np.empty(clicks, dtype=np.uint8)
@@ -260,7 +291,8 @@ def run_measurement(
         low ^= ab ^ bb
         shift_phase(outcomes[lo:lo + m], resolved[lo:lo + m], low)
         lo += m
-    return DetectionRecords(n, slots, outcomes, resolved, a_bits, b_bits)
+    return DetectionRecords(len(a), slots, outcomes, resolved, a_bits,
+                            b_bits)
 
 
 def sift(
@@ -292,23 +324,27 @@ def sift(
 class _RemainingKeys(SiftedKeys):
     """The entries of a sifted key that a keep mask selects, in order.
 
-    Its length is the mask's count, given. The first read of any of its
-    four arrays masks all four out of the sifted key, once, and checks
-    them as SiftedKeys does; the sifted key and the mask are let go
-    then. A caller that only counts the remaining entries copies none.
+    Its length is the mask's count. rebuild gives the sifted key: it is
+    called once, on the first read of any of the four arrays, which
+    masks all four out of that key and checks them as SiftedKeys does;
+    rebuild and the mask are let go then. From estimate_qber, rebuild
+    returns the key it was given; from run_protocol, it measures and
+    sifts the run again from a saved generator state. A caller that
+    only counts the remaining entries copies none and rebuilds nothing.
     """
 
-    def __init__(self, sifted: SiftedKeys, keep: np.ndarray,
-                 count: int) -> None:
-        object.__setattr__(self, "_split", (sifted, keep))
-        object.__setattr__(self, "_count", count)
+    def __init__(self, rebuild: Callable[[], SiftedKeys],
+                 keep: np.ndarray) -> None:
+        object.__setattr__(self, "_split", (rebuild, keep))
+        object.__setattr__(self, "_count", int(np.count_nonzero(keep)))
 
     def __len__(self) -> int:
         return self._count
 
     @cached_property
     def _keys(self) -> SiftedKeys:
-        keys, keep = self.__dict__.pop("_split")
+        rebuild, keep = self.__dict__.pop("_split")
+        keys = rebuild()
         return SiftedKeys(keys.slots[keep], keys.a_bits[keep],
                           keys.b_bits[keep], keys.c_bits[keep])
 
@@ -329,18 +365,43 @@ def estimate_qber(
     Consumes m = ceil(test_fraction * len) slots, a uniformly random
     m-subset of the sifted key (see _test_sample); returns (estimate,
     remaining keys in original order, abort flag). Raises on an empty
-    sifted key. The errors are counted under the sample's mask, with
-    no gather, and the remaining keys hold the sifted key and the
-    mask's complement, a byte per sifted entry: their length is known
-    at once, and their arrays are masked out on their first read, so a
-    caller's writes to the arrays that the sifted key views show in
-    them until then.
+    sifted key. The errors are a ^ b ^ c, counted under the sample's
+    mask by _estimate, and the remaining keys hold the sifted key and
+    the mask's complement, a byte per sifted entry: their length is
+    known at once, and their arrays are masked out on their first read,
+    so a caller's writes to the arrays that the sifted key views show
+    in them until then.
+    """
+    def errors() -> np.ndarray:
+        bits = sifted.a_bits ^ sifted.b_bits
+        bits ^= sifted.c_bits
+        return bits
+
+    estimate, keep, abort = _estimate(
+        len(sifted), errors, test_fraction, abort_threshold, rng)
+    return estimate, _RemainingKeys(lambda: sifted, keep), abort
+
+
+def _estimate(
+    n: int,
+    errors: Callable[[], np.ndarray],
+    test_fraction: float,
+    abort_threshold: float,
+    rng: np.random.Generator,
+) -> tuple[float, np.ndarray, bool]:
+    """The error rate on a random test sample of n entries.
+
+    Draws m = ceil(test_fraction * n) of the entries (_test_sample),
+    then calls errors, which gives each entry's uint8 error bit in an
+    array the estimate may overwrite: after the draw, so its array and
+    the sample's words are not held at once. Returns (errors under the
+    sample / m, the keep mask of the other n - m entries, abort flag).
+    The arguments are checked before the draw, then n > 0.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ParameterError(
             f"test_fraction={test_fraction!r} outside (0, 1)")
     _check_abort_threshold(abort_threshold)
-    n = len(sifted)
     if n == 0:
         raise ValueError("empty sifted key; nothing to sample")
     m = math.ceil(test_fraction * n)
@@ -348,13 +409,11 @@ def estimate_qber(
     threshold = math.ceil(
         _WORDS * (p + _SAMPLE_SIGMAS * math.sqrt(p * (1.0 - p) / n)))
     test = _test_sample(n, m, min(threshold, _WORDS), rng)
-    mismatch = sifted.a_bits ^ sifted.b_bits
-    mismatch ^= sifted.c_bits
+    mismatch = errors()
     mismatch &= test
     estimate = int(np.count_nonzero(mismatch)) / m
     keep = np.logical_not(test, out=test)
-    remaining = _RemainingKeys(sifted, keep, n - m)
-    return estimate, remaining, estimate > abort_threshold
+    return estimate, keep, estimate > abort_threshold
 
 
 def _test_sample(n: int, m: int, threshold: int,
@@ -401,6 +460,21 @@ def run_protocol(
     read (_drawn_trains), so no N-bit train is kept. Requires n_pairs >= 2
     (shorter trains have no interior slots) and at least one detection.
     The threshold and the link are checked before the first draw.
+
+    The QBER needs each click's error bit a ^ b ^ c, and only the
+    double clicks need sender bits for it. With phi = (j & 1) ^ a ^ b
+    the phase of slot j, detect_slots announces the port it drew for
+    phase 0 (0 for the matching detector alone, 1 for the wrong one
+    alone) or, for a double click, a coin. For a single click,
+    shift_phase sets resolved = port ^ phi and sift sets c = resolved
+    ^ (j & 1), so a ^ b ^ c = port: the announced bit as drawn. For a
+    double click resolved stays the coin, so a ^ b ^ c = phi ^ coin,
+    which the record path (_measure, then sift) gives on the doubles
+    alone. The random stream is the record path's, so the report is
+    the one a whole record would give; the sifted key is not kept but
+    measured and sifted again, from a copy of the generator saved after
+    the trains, on the first read of report.sifted's arrays (see
+    _RemainingKeys).
     """
     if config.n_pairs < 2:
         raise ParameterError("n_pairs must be >= 2 to measure anything")
@@ -408,22 +482,33 @@ def run_protocol(
     state = ChannelState.for_distance(config.distance, system)
     rng = np.random.default_rng(config.rng_seed)
     a, b = _drawn_trains(config.n_pairs, config.intensity, rng)
-    # the detection record, bar the slots and sender bits the key keeps,
-    # does not outlive the sift, so it is freed before the QBER test
-    # sample. There a dense run's memory peaks, at the sifted key plus
-    # three bytes per entry: the sample's uint16 words and its mask
-    sifted_all = sift(run_measurement(a, b, state, rng), a, b)
-    detected = len(sifted_all)
-    interior = 2 * config.n_pairs - 2
+    saved = copy.deepcopy(rng.bit_generator)
+    slots, outcomes, errors = detect_slots(
+        range(2, 2 * config.n_pairs), config.intensity, state.eta,
+        state.params, rng)
+    detected = errors.size
     if detected == 0:
         raise ValueError(
             "no detections; increase n_pairs, intensity, or shorten the link")
-    estimate, remaining, abort = estimate_qber(
-        sifted_all, config.test_fraction, qber_abort_threshold, rng)
+    double = np.flatnonzero(outcomes == Outcome.DOUBLE)
+    keys = sift(_measure(a, b, slots[double], outcomes[double],
+                         errors[double]), a, b)
+    errors[double] = keys.a_bits ^ keys.b_bits ^ keys.c_bits
+    # only the error bits, a byte per click, meet the QBER test sample
+    del slots, outcomes
+
+    def rebuild() -> SiftedKeys:
+        return sift(run_measurement(a, b, state, np.random.Generator(saved)),
+                    a, b)
+
+    estimate, keep, abort = _estimate(
+        detected, lambda: errors, config.test_fraction, qber_abort_threshold,
+        rng)
+    remaining = _RemainingKeys(rebuild, keep)
     return SimulationReport(
         n_pairs=config.n_pairs,
         detected_slots=detected,
-        empirical_gain=detected / interior,
+        empirical_gain=detected / (2 * config.n_pairs - 2),
         empirical_qber=estimate,
         test_slots_consumed=detected - len(remaining),
         sifted=remaining,

@@ -405,9 +405,10 @@ def find_crossover(
     most _WARM_STEPS steps. It stands only if every lane converges and
     no rate read lies within _TIE of PLOB; otherwise the round runs
     again whole through the grid search, as does a round with an end
-    without key. Warm and grid starts give the same optimum only to
-    rounding, so a converged warm lane answers rate > plob as the grid
-    search does except within _TIE, where rounding decides the test.
+    without key and every round after one that met such a tie. Warm
+    and grid starts give the same optimum only to rounding, so a
+    converged warm lane answers rate > plob as the grid search does
+    except within _TIE, where rounding decides the test.
     """
     if not 0.0 <= l_max < math.inf:
         raise ParameterError(f"l_max={l_max!r} must be >= 0 and finite")
@@ -420,19 +421,24 @@ def find_crossover(
 
     channel = _Channel(params.dark_count_rate, params.misalignment,
                        params.ec_efficiency)
+    tied = False  # a round has met a rate within _TIE of PLOB
 
     def first_crossing(distances: list[float], ends=None
                        ) -> tuple[int, list[tuple[float, float | None]]]:
         # the first distance whose optimized rate beats PLOB, else
         # len(distances), and each distance's (distance, mu_opt), mu_opt
         # None where it has no key. ends, the (distance, mu_opt) of a
-        # round's two ends, warm-starts the lanes where both have key.
-        # A warm round stands only if every lane converged and no rate
-        # read lies within _TIE of PLOB; else it runs again cold. PLOB
-        # >= 0, so a point with rate 0 never beats it and PLOB is read
-        # at keyed points only
+        # round's two ends, warm-starts the lanes where both have key,
+        # until a round meets a tie. A warm round stands only if every
+        # lane converged and no rate read lies within _TIE of PLOB; else
+        # it runs again cold, and so do the rounds after a tie, whose
+        # narrower cells lie as close to the crossing. PLOB >= 0, so a
+        # point with rate 0 never beats it and PLOB is read at keyed
+        # points only
+        nonlocal tied
         lanes = np.array([transmittance(d, params) for d in distances])
-        warm = ends is not None and None not in (ends[0][1], ends[1][1])
+        warm = (ends is not None and not tied
+                and None not in (ends[0][1], ends[1][1]))
         if warm:
             mu, rates, converged = _root_search(
                 *_start_between(distances, *ends), lanes, channel,
@@ -446,6 +452,7 @@ def find_crossover(
             if rate > 0.0:
                 plob = plob_bound(d, params)
                 if warm and abs(rate - plob) <= _TIE * rate:
+                    tied = True
                     return first_crossing(distances)
                 if rate > plob:
                     break

@@ -1,6 +1,7 @@
 """Monte Carlo protocol run: preparation, measurement, sifting, QBER."""
 
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -993,6 +994,117 @@ def test_double_heavy_run_reproduces_its_pinned_records():
         digest.update(np.ascontiguousarray(getattr(records, name)).tobytes())
     assert digest.hexdigest() == (
         "128f73a8c777a990f4886c57fb861adf9d225c779fbbb5235d097478b805089a")
+
+
+def _record_path(system, config, qber_abort_threshold):
+    """run_protocol's report fields from the whole record: both trains
+    drawn, every click measured and sifted, estimate_qber on the key;
+    None where the run has no click."""
+    rng = np.random.default_rng(config.rng_seed)
+    a = prepare_train(Owner.ALICE, config.n_pairs, config.intensity, rng)
+    b = prepare_train(Owner.BOB, config.n_pairs, config.intensity, rng)
+    state = ChannelState.for_distance(config.distance, system)
+    keys = sift(run_measurement(a, b, state, rng), a, b)
+    if len(keys) == 0:
+        return None
+    estimate, remaining, abort = estimate_qber(
+        keys, config.test_fraction, qber_abort_threshold, rng)
+    return (len(keys), estimate, len(keys) - len(remaining), abort,
+            _sifted_digest(remaining))
+
+
+def test_run_protocol_reports_what_the_whole_record_gives():
+    # run_protocol counts a single click's error from the announced bit
+    # alone and reads sender bits at the double clicks only; the record
+    # path reads them at every click. From one seed both give the same
+    # report and the same sifted key, on double-heavy channels too, and
+    # at N = 2 and 3, the shortest trains, and odd N
+    regimes = [(1e-8, 0.02), (0.01, 0.1), (0.2, 0.2), (0.3, 0.45)]
+    compared = doubles = 0
+    for (p_d, e_d), distance, mu, n_pairs, test_fraction in itertools.product(
+            regimes, (0.0, 100.0), (0.05, 0.45), (2, 3, 1001, 40_001),
+            (0.1, 0.9)):
+        system = SystemParams(dark_count_rate=p_d, misalignment=e_d)
+        config = ProtocolConfig(intensity=mu, n_pairs=n_pairs,
+                                distance=distance, rng_seed=n_pairs,
+                                test_fraction=test_fraction)
+        expected = _record_path(system, config, 1.0)
+        if expected is None:
+            with pytest.raises(ValueError, match="no detections"):
+                run_protocol(system, config, 1.0)
+            continue
+        report = run_protocol(system, config, 1.0)
+        assert (report.detected_slots, report.empirical_qber,
+                report.test_slots_consumed, report.abort,
+                _sifted_digest(report.sifted)) == expected, (
+            p_d, e_d, distance, mu, n_pairs, test_fraction)
+        compared += 1
+        doubles += p_d >= 0.2 and n_pairs > 3
+    # the runs of 2 or 3 pairs at 100 km mostly do not click
+    assert compared >= 100 and doubles >= 30
+
+
+def _dense_report():
+    """run_protocol's seed-3 dense run, traced from the start: the
+    report, the memory it holds and the run's peak, in bytes per click.
+    A short run first loads what numpy imports on first use."""
+    run_protocol(DEFAULTS, ProtocolConfig(n_pairs=1000, distance=0.0))
+    config = ProtocolConfig(intensity=0.4, n_pairs=2 * 10**6, distance=0.0,
+                            rng_seed=3)
+    tracemalloc.start()
+    try:
+        report = run_protocol(DEFAULTS, config)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.detected_slots == 803_462
+    return report, held / 803_462, peak / 803_462
+
+
+def test_dense_report_holds_under_2_bytes_per_click():
+    # until its sifted key is first read, the report holds the keep mask,
+    # a byte per click, and a saved generator state: no per-click record
+    # (13 bytes a click while the sifted key was kept)
+    report, held, _ = _dense_report()
+    assert held < 2.0, held
+    assert len(report.sifted) == 803_462 - 80_347
+
+
+def test_dense_run_peaks_under_14_bytes_per_click():
+    # the run peaks in the sampler, at its three per-click outputs and
+    # float scratch; the QBER test sample now meets only the error bits,
+    # a byte per click, not the 11 of the sifted key
+    _, _, peak = _dense_report()
+    assert peak < 14.0, peak
+
+
+def test_run_protocol_measures_only_the_doubles_until_the_key_is_read(
+        monkeypatch):
+    # the record path (_measure) runs once on the double clicks; the
+    # first read of the sifted key measures every click once, and a
+    # later read measures none
+    system = SystemParams(dark_count_rate=0.2, misalignment=0.2)
+    config = ProtocolConfig(intensity=0.45, n_pairs=20_000, distance=0.0,
+                            rng_seed=5)
+    measured = []
+    measure = tfqss.mcsim._measure
+
+    def watched(a, b, slots, outcomes, resolved):
+        measured.append(outcomes.copy())
+        return measure(a, b, slots, outcomes, resolved)
+
+    monkeypatch.setattr(tfqss.mcsim, "_measure", watched)
+    report = run_protocol(system, config, 1.0)
+    assert len(measured) == 1
+    assert 2_000 < measured[0].size < report.detected_slots // 4
+    assert np.all(measured[0] == Outcome.DOUBLE)
+    keys = report.sifted.slots
+    assert [m.size for m in measured[1:]] == [report.detected_slots]
+    assert np.count_nonzero(measured[1] == Outcome.DOUBLE) == measured[0].size
+    assert keys.size == len(report.sifted)
+    for name in ("slots", "a_bits", "b_bits", "c_bits"):
+        getattr(report.sifted, name)
+    assert len(measured) == 2
 
 
 def test_run_protocol_accounting():

@@ -889,14 +889,15 @@ def test_crossover_rounds_at_the_saturation_edge_run_again_cold(
 def test_crossover_rounds_within_the_tie_of_plob_run_again_cold(
         monkeypatch):
     # bisected to adjacent floats, the last rounds' rates lie within
-    # _TIE of PLOB: each such round runs again through the grid search,
-    # and the crossing is the grid search's to the last bit (kept warm,
-    # it was one float lower, where the rate is below PLOB)
+    # _TIE of PLOB: the first such round runs again through the grid
+    # search, and the crossing is the grid search's to the last bit
+    # (kept warm, it was one float lower, where the rate is below PLOB)
     params = replace(DEFAULTS, misalignment=0.05)
     calls = _crossover_calls(monkeypatch)
     crossing = find_crossover(params, coarse_step=1.0, tol=1e-300)
-    # the last round started warm, then ran the grid search
-    assert calls[-2] != "grid" and calls[-1] == "grid"
+    # a round started warm, then ran the grid search
+    tie = calls.index("grid", 1)
+    assert calls[tie - 1] == "warm"
 
     def excess(distance):
         return optimize_mu(distance, params)[1].rate - plob_bound(
@@ -904,6 +905,21 @@ def test_crossover_rounds_within_the_tie_of_plob_run_again_cold(
 
     assert excess(crossing) > 0.0
     assert excess(math.nextafter(crossing, 0.0)) <= 0.0
+
+
+def test_crossover_rounds_after_a_tie_start_cold(monkeypatch):
+    # the same bisection: once a round has met a rate within _TIE of
+    # PLOB, the rounds after it, on narrower cells as close to the
+    # crossing, run the grid search alone, with no warm search to throw
+    # away, and the crossing is the float that rerunning each of them
+    # warm then cold gave
+    params = replace(DEFAULTS, misalignment=0.05)
+    calls = _crossover_calls(monkeypatch)
+    crossing = find_crossover(params, coarse_step=1.0, tol=1e-300)
+    tie = calls.index("grid", 1)
+    assert calls[tie - 1] == "warm"
+    assert calls[tie:] == ["grid"] * 5
+    assert crossing == 351.024202193069
 
 
 def test_lanes_of_the_domain_match_one_lane_calls_bit_for_bit():
