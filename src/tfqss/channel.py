@@ -54,6 +54,11 @@ from .core import MAX_INTENSITY, Outcome, ParameterError, SystemParams
 # gaps, which bounds the per-batch temporaries however many slots click.
 _CHUNK = 1 << 18
 
+# log1p(-u) >= log1p(-(1 - 2**-53)) = -53 ln 2, about -36.74, for every
+# u that rng.random returns, so clipping the gaps' logs at this bound or
+# below changes none of them.
+_LOG1P_FLOOR = -37.0
+
 
 def transmittance(distance: float, params: SystemParams) -> float:
     """Arm transmittance eta = eta_d * 10^(-alpha*L/20).
@@ -167,8 +172,11 @@ def detect_slots(
         np.log1p(gaps, out=gaps)
         # a gap reaching past the end only ends the loop; clipping it
         # there, in float before the cast, keeps the quotient finite
-        # for a subnormal P_click and the running sum far from overflow
-        np.maximum(gaps, (left + 1) * log_stay, out=gaps)
+        # for a subnormal P_click and the running sum far from overflow.
+        # Only a batch near the end, or at a tiny P_click, can reach it
+        reach = (left + 1) * log_stay
+        if reach > _LOG1P_FLOOR:
+            np.maximum(gaps, reach, out=gaps)
         gaps /= log_stay
         if filled + k > clicks.size:
             # the batch's gap bound would overrun the outputs, so they
@@ -194,10 +202,9 @@ def detect_slots(
         # 0 for D1, 1 for D2
         np.greater_equal(u, match_only, out=port.view(bool))
         np.add(port, 1, out=out)
-        double = u >= single
+        double = np.flatnonzero(u >= single)
         out[double] = Outcome.DOUBLE
-        port[double] = rng.integers(0, 2, np.count_nonzero(double),
-                                    dtype=np.uint8)
+        port[double] = rng.integers(0, 2, double.size, dtype=np.uint8)
         filled = end
     return clicks[:filled], outcomes[:filled], announced[:filled]
 

@@ -288,10 +288,10 @@ class SimulationReport:
     empirical_gain is detected_slots / (2N - 2); empirical_qber is the
     mismatch fraction on the announced test sample; sifted holds the
     surviving (non-test) slots in original order. From run_protocol,
-    sifted knows its length from its keep mask, a byte per click, which
-    with a saved generator state is all the report holds: the first
-    read of its arrays measures and sifts the run again, about the cost
-    of the run's record path, then masks them out.
+    sifted holds its length and two saved generator states, nothing per
+    click: the first read of its arrays measures and sifts the run
+    again, about the cost of the run's record path, draws the test
+    sample's positions given its error count, then masks them out.
     """
 
     n_pairs: int

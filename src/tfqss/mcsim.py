@@ -34,29 +34,36 @@ byte, nothing unpacked, and channel.shift_phase applies each click's
 phase. The record of a run is its clicks: DetectionRecords keeps
 n_pairs plus, per click, the slot, outcome, announced bit and the two
 sender bits, each array allocated once. sift adds only the
-dealer's flipped bit and passes the record's arrays on uncopied. The
-QBER split marks its test sample in a byte mask and keeps that mask's
-complement; the remaining keys' arrays are masked out only when a
-caller first reads them, so a run that reports only the remaining
-count copies none.
+dealer's flipped bit and passes the record's arrays on uncopied.
+
+The QBER test sample is drawn in two steps. With K errors among the n
+sifted entries, the count draw (_estimate) draws k, the errors among
+m = ceil(test_fraction * n) tested entries, from its hypergeometric
+law, with no work per entry; the estimate is k/m. The position draw
+(_keep_mask) then picks a uniform k-subset of the errors and a
+uniform (m - k)-subset of the rest. The remaining keys' arrays are
+masked out only when a caller first reads them, so a run that
+reports only the remaining count copies none.
 
 run_protocol builds no whole record. A single click's error bit
 a ^ b ^ c is the port the sampler drew for phase 0, whatever the
 phase: 0 where the matching detector fired alone, 1 where the wrong
 one did (run_protocol's docstring has the derivation). So it counts
-the test sample's errors from the sampler's announced bits, and runs
-the record path (the tile loop, then sift) on the double clicks
-alone, whose error bit depends on the senders' bits. Its sifted key
-is measured and sifted again on its first read, from a copy of the
-generator saved after the trains; the stream order is unchanged, so
+K from the sampler's announced bits, and runs the record path (the
+tile loop, then sift) on the double clicks alone, whose error bit
+depends on the senders' bits. It makes the count draw and no position
+draw: its sifted key is measured and sifted again on its first read,
+from a copy of the generator saved after the trains, and the test
+positions are drawn then, from a copy saved after the count draw. So
 the key is the one the whole record gives. One seeded generator is
 consumed in this order: Alice's packed phase bytes, Bob's (which
 run_protocol skips, and draws again from copies of the generator
 where they are read), then per sampler batch the gap uniforms,
-category uniforms and coins, then the QBER test sample: one uint16
-word per sifted entry, and, unless exactly m words fall below the
-sample's threshold, one rng.choice of the entries to unmark or to
-add.
+category uniforms and coins, then the count draw's blocks of
+binomial pairs, then the position draw: a uint16 word per entry
+without error and, unless exactly m - k words fall below its
+threshold, one rng.choice of the entries to unmark or to add, then
+the same over the errors for k.
 """
 
 from __future__ import annotations
@@ -93,14 +100,28 @@ _TILE = 1 << 15
 # is at most 256 KB whatever N is.
 _SPAN_SLOTS = 1 << 22
 
-# The QBER test sample marks each sifted entry whose uint16 word, one
-# of _WORDS values, falls below a threshold this many standard
-# deviations of the marked count above m/n, so that fewer than m are
-# marked with probability below about 1e-9 and the trim to exactly m
-# unmarks only about 2,300 of a dense run's 163 k. The sample is
-# uniform whichever way it trims.
+# A tile also ends before a window of this many slots with no click.
+# One more tile costs about 43 us (two advance and random_raw calls, about
+# 1.5 us a train, and the tile's other numpy calls), and a span about
+# 0.036 ns a slot (a raw 64-bit word, 2.3 ns, holds 128 slots' bits of
+# a train, and each tile draws two trains): the two break even at a gap
+# of about 1.2e6 slots, measured on 2-CPU x86_64, numpy 2.4.6. Windows
+# of 2^19 slots cut every gap of 2^20 slots or more and none below 2^19.
+# The whole-record path's clicks lie far closer than that.
+_GAP_SLOTS = 1 << 19
+
+# A test sample's positions (_subset) mark each entry whose uint16
+# word, one of _WORDS values, falls below a threshold this many
+# standard deviations of the marked count above m/n, so that fewer than
+# m are marked with probability below about 1e-9 and the trim to
+# exactly m unmarks only about 1.4 % of a dense run's marked entries.
+# The sample is uniform whichever way it trims.
 _SAMPLE_SIGMAS = 6.0
 _WORDS = 1 << 16
+
+# The count draw (_hypergeometric) draws at most this many binomial
+# pairs a block: 256 KB of int64 temporaries however many entries.
+_PAIRS = 1 << 14
 
 
 def prepare_train(
@@ -252,9 +273,12 @@ def _measure(
     trains' interior, or a subset of them in ascending slot order; the
     record takes outcomes and resolved over and applies the phases to
     them in place. One pass walks the clicks in tiles of at most _TILE
-    clicks within _SPAN_SLOTS slots. Each train gives a tile the span
-    of its bytes from the tile's first click to its last (its _span),
-    which run_protocol's trains draw again for it: at most 256 KB each.
+    clicks within _SPAN_SLOTS slots, each ending also before a window of
+    _GAP_SLOTS slots with no click, so that clicks far apart, as
+    run_protocol's double clicks often are, fall in tiles of their own.
+    Each train gives a tile the span of its bytes from the tile's first
+    click to its last (its _span), which run_protocol's trains draw
+    again for it: at most 256 KB each.
     The pass reads each click's two bits from those bytes and applies
     the tile's phase bits (channel.shift_phase). It preallocates one
     int64 index buffer; the rest is uint8 temporaries of at most 32 KB
@@ -275,6 +299,16 @@ def _measure(
         # the last click's
         j = slots[lo:lo + _TILE]
         j = j[:np.searchsorted(j, j[0] + _SPAN_SLOTS)]
+        if j[-1] - j[0] >= 2 * _GAP_SLOTS:
+            # the tile ends before the first of its windows of
+            # _GAP_SLOTS slots from j[0] that holds no click, whose bytes
+            # its spans would draw for nothing; a gap of 2 _GAP_SLOTS
+            # between two clicks holds such a window
+            edges = np.searchsorted(j, range(int(j[0]) + _GAP_SLOTS,
+                                             int(j[-1]) + 1, _GAP_SLOTS))
+            empty = np.flatnonzero(edges[1:] == edges[:-1])
+            if empty.size:
+                j = j[:edges[empty[0]]]
         m = j.size
         at = index[:m]
         low = j.astype(np.uint8)  # j mod 256
@@ -322,29 +356,31 @@ def sift(
 
 
 class _RemainingKeys(SiftedKeys):
-    """The entries of a sifted key that a keep mask selects, in order.
+    """The entries of a sifted key outside its QBER test sample, in order.
 
-    Its length is the mask's count. rebuild gives the sifted key: it is
-    called once, on the first read of any of the four arrays, which
-    masks all four out of that key and checks them as SiftedKeys does;
-    rebuild and the mask are let go then. From estimate_qber, rebuild
-    returns the key it was given; from run_protocol, it measures and
-    sifts the run again from a saved generator state. A caller that
+    Its length is given. rebuild gives the sifted key and its keep
+    mask: it is called once, on the first read of any of the four
+    arrays, which masks all four out of that key and checks them as
+    SiftedKeys does; rebuild is let go then. From estimate_qber,
+    rebuild returns the key it was given and the mask it drew, a byte
+    per entry; from run_protocol it holds nothing per entry: it
+    measures and sifts the run again from a saved generator state, then
+    draws the test positions (_keep_mask) from another. A caller that
     only counts the remaining entries copies none and rebuilds nothing.
     """
 
-    def __init__(self, rebuild: Callable[[], SiftedKeys],
-                 keep: np.ndarray) -> None:
-        object.__setattr__(self, "_split", (rebuild, keep))
-        object.__setattr__(self, "_count", int(np.count_nonzero(keep)))
+    def __init__(self, count: int,
+                 rebuild: Callable[[], tuple[SiftedKeys, np.ndarray]]
+                 ) -> None:
+        object.__setattr__(self, "_rebuild", rebuild)
+        object.__setattr__(self, "_count", count)
 
     def __len__(self) -> int:
         return self._count
 
     @cached_property
     def _keys(self) -> SiftedKeys:
-        rebuild, keep = self.__dict__.pop("_split")
-        keys = rebuild()
+        keys, keep = self.__dict__.pop("_rebuild")()
         return SiftedKeys(keys.slots[keep], keys.a_bits[keep],
                           keys.b_bits[keep], keys.c_bits[keep])
 
@@ -363,57 +399,110 @@ def estimate_qber(
     """Announce a random sample and estimate the error rate on it.
 
     Consumes m = ceil(test_fraction * len) slots, a uniformly random
-    m-subset of the sifted key (see _test_sample); returns (estimate,
-    remaining keys in original order, abort flag). Raises on an empty
-    sifted key. The errors are a ^ b ^ c, counted under the sample's
-    mask by _estimate, and the remaining keys hold the sifted key and
-    the mask's complement, a byte per sifted entry: their length is
-    known at once, and their arrays are masked out on their first read,
-    so a caller's writes to the arrays that the sifted key views show
-    in them until then.
+    m-subset of the sifted key; returns (estimate, remaining keys in
+    original order, abort flag). Raises on an empty sifted key. With K
+    the errors a ^ b ^ c of the key, it draws k, the errors in the
+    sample, from their hypergeometric law (_estimate), then the sample
+    given k (_keep_mask): a uniform k-subset of the errors and a
+    uniform (m - k)-subset of the rest. The estimate is k / m. The
+    remaining keys hold the sifted key and the sample's keep mask, a
+    byte per sifted entry: their length is known at once, and their
+    arrays are masked out on their first read, so a caller's writes to
+    the arrays that the sifted key views show in them until then.
     """
-    def errors() -> np.ndarray:
-        bits = sifted.a_bits ^ sifted.b_bits
-        bits ^= sifted.c_bits
-        return bits
+    _check_abort_threshold(abort_threshold, "abort_threshold")
+    n = len(sifted)
+    bad = int(np.count_nonzero(_error_bits(sifted)))
+    m, k = _estimate(n, bad, test_fraction, rng)
+    keep = _keep_mask(n, lambda: _error_bits(sifted), bad, k, m, rng)
+    estimate = k / m
+    return (estimate, _RemainingKeys(n - m, lambda: (sifted, keep)),
+            estimate > abort_threshold)
 
-    estimate, keep, abort = _estimate(
-        len(sifted), errors, test_fraction, abort_threshold, rng)
-    return estimate, _RemainingKeys(lambda: sifted, keep), abort
+
+def _error_bits(keys: SiftedKeys) -> np.ndarray:
+    """Each entry's uint8 error bit a ^ b ^ c, in a new array."""
+    bits = keys.a_bits ^ keys.b_bits
+    bits ^= keys.c_bits
+    return bits
 
 
-def _estimate(
-    n: int,
-    errors: Callable[[], np.ndarray],
-    test_fraction: float,
-    abort_threshold: float,
-    rng: np.random.Generator,
-) -> tuple[float, np.ndarray, bool]:
-    """The error rate on a random test sample of n entries.
+def _estimate(n: int, bad: int, test_fraction: float,
+              rng: np.random.Generator) -> tuple[int, int]:
+    """The count draw of a QBER test sample: (m, k).
 
-    Draws m = ceil(test_fraction * n) of the entries (_test_sample),
-    then calls errors, which gives each entry's uint8 error bit in an
-    array the estimate may overwrite: after the draw, so its array and
-    the sample's words are not held at once. Returns (errors under the
-    sample / m, the keep mask of the other n - m entries, abort flag).
-    The arguments are checked before the draw, then n > 0.
+    m = ceil(test_fraction * n) of n entries, bad of them errors, are
+    tested, and k, the errors among them, is drawn from its law
+    (_hypergeometric), with no work per entry: the errors of a uniform
+    m-subset, with no subset drawn. test_fraction is checked before the
+    draw, then n > 0.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ParameterError(
             f"test_fraction={test_fraction!r} outside (0, 1)")
-    _check_abort_threshold(abort_threshold)
     if n == 0:
         raise ValueError("empty sifted key; nothing to sample")
     m = math.ceil(test_fraction * n)
+    return m, _hypergeometric(bad, n, m, rng)
+
+
+def _hypergeometric(good: int, n: int, m: int,
+                    rng: np.random.Generator) -> int:
+    """One draw of the good entries in a uniform m-subset of n.
+
+    With p = m / n, draws pairs X ~ Bin(good, p), Y ~ Bin(n - good, p)
+    in blocks and returns the first X with X + Y = m. Given X + Y = m,
+    X has the hypergeometric law C(good, x) C(n - good, m - x) / C(n,
+    m) whatever p is, so the draw is exact for every count, beyond the
+    10^9 that rng.hypergeometric admits too. p = m / n makes X + Y = m
+    likeliest, with probability about 1 / sqrt(2 pi m (1 - p)), and a
+    block is about the reciprocal in pairs, at most _PAIRS.
+    """
+    p = m / n
+    block = min(_PAIRS, int(math.sqrt(2.0 * math.pi * m * (1.0 - p))) + 1)
+    while True:
+        x = rng.binomial(good, p, block)
+        y = rng.binomial(n - good, p, block)
+        y += x
+        hit = np.flatnonzero(y == m)
+        if hit.size:
+            return int(x[hit[0]])
+
+
+def _keep_mask(n: int, errors: Callable[[], np.ndarray], bad: int, k: int,
+               m: int, rng: np.random.Generator) -> np.ndarray:
+    """The position draw of a QBER test sample, given its k errors.
+
+    errors gives the n entries' uint8 error bits, bad of them set, in
+    an array this draw overwrites. The sample is a uniform (m - k)-subset
+    of the entries without error (_subset), then a uniform k-subset of
+    the bad ones: given k, a uniform m-subset of all n. errors is called
+    after the first draw, so its array and that draw's words are not
+    held at once. Returns the keep mask, the sample's complement.
+    """
+    rest = _subset(n - bad, m - k, rng)
+    hits = _subset(bad, k, rng)
+    mask = errors().view(bool)
+    keep = np.empty(n, dtype=bool)
+    keep[mask] = np.logical_not(hits, out=hits)
+    np.logical_not(mask, out=mask)
+    keep[mask] = np.logical_not(rest, out=rest)
+    return keep
+
+
+def _subset(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """A uniformly random m-subset of range(n), as a bool mask.
+
+    _test_sample's draw, with its threshold _SAMPLE_SIGMAS standard
+    deviations of the marked count above m / n; an empty or a full
+    subset draws nothing.
+    """
+    if m in (0, n):
+        return np.full(n, m > 0)
     p = m / n
     threshold = math.ceil(
         _WORDS * (p + _SAMPLE_SIGMAS * math.sqrt(p * (1.0 - p) / n)))
-    test = _test_sample(n, m, min(threshold, _WORDS), rng)
-    mismatch = errors()
-    mismatch &= test
-    estimate = int(np.count_nonzero(mismatch)) / m
-    keep = np.logical_not(test, out=test)
-    return estimate, keep, estimate > abort_threshold
+    return _test_sample(n, m, min(threshold, _WORDS), rng)
 
 
 def _test_sample(n: int, m: int, threshold: int,
@@ -440,10 +529,9 @@ def _test_sample(n: int, m: int, threshold: int,
     return test
 
 
-def _check_abort_threshold(abort_threshold: float) -> None:
-    if not 0.0 <= abort_threshold <= 1.0:
-        raise ParameterError(
-            f"abort_threshold={abort_threshold!r} outside [0, 1]")
+def _check_abort_threshold(value: float, name: str) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ParameterError(f"{name}={value!r} outside [0, 1]")
 
 
 def run_protocol(
@@ -470,19 +558,23 @@ def run_protocol(
     ^ (j & 1), so a ^ b ^ c = port: the announced bit as drawn. For a
     double click resolved stays the coin, so a ^ b ^ c = phi ^ coin,
     which the record path (_measure, then sift) gives on the doubles
-    alone. The random stream is the record path's, so the report is
-    the one a whole record would give; the sifted key is not kept but
-    measured and sifted again, from a copy of the generator saved after
-    the trains, on the first read of report.sifted's arrays (see
+    alone. The count of those bits is all the QBER's count draw
+    (_estimate) needs. The random stream is the record path's, so the
+    report is the one a whole record would give. The report keeps no
+    sifted key and no test positions: on the first read of
+    report.sifted's arrays the key is measured and sifted again, from a
+    copy of the generator saved after the trains, and the positions
+    drawn (_keep_mask) from a copy saved after the count draw (see
     _RemainingKeys).
     """
     if config.n_pairs < 2:
-        raise ParameterError("n_pairs must be >= 2 to measure anything")
-    _check_abort_threshold(qber_abort_threshold)
+        raise ParameterError(
+            f"n_pairs={config.n_pairs!r} must be >= 2 to measure anything")
+    _check_abort_threshold(qber_abort_threshold, "qber_abort_threshold")
     state = ChannelState.for_distance(config.distance, system)
     rng = np.random.default_rng(config.rng_seed)
     a, b = _drawn_trains(config.n_pairs, config.intensity, rng)
-    saved = copy.deepcopy(rng.bit_generator)
+    trains = copy.deepcopy(rng.bit_generator)
     slots, outcomes, errors = detect_slots(
         range(2, 2 * config.n_pairs), config.intensity, state.eta,
         state.params, rng)
@@ -494,23 +586,25 @@ def run_protocol(
     keys = sift(_measure(a, b, slots[double], outcomes[double],
                          errors[double]), a, b)
     errors[double] = keys.a_bits ^ keys.b_bits ^ keys.c_bits
-    # only the error bits, a byte per click, meet the QBER test sample
-    del slots, outcomes
+    bad = int(np.count_nonzero(errors))
+    # only the error count meets the QBER test sample
+    del slots, outcomes, errors, keys
+    m, k = _estimate(detected, bad, config.test_fraction, rng)
+    positions = copy.deepcopy(rng.bit_generator)
 
-    def rebuild() -> SiftedKeys:
-        return sift(run_measurement(a, b, state, np.random.Generator(saved)),
+    def rebuild() -> tuple[SiftedKeys, np.ndarray]:
+        keys = sift(run_measurement(a, b, state, np.random.Generator(trains)),
                     a, b)
+        return keys, _keep_mask(detected, lambda: _error_bits(keys), bad, k,
+                                m, np.random.Generator(positions))
 
-    estimate, keep, abort = _estimate(
-        detected, lambda: errors, config.test_fraction, qber_abort_threshold,
-        rng)
-    remaining = _RemainingKeys(rebuild, keep)
+    estimate = k / m
     return SimulationReport(
         n_pairs=config.n_pairs,
         detected_slots=detected,
         empirical_gain=detected / (2 * config.n_pairs - 2),
         empirical_qber=estimate,
-        test_slots_consumed=detected - len(remaining),
-        sifted=remaining,
-        abort=abort,
+        test_slots_consumed=m,
+        sifted=_RemainingKeys(detected - m, rebuild),
+        abort=estimate > qber_abort_threshold,
     )

@@ -308,6 +308,11 @@ def test_invalid_parameter_value_exits_1(capsys):
     # were "need 0 <= l_min <= l_max", naming neither key nor value
     (["scan", "--l_min", "-1"], "l_min"),
     (["scan", "--l_min", "5", "--l_max", "3"], "l_max"),
+    # were "abort_threshold=1.5 ...", the name of estimate_qber's
+    # parameter, and "n_pairs must be >= 2 ...", with no value
+    (["simulate", "--qber_abort_threshold", "1.5"], "qber_abort_threshold"),
+    (["simulate", "--qber_abort_threshold", "nan"], "qber_abort_threshold"),
+    (["simulate", "--n_pairs", "1"], "n_pairs"),
 ])
 def test_non_finite_values_exit_1_naming_the_key(argv, key, capsys):
     code, out, err = _run(argv, capsys)

@@ -25,6 +25,8 @@ from tfqss.mcsim import (
     DetectionRecords,
     _DrawnTrain,
     _drawn_trains,
+    _hypergeometric,
+    _keep_mask,
     _test_sample,
     estimate_qber,
     prepare_train,
@@ -37,6 +39,11 @@ DEFAULTS = SystemParams()
 
 # the 0.999 quantile of the chi-square distribution on 14 degrees of freedom
 CHI2_999_14 = 36.123
+# and on 1 to 24 degrees of freedom
+CHI2_999 = dict(enumerate((
+    10.828, 13.816, 16.266, 18.467, 20.515, 22.458, 24.322, 26.124,
+    27.877, 29.588, 31.264, 32.909, 34.528, 36.123, 37.697, 39.252,
+    40.790, 42.312, 43.820, 45.315, 46.797, 48.268, 49.728, 51.179), 1))
 
 
 def _trains(n, mu, seed, a_bits=None, b_bits=None):
@@ -539,6 +546,27 @@ def test_tiles_keep_to_their_click_and_slot_caps(monkeypatch, n, mu,
         assert max(spans) > tfqss.mcsim._SPAN_SLOTS // 32
 
 
+def test_sparse_doubles_draw_only_the_bytes_near_them(monkeypatch):
+    # simulate_sparse at seed 1: run_protocol measures its 5 double
+    # clicks alone, millions of slots apart. A tile ends before a window
+    # of _GAP_SLOTS slots with no click, so no span crosses such a gap:
+    # 3,368 bytes drawn, against 534,235 while a tile spanned from its
+    # first double to its last, within _SPAN_SLOTS
+    spans = []
+    span = _DrawnTrain._span
+
+    def watched_span(self, lo, hi):
+        spans.append(hi - lo)
+        return span(self, lo, hi)
+
+    monkeypatch.setattr(_DrawnTrain, "_span", watched_span)
+    report = run_protocol(DEFAULTS, ProtocolConfig(
+        intensity=0.05, n_pairs=10**7, distance=100.0, rng_seed=1))
+    assert report.detected_slots == 81_444
+    assert len(spans) >= 2 * 4
+    assert sum(spans) < 8_000, spans
+
+
 # ----------------------------------------------------------------- sifting
 
 
@@ -766,19 +794,18 @@ def test_remaining_key_is_the_kept_entries_masked_once():
         empirical_qber=estimate, test_slots_consumed=m, sifted=remaining,
         abort=abort)
     assert len(report.sifted) == n - m
-    # the test sample is the fresh generator's first draws: a uint16
-    # word per entry marks those below m/n plus six standard deviations,
-    # then one rng.choice unmarks the marked entries beyond m
+    # the test sample is the fresh generator's first draws: the count of
+    # its errors among the 300, then its positions given that count
     rng = np.random.default_rng(60)
-    p = m / n
-    threshold = math.ceil(2**16 * (p + 6 * math.sqrt(p * (1 - p) / n)))
-    marked = np.flatnonzero(
-        rng.integers(0, 2**16, n, dtype=np.uint16) < threshold)
-    assert marked.size > m
-    kept = np.ones(n, dtype=bool)
-    kept[marked] = False
-    kept[marked[rng.choice(marked.size, marked.size - m,
-                           replace=False)]] = True
+    k = _hypergeometric(300, n, m, rng)
+    assert estimate == k / m
+
+    def errors():
+        return keys.a_bits ^ keys.b_bits ^ keys.c_bits
+
+    kept = _keep_mask(n, errors, 300, k, m, rng)
+    assert np.count_nonzero(kept) == n - m
+    assert np.count_nonzero(errors()[~kept]) == k
     assert isinstance(remaining, SiftedKeys)
     for name in ("slots", "a_bits", "b_bits", "c_bits"):
         arr = getattr(remaining, name)
@@ -787,6 +814,96 @@ def test_remaining_key_is_the_kept_entries_masked_once():
         assert not arr.flags.writeable
         assert getattr(remaining, name) is arr
     assert len(remaining) == remaining.slots.size == n - m
+
+
+def _pooled_chi2(observed, expected):
+    """Pearson's statistic and its degrees of freedom, adjacent cells
+    pooled from the left until each expects at least 5."""
+    cells, obs, exp = [], 0.0, 0.0
+    for o, e in zip(observed, expected):
+        obs, exp = obs + o, exp + e
+        if exp >= 5.0:
+            cells.append([obs, exp])
+            obs = exp = 0.0
+    cells[-1][0] += obs  # the tail joins the last cell
+    cells[-1][1] += exp
+    return sum((o - e) ** 2 / e for o, e in cells), len(cells) - 1
+
+
+@pytest.mark.parametrize("good, n, m", [
+    (3, 10, 4), (20, 50, 10), (40, 1000, 100), (700, 1000, 999)])
+def test_count_draw_has_the_hypergeometric_law(good, n, m):
+    # the errors in a uniform m-subset of n entries, good of them errors,
+    # against the exact pmf C(good, k) C(n - good, m - k) / C(n, m)
+    draws = 4000
+    rng = np.random.default_rng(70)
+    counts = np.bincount([_hypergeometric(good, n, m, rng)
+                          for _ in range(draws)], minlength=m + 1)
+    pmf = np.array([math.comb(good, k) * math.comb(n - good, m - k)
+                    for k in range(m + 1)], dtype=float) / math.comb(n, m)
+    assert counts[pmf == 0].sum() == 0
+    stat, df = _pooled_chi2(counts, draws * pmf)
+    assert df >= 1
+    assert stat < CHI2_999[df], (stat, df)
+
+
+@pytest.mark.parametrize("good, n, m, k", [
+    (0, 10, 4, 0),      # no error: none tested
+    (10, 10, 4, 4),     # all errors: every tested entry
+    (3, 10, 10, 3),     # m = n: every error tested
+    (0, 1, 1, 0),       # one entry
+    (1, 1, 1, 1),
+])
+def test_count_draw_at_its_edges(good, n, m, k):
+    rng = np.random.default_rng(71)
+    assert [_hypergeometric(good, n, m, rng) for _ in range(20)] == [k] * 20
+
+
+def test_count_draw_beyond_numpys_hypergeometric_limit():
+    # rng.hypergeometric raises from 10^9 good or bad entries on; the
+    # pair draw takes blocks of at most 2^14 binomial pairs whatever the
+    # counts, and nothing per entry
+    good, n, m = 10**9 + 7, 3 * 10**9, 10**9
+    rng = np.random.default_rng(72)
+    tracemalloc.start()
+    try:
+        k = _hypergeometric(good, n, m, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6, peak
+    mean = m * good / n
+    sd = math.sqrt(mean * (1 - good / n) * (n - m) / (n - 1))
+    assert abs(k - mean) < 6 * sd, (k, mean, sd)
+
+
+def test_position_draw_gives_each_subset_with_k_errors_equally_often():
+    # 6 entries, 2 of them errors, m = 3 tested: given k, the tested
+    # entries are one of the C(2, k) C(4, 3 - k) subsets with k errors,
+    # each equally often, and the estimate is k / m
+    n, m, draws = 6, 3, 6000
+    keys = _synthetic_keys(n, 2, 73)
+    bad = keys.a_bits ^ keys.b_bits ^ keys.c_bits
+    weights = 1 << np.arange(n)
+    counts = np.zeros(1 << n, dtype=np.int64)
+    rng = np.random.default_rng(74)
+    for _ in range(draws):
+        estimate, remaining, _ = estimate_qber(keys, 0.5, 1.0, rng)
+        tested = np.ones(n, dtype=bool)
+        tested[remaining.slots - 2] = False
+        assert np.count_nonzero(tested) == m
+        assert np.count_nonzero(bad[tested]) == round(estimate * m)
+        counts[weights[tested].sum()] += 1
+    stat = df = 0
+    for k in range(3):
+        subsets = [s for s in range(1 << n) if bin(s).count("1") == m
+                   and bin(s & int(weights[bad == 1].sum())).count("1") == k]
+        assert len(subsets) == math.comb(2, k) * math.comb(4, m - k)
+        total = counts[subsets].sum()
+        expected = total / len(subsets)
+        stat += ((counts[subsets] - expected) ** 2).sum() / expected
+        df += len(subsets) - 1
+    assert stat < CHI2_999[df], (stat, df)
 
 
 def test_estimate_qber_peaks_at_its_words_and_mask():
@@ -933,8 +1050,8 @@ def test_run_protocol_is_reproducible():
 
 
 @pytest.mark.parametrize("args, detected, printed_qber", [
-    ((4 * 10**6, 0.0, 0.4), 1_606_031, "1.987497198e-02"),
-    ((10**7, 100.0, 0.05), 81_444, "1.841620626e-02"),
+    ((4 * 10**6, 0.0, 0.4), 1_606_031, "1.985006600e-02"),
+    ((10**7, 100.0, 0.05), 81_444, "2.001227747e-02"),
 ])
 def test_seed_one_reproduces_the_readme_numbers(args, detected, printed_qber):
     # the simulate_dense and simulate_sparse runs of the benchmark at
@@ -962,7 +1079,7 @@ def test_multi_batch_run_reproduces_its_pinned_keys():
     assert report.detected_slots == 803_462
     assert report.sifted.slots.dtype == np.int64
     assert _sifted_digest(report.sifted) == (
-        "3ad36abb8a3fa1d63d8b1fcdfda38f3e13712f3c808155b6b2c1acd9b0d47994")
+        "607976e352b7004b988d0208e0f387725d9906dfcac36ec69a0820a375635f4e")
 
 
 def test_sparse_run_reproduces_its_pinned_keys():
@@ -973,7 +1090,7 @@ def test_sparse_run_reproduces_its_pinned_keys():
         intensity=0.05, n_pairs=2 * 10**6, distance=100.0, rng_seed=3))
     assert report.detected_slots == 16_399
     assert _sifted_digest(report.sifted) == (
-        "06e3a627219edbe8945117aaaf8ec061358450817a45f807805cf435d0a9eb19")
+        "b94ea8252dff2aa408027c279921ea95ffc17fecbbebaf161195a4083731ace9")
 
 
 def test_double_heavy_run_reproduces_its_pinned_records():
