@@ -38,7 +38,11 @@ draw and a seed reproduces the same clicks bit for bit. The outputs
 are allocated once, sized to the clicks expected plus four standard
 deviations, and grow only before a batch whose gap bound would overrun
 them, which is rare. Every batch draws its uniforms into one reused
-float scratch and sums its slot numbers where they are kept.
+float scratch. The sampler keeps each click's gap from the click
+before, not its slot number: a caller that needs the slots of every
+click sums the gaps once, and one that needs them at a few clicks,
+such as the double clicks, sums only up to those. Only the batch that
+reaches the range's end numbers its clicks, to drop those past it.
 """
 
 from __future__ import annotations
@@ -118,14 +122,19 @@ def detect_slots(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw the clicks among a range of consecutive slots.
 
-    Returns the ascending int64 slot numbers that click, their Outcome
-    values and announced bits (0 for D1, 1 for D2, a fair coin for
-    DOUBLE), drawn with every phase bit 0. A gap between clicks is
-    floor(log1p(-u) / log1p(-P_click)) + 1 for a uniform u; each batch
-    draws about as many gaps as clicks are expected in the slots left,
-    at most _CHUNK. The stream order is in the module docstring, and
-    it does not depend on where the range starts. When P_click is 0
-    the generator is not touched.
+    Returns (gaps, announced, doubles), drawn with every phase bit 0.
+    gaps holds each click's int64 slot gap from the click before, each
+    at least 1, the first counted from slots.start - 1, so
+    np.cumsum(gaps) + slots.start - 1 are the ascending slot numbers
+    that click. announced holds their uint8 announced bits (0 for D1,
+    1 for D2, a fair coin for DOUBLE), and doubles the ascending
+    indices of the double clicks; every other click is a single one,
+    its Outcome announced + 1. A gap is floor(log1p(-u) /
+    log1p(-P_click)) + 1 for a uniform u; each batch draws about as
+    many gaps as clicks are expected in the slots left, at most
+    _CHUNK. The stream order is in the module docstring, and it does
+    not depend on where the range starts. When P_click is 0 the
+    generator is not touched.
     """
     if slots.step != 1:
         raise ParameterError(f"slots={slots!r} must have step 1")
@@ -135,7 +144,7 @@ def detect_slots(
     n = len(slots)
     if n == 0 or p_click == 0.0:
         return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8),
-                np.empty(0, dtype=np.uint8))
+                np.empty(0, dtype=np.intp))
 
     e_d = params.misalignment
     dark_silent = math.log1p(-params.dark_count_rate)
@@ -155,9 +164,9 @@ def detect_slots(
     # before a batch whose gap bound would overrun them, and the result
     # is their filled head
     size = min(n, _click_bound(n * p_click))
-    clicks = np.empty(size, dtype=np.int64)
-    outcomes = np.empty(size, dtype=np.uint8)
+    gaps = np.empty(size, dtype=np.int64)
     announced = np.empty(size, dtype=np.uint8)
+    doubles = []  # each batch's double-click indices, joined at the end
     # one float scratch for each batch's gap and category uniforms,
     # sized to the first batch, the largest
     scratch = np.empty(min(_CHUNK, size))
@@ -167,46 +176,49 @@ def detect_slots(
     while last < stop - 1:
         left = stop - 1 - last
         k = min(_CHUNK, left, _click_bound(left * p_click))
-        gaps = rng.random(out=scratch[:k])
-        np.negative(gaps, out=gaps)
-        np.log1p(gaps, out=gaps)
+        u = rng.random(out=scratch[:k])
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
         # a gap reaching past the end only ends the loop; clipping it
         # there, in float before the cast, keeps the quotient finite
-        # for a subnormal P_click and the running sum far from overflow.
+        # for a subnormal P_click and the batch's sum far from overflow.
         # Only a batch near the end, or at a tiny P_click, can reach it
         reach = (left + 1) * log_stay
         if reach > _LOG1P_FLOOR:
-            np.maximum(gaps, reach, out=gaps)
-        gaps /= log_stay
-        if filled + k > clicks.size:
+            np.maximum(u, reach, out=u)
+        u /= log_stay
+        if filled + k > gaps.size:
             # the batch's gap bound would overrun the outputs, so they
             # grow first; filled + k <= n, since filled <= last + 1 -
             # slots.start and k <= left. np.resize repeats the entries
             # into the new room; this batch and later ones overwrite it
-            grown = min(n, max(filled + k, 2 * clicks.size))
-            clicks, outcomes, announced = (
-                np.resize(col, grown) for col in (clicks, outcomes, announced))
-        # the batch's slot numbers are summed where they are kept
-        pos = clicks[filled:filled + k]
-        pos[...] = gaps
-        pos += 1
-        pos[0] += last
-        np.cumsum(pos, out=pos)
-        last = int(pos[-1])
-        end = filled + int(np.searchsorted(pos, stop))
+            grown = min(n, max(filled + k, 2 * gaps.size))
+            gaps, announced = (np.resize(col, grown)
+                               for col in (gaps, announced))
+        g = gaps[filled:filled + k]
+        g[...] = u
+        g += 1
+        reached = last + int(g.sum())  # the slot of the batch's last click
+        if reached < stop:
+            end = filled + k
+        else:
+            # the batch that reaches the end numbers its clicks, in the
+            # scratch that its gap uniforms no longer need, to count
+            # those before stop
+            pos = np.cumsum(g, out=scratch[:k].view(np.int64))
+            end = filled + int(np.searchsorted(pos, stop - last))
+        last = reached
 
-        pos = clicks[filled:end]
-        out = outcomes[filled:end]
         port = announced[filled:end]
-        u = rng.random(out=scratch[:pos.size])
+        u = rng.random(out=scratch[:port.size])
         # 0 for D1, 1 for D2
         np.greater_equal(u, match_only, out=port.view(bool))
-        np.add(port, 1, out=out)
         double = np.flatnonzero(u >= single)
-        out[double] = Outcome.DOUBLE
         port[double] = rng.integers(0, 2, double.size, dtype=np.uint8)
+        double += filled
+        doubles.append(double)
         filled = end
-    return clicks[:filled], outcomes[:filled], announced[:filled]
+    return gaps[:filled], announced[:filled], np.concatenate(doubles)
 
 
 def _click_bound(mean: float) -> int:
@@ -216,9 +228,11 @@ def _click_bound(mean: float) -> int:
 
 def shift_phase(outcomes: np.ndarray, announced: np.ndarray,
                 phase: np.ndarray) -> None:
-    """Apply the clicks' uint8 phase bits to detect_slots' outputs.
+    """Apply the clicks' uint8 phase bits to their outcomes and bits.
 
-    A phase bit of 1 swaps D1 and D2 and flips the announced bit of a
+    outcomes are the Outcome values of detect_slots' clicks (announced
+    + 1, DOUBLE at its doubles) and announced its announced bits. A
+    phase bit of 1 swaps D1 and D2 and flips the announced bit of a
     single click; a double click and its coin stay as drawn. Works in
     place, phase included.
     """

@@ -27,14 +27,16 @@ its trains (_DrawnTrain) are plain records of a copy of the generator
 and its next word, and draw again only the bytes that run_measurement
 reads, at most 256 KB a train at a time whatever N is.
 run_measurement draws the clicks of the interior slots first
-(channel.detect_slots, phase-free), which numbers each click by its
-slot, then _measure walks them once in tiles and applies the rule
-above only there: it reads each sender bit once, straight from its packed
-byte, nothing unpacked, and channel.shift_phase applies each click's
-phase. The record of a run is its clicks: DetectionRecords keeps
-n_pairs plus, per click, the slot, outcome, announced bit and the two
-sender bits, each array allocated once. sift adds only the
-dealer's flipped bit and passes the record's arrays on uncopied.
+(channel.detect_slots, phase-free), which gives each click's gap from
+the click before, and numbers every click by its slot with one prefix
+sum over those gaps, in place; then _measure walks them once in tiles
+and applies the rule above only there: it reads each sender bit once,
+straight from its packed byte, nothing unpacked, and channel.shift_phase
+applies each click's phase. The record of a run is its clicks:
+DetectionRecords keeps n_pairs plus, per click, the slot, outcome,
+announced bit and the two sender bits, each array allocated once. sift
+adds only the dealer's flipped bit and passes the record's arrays on
+uncopied.
 
 The QBER test sample is drawn in two steps. With K errors among the n
 sifted entries, the count draw (_estimate) draws k, the errors among
@@ -51,11 +53,13 @@ phase: 0 where the matching detector fired alone, 1 where the wrong
 one did (run_protocol's docstring has the derivation). So it counts
 K from the sampler's announced bits, and runs the record path (the
 tile loop, then sift) on the double clicks alone, whose error bit
-depends on the senders' bits. It makes the count draw and no position
-draw: its sifted key is measured and sifted again on its first read,
-from a copy of the generator saved after the trains, and the test
-positions are drawn then, from a copy saved after the count draw. So
-the key is the one the whole record gives. One seeded generator is
+depends on the senders' bits. It numbers only those: the sampler
+lists the doubles' indices, and their slots are the gaps summed up
+to each. It makes the count draw and no position draw: its sifted
+key is measured and sifted again on its first read, from a copy of
+the generator saved after the trains, and the test positions are
+drawn then, from a copy saved after the count draw. So the key is
+the one the whole record gives. One seeded generator is
 consumed in this order: Alice's packed phase bytes, Bob's (which
 run_protocol skips, and draws again from copies of the generator
 where they are read), then per sampler batch the gap uniforms,
@@ -240,8 +244,10 @@ def run_measurement(
 
     Slot outcomes follow the channel's threshold-detector model applied
     to each slot's ideal phase difference. The clicks are drawn first
-    (channel.detect_slots over the slots [2, 2N-1]), and _measure reads
-    the sender bits at the clicked slots only, by the module
+    (channel.detect_slots over the slots [2, 2N-1]); their gaps are
+    summed in place into their slot numbers, and their outcomes are the
+    announced bits plus 1, DOUBLE at the sampler's doubles. _measure
+    then reads the sender bits at the clicked slots only, by the module
     docstring's rule; the record keeps them for sift. N = 1 yields no
     interior slots.
     """
@@ -255,8 +261,13 @@ def run_measurement(
 
     # the range goes positionally: bench/tracing.py counts the slots
     # from the first argument
-    slots, outcomes, resolved = detect_slots(
+    gaps, resolved, doubles = detect_slots(
         range(2, 2 * len(a)), a.intensity, state.eta, state.params, rng)
+    # the first gap counts from slot 1; the clicks are numbered in place
+    gaps[:1] += 1
+    slots = np.cumsum(gaps, out=gaps)
+    outcomes = resolved + 1
+    outcomes[doubles] = Outcome.DOUBLE
     return _measure(a, b, slots, outcomes, resolved)
 
 
@@ -269,8 +280,10 @@ def _measure(
 ) -> DetectionRecords:
     """The record of some of detect_slots' clicks, phases applied.
 
-    slots, outcomes and resolved are detect_slots' outputs for the
-    trains' interior, or a subset of them in ascending slot order; the
+    slots, outcomes and resolved are the ascending int64 slot numbers,
+    uint8 Outcome values and announced bits of detect_slots' clicks over
+    the trains' interior (run_measurement builds them from its gaps,
+    announced bits and doubles), or of a subset of those clicks; the
     record takes outcomes and resolved over and applies the phases to
     them in place. One pass walks the clicks in tiles of at most _TILE
     clicks within _SPAN_SLOTS slots, each ending also before a window of
@@ -558,14 +571,17 @@ def run_protocol(
     ^ (j & 1), so a ^ b ^ c = port: the announced bit as drawn. For a
     double click resolved stays the coin, so a ^ b ^ c = phi ^ coin,
     which the record path (_measure, then sift) gives on the doubles
-    alone. The count of those bits is all the QBER's count draw
-    (_estimate) needs. The random stream is the record path's, so the
-    report is the one a whole record would give. The report keeps no
-    sifted key and no test positions: on the first read of
-    report.sifted's arrays the key is measured and sifted again, from a
-    copy of the generator saved after the trains, and the positions
-    drawn (_keep_mask) from a copy saved after the count draw (see
-    _RemainingKeys).
+    alone. detect_slots lists the doubles' indices among its clicks,
+    so only their slots are numbered: one np.add.reduceat sums the
+    gaps between consecutive doubles, and a prefix sum over those few
+    sums gives their slots; no other click is numbered or scanned.
+    The count of those bits is all the QBER's count draw (_estimate)
+    needs. The random stream is the record path's, so the report is
+    the one a whole record would give. The report keeps no sifted key
+    and no test positions: on the first read of report.sifted's arrays
+    the key is measured and sifted again, from a copy of the generator
+    saved after the trains, and the positions drawn (_keep_mask) from
+    a copy saved after the count draw (see _RemainingKeys).
     """
     if config.n_pairs < 2:
         raise ParameterError(
@@ -575,20 +591,28 @@ def run_protocol(
     rng = np.random.default_rng(config.rng_seed)
     a, b = _drawn_trains(config.n_pairs, config.intensity, rng)
     trains = copy.deepcopy(rng.bit_generator)
-    slots, outcomes, errors = detect_slots(
+    gaps, errors, doubles = detect_slots(
         range(2, 2 * config.n_pairs), config.intensity, state.eta,
         state.params, rng)
     detected = errors.size
     if detected == 0:
         raise ValueError(
             "no detections; increase n_pairs, intensity, or shorten the link")
-    double = np.flatnonzero(outcomes == Outcome.DOUBLE)
-    keys = sift(_measure(a, b, slots[double], outcomes[double],
-                         errors[double]), a, b)
-    errors[double] = keys.a_bits ^ keys.b_bits ^ keys.c_bits
+    # only the doubles are numbered: the gaps summed up to each, from
+    # slot 1
+    slots = np.empty(0, dtype=np.int64)
+    if doubles.size:
+        starts = np.concatenate(([0], doubles[:-1] + 1))
+        slots = np.add.reduceat(gaps[:doubles[-1] + 1], starts)
+        np.cumsum(slots, out=slots)
+        slots += 1
+    keys = sift(_measure(a, b, slots,
+                         np.full(doubles.size, Outcome.DOUBLE, dtype=np.uint8),
+                         errors[doubles]), a, b)
+    errors[doubles] = keys.a_bits ^ keys.b_bits ^ keys.c_bits
     bad = int(np.count_nonzero(errors))
     # only the error count meets the QBER test sample
-    del slots, outcomes, errors, keys
+    del gaps, errors, doubles, slots, keys
     m, k = _estimate(detected, bad, config.test_fraction, rng)
     positions = copy.deepcopy(rng.bit_generator)
 

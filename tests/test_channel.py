@@ -113,6 +113,21 @@ def test_detect_slots_argument_validation():
         detect_slots(range(2, 8, 2), 0.1, 0.5, DEFAULTS, rng)
 
 
+def _clicks(slots, mu, eta, params, rng):
+    """detect_slots' clicks as (slot numbers, outcomes, announced bits).
+
+    The gaps are summed in place into the slot numbers, so the first
+    array is still a view of the sampler's output; the outcomes are
+    announced + 1, DOUBLE at the doubles.
+    """
+    gaps, announced, doubles = detect_slots(slots, mu, eta, params, rng)
+    gaps[:1] += slots.start - 1
+    pos = np.cumsum(gaps, out=gaps)
+    outcomes = announced + 1
+    outcomes[doubles] = Outcome.DOUBLE
+    return pos, outcomes, announced
+
+
 def _dense(bits, mu, eta, params, rng):
     """Per-slot (outcomes, resolved) of slots 0..n-1 with phase bits bits.
 
@@ -120,8 +135,8 @@ def _dense(bits, mu, eta, params, rng):
     and a scatter writes them into dense uint8 arrays, 0 where nothing
     clicked.
     """
-    slots, clicked, announced = detect_slots(range(bits.size), mu, eta,
-                                             params, rng)
+    slots, clicked, announced = _clicks(range(bits.size), mu, eta, params,
+                                        rng)
     shift_phase(clicked, announced, bits.take(slots))
     outcomes = np.zeros(bits.size, dtype=np.uint8)
     resolved = np.zeros(bits.size, dtype=np.uint8)
@@ -312,7 +327,7 @@ def test_single_slot_clicks_with_the_model_probability():
     trials = 4000
     clicks = 0
     for _ in range(trials):
-        pos, outcomes, _ = detect_slots(range(1), 0.4, 1.0, params, rng)
+        pos, outcomes, _ = _clicks(range(1), 0.4, 1.0, params, rng)
         assert pos.tolist() in ([], [0])
         assert outcomes.min(initial=Outcome.D1) >= Outcome.D1
         clicks += pos.size
@@ -355,7 +370,7 @@ def test_sampler_without_dark_counts_on_a_vanishing_click_probability(
             over="raise", divide="raise", invalid="raise"):
         warnings.simplefilter("error")
         for n in (*range(1, 100), 10**6):
-            pos, outcomes, resolved = detect_slots(
+            pos, outcomes, resolved = _clicks(
                 range(n), 0.1, mu_eta / 0.1, params, rng)
             assert pos.size == outcomes.size == resolved.size == 0
     assert pos.dtype == np.int64
@@ -373,7 +388,7 @@ def test_sampler_reads_phase_bits_only_at_the_clicks():
         bits = rng.integers(0, 2, n, dtype=np.uint8)
         want = _reference_clicks(n, bits, 0.4999, 1.0, params,
                                  copy.deepcopy(rng))
-        pos, outcomes, resolved = detect_slots(
+        pos, outcomes, resolved = _clicks(
             range(n), 0.4999, 1.0, params, rng)
         shift_phase(outcomes, resolved, bits[pos])
         for g, w in zip((pos, outcomes, resolved), want):
@@ -441,14 +456,43 @@ def test_sampler_draws_the_documented_stream(params, mu, eta, n, seeds,
     mean = n * click_probability(mu, eta, params)
     room = min(n, int(mean + 4.0 * math.sqrt(mean)) + 1)
     for seed in seeds:
-        got = detect_slots(range(n), mu, eta, params,
-                           np.random.default_rng(seed))
+        got = _clicks(range(n), mu, eta, params,
+                      np.random.default_rng(seed))
         shift_phase(got[1], got[2], bits[got[0]])
         want = _reference_clicks(n, bits, mu, eta, params,
                                  np.random.default_rng(seed))
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w), seed
         assert (got[0].size > room) == (seed == grows), seed
+
+
+@pytest.mark.parametrize("params, mu, eta, n, seeds", [
+    # the three settings of test_sampler_draws_the_documented_stream:
+    # seed 12603 grows the outputs, seed 828 too, and 3 _CHUNK + 1
+    # slots at P_click ~ 0.85 take several batches, doubles among them
+    (SystemParams(dark_count_rate=1e-3, misalignment=0.1), 0.2, 0.05, 500,
+     [12603, 0, 1]),
+    (SystemParams(dark_count_rate=0.0), 0.1, 5e-3, 100, [828, 0]),
+    (SystemParams(dark_count_rate=0.4999, misalignment=0.2), 0.4999, 1.0,
+     3 * _CHUNK + 1, [22]),
+])
+def test_sampler_gaps_and_doubles_follow_the_documented_stream(
+        params, mu, eta, n, seeds):
+    # the raw outputs: gaps from the click before, the first from
+    # start - 1, and the doubles' indices, wherever the range starts
+    zeros = np.zeros(n, dtype=np.uint8)
+    for seed in seeds:
+        pos, outcomes, port = _reference_clicks(
+            n, zeros, mu, eta, params, np.random.default_rng(seed))
+        for start in (0, 2):
+            gaps, announced, doubles = detect_slots(
+                range(start, start + n), mu, eta, params,
+                np.random.default_rng(seed))
+            assert gaps.dtype == np.int64 and np.all(gaps >= 1), seed
+            assert np.array_equal(np.cumsum(gaps) + start - 1, pos + start)
+            assert np.array_equal(
+                doubles, np.flatnonzero(outcomes == Outcome.DOUBLE)), seed
+            assert np.array_equal(announced, port), seed
 
 
 def test_outputs_grow_before_a_later_batch_that_would_overrun_them(
@@ -465,8 +509,8 @@ def test_outputs_grow_before_a_later_batch_that_would_overrun_them(
     room = int(mean + 4.0 * math.sqrt(mean)) + 1
     for seed, grows in [(40, True), (67, True), (70, True), (87, True),
                         (0, False), (1, False), (2, False), (3, False)]:
-        got = detect_slots(range(n), mu, eta, params,
-                           np.random.default_rng(seed))
+        got = _clicks(range(n), mu, eta, params,
+                      np.random.default_rng(seed))
         shift_phase(got[1], got[2], bits[got[0]])
         want = _reference_clicks(n, bits, mu, eta, params,
                                  np.random.default_rng(seed), chunk=64)

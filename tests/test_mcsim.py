@@ -1052,7 +1052,7 @@ def test_run_protocol_is_reproducible():
 @pytest.mark.parametrize("args, detected, printed_qber", [
     ((4 * 10**6, 0.0, 0.4), 1_606_031, "1.985006600e-02"),
     ((10**7, 100.0, 0.05), 81_444, "2.001227747e-02"),
-])
+], ids=["dense", "sparse"])
 def test_seed_one_reproduces_the_readme_numbers(args, detected, printed_qber):
     # the simulate_dense and simulate_sparse runs of the benchmark at
     # seed 1; a change to the random stream moves these numbers
@@ -1193,6 +1193,15 @@ def test_dense_run_peaks_under_14_bytes_per_click():
     # a byte per click, not the 11 of the sifted key
     _, _, peak = _dense_report()
     assert peak < 14.0, peak
+
+
+def test_dense_run_peaks_under_12_5_bytes_per_click():
+    # the sampler keeps each click's int64 gap and announced bit, and
+    # the doubles' indices apart: no per-click outcome code, and no
+    # slot numbers, which run_protocol sums at the doubles alone (13
+    # bytes a click with both)
+    _, _, peak = _dense_report()
+    assert peak < 12.5, peak
 
 
 def test_run_protocol_measures_only_the_doubles_until_the_key_is_read(
