@@ -62,12 +62,14 @@ drawn then, from a copy saved after the count draw. So the key is
 the one the whole record gives. One seeded generator is
 consumed in this order: Alice's packed phase bytes, Bob's (which
 run_protocol skips, and draws again from copies of the generator
-where they are read), then per sampler batch the gap uniforms,
-category uniforms and coins, then the count draw's blocks of
-binomial pairs, then the position draw: a uint16 word per entry
-without error and, unless exactly m - k words fall below its
-threshold, one rng.choice of the entries to unmark or to add, then
-the same over the errors for k.
+where they are read), then per sampler batch the click gaps'
+uniforms and, per run of its draw of the clicks where the wrong
+detector fires, that run's gap uniforms, one uniform per such click
+and one coin per double click (channel's module docstring), then the
+count draw's blocks of binomial pairs, then the position draw: a
+uint16 word per entry without error and, unless exactly m - k words
+fall below its threshold, one rng.choice of the entries to unmark or
+to add, then the same over the errors for k.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+import tfqss.channel
 from tfqss.channel import (
     _CHUNK,
     ChannelState,
@@ -402,39 +403,61 @@ def test_sampler_reads_phase_bits_only_at_the_clicks():
     assert ends == {0, n - 1}
 
 
+def _firing(mu, eta, params):
+    """(p_m, p_w): the matching and the wrong detector's probability to
+    fire in a phase-0 slot, kept precise however small."""
+    silent = math.log1p(-params.dark_count_rate)
+    e_d = params.misalignment
+    return (-math.expm1(silent - (1.0 - e_d) * mu * eta),
+            -math.expm1(silent - e_d * mu * eta))
+
+
 def _reference_clicks(n, bits, mu, eta, params, rng, chunk=_CHUNK):
     """The stream of the module docstring, drawn into fresh arrays.
 
-    Per batch of at most chunk gaps: the gap uniforms, one category
-    uniform per click, one coin per double click; batches are joined at
-    the end.
+    Per batch of at most chunk click gaps: their uniforms; then, over
+    the batch's clicks, per run of at most half the first batch's gaps
+    (rounded up), the gap uniforms of the clicks where the wrong
+    detector fires, one uniform per such click (below p_m a double) and
+    one coin per double click. Batches and runs are joined at the end.
     """
     p = click_probability(mu, eta, params)
-    silent = math.log1p(-params.dark_count_rate)
-    q_m = math.exp(silent - (1.0 - params.misalignment) * mu * eta)
-    q_w = math.exp(silent - params.misalignment * mu * eta)
-    match_only = (1.0 - q_m) * q_w / p
-    single = ((1.0 - q_m) * q_w + q_m * (1.0 - q_w)) / p
-    log_stay = math.log1p(-p)
+    p_m, p_w = _firing(mu, eta, params)
+
+    def bound(mean):
+        return int(mean + 4 * math.sqrt(mean)) + 1
+
+    def events(span, q, cap):
+        """Each run's positions in 1..span of a Bernoulli(q) process."""
+        log_stay = math.log1p(-q)
+        last = 0
+        while q > 0 and last < span:
+            left = span - last
+            u = rng.random(min(cap, left, bound(left * q)))
+            gaps = np.maximum(np.log1p(-u), (left + 1) * log_stay) / log_stay
+            pos = np.cumsum(gaps.astype(np.int64) + 1) + last
+            last = int(pos[-1])
+            yield pos[pos <= span]
+
+    half = (min(chunk, n, bound(n * p)) + 1) // 2
     parts = [(np.empty(0, np.int64), np.empty(0, np.uint8),
               np.empty(0, np.uint8))]
-    last = -1
-    while last < n - 1:
-        left = n - 1 - last
-        mean = left * p
-        u = rng.random(min(chunk, left, int(mean + 4 * math.sqrt(mean)) + 1))
-        gaps = np.maximum(np.log1p(-u), (left + 1) * log_stay) / log_stay
-        pos = np.cumsum(gaps.astype(np.int64) + 1) + last
-        last = int(pos[-1])
-        pos = pos[pos < n]
-        u = rng.random(pos.size)
-        port = bits[pos] ^ (u >= match_only).astype(np.uint8)
-        double = u >= single
+    for pos in events(n, p, chunk):
+        slot = pos - 1
+        port = np.zeros(slot.size, np.uint8)  # phase 0: 1 if D2 fired
+        double = np.zeros(slot.size, bool)
+        coins = np.zeros(slot.size, np.uint8)
+        for wrong in events(slot.size, p_w / p, half):
+            wrong -= 1
+            port[wrong] = 1
+            both = wrong[rng.random(wrong.size) < p_m]
+            double[both] = True
+            coins[both] = rng.integers(0, 2, both.size, dtype=np.uint8)
+        port ^= bits[slot]
         out = port + 1
         out[double] = Outcome.DOUBLE
-        port[double] = rng.integers(0, 2, np.count_nonzero(double),
-                                    dtype=np.uint8)
-        parts.append((pos, out, port))
+        port[double] = coins[double]
+        parts.append((slot, out, port))
     return [np.concatenate(col) for col in zip(*parts)]
 
 
@@ -518,3 +541,136 @@ def test_outputs_grow_before_a_later_batch_that_would_overrun_them(
             assert g.dtype == w.dtype and np.array_equal(g, w), seed
         assert got[0].size <= room, seed
         assert (got[0].base.size > room) == grows, seed
+
+
+def test_non_matching_runs_draw_on_and_the_doubles_grow(monkeypatch):
+    # batches of 64 clicks at the defaults: about 1.4 of a batch's
+    # clicks are non-matching, so a run's first draw holds 7 gaps; on
+    # seeds 434 and 479 they fall short of the batch's last click and
+    # the run draws on. About 1.8 doubles are expected in all, room for
+    # 8; seed 15017 draws 9 and the doubles grow
+    monkeypatch.setattr("tfqss.channel._CHUNK", 64)
+    gaps = tfqss.channel._gaps
+    runs = []
+
+    def watched(p, span, cap, rng, scratch, room):
+        run = [p]
+        runs.append(run)
+        for batch in gaps(p, span, cap, rng, scratch, room):
+            run.append(batch[0].size)
+            yield batch
+
+    monkeypatch.setattr(tfqss.channel, "_gaps", watched)
+    params = SystemParams()
+    mu, eta, n = 0.4, 0.56, 2000
+    bits = np.random.default_rng(32).integers(0, 2, n, dtype=np.uint8)
+    p_m, p_w = _firing(mu, eta, params)
+    mean = n * p_m * p_w
+    room = int(mean + 4.0 * math.sqrt(mean)) + 1
+    for seed, draws_on, grows in [(434, True, False), (479, True, False),
+                                  (15017, False, True), (0, False, False),
+                                  (1, False, False), (2, False, False)]:
+        runs.clear()
+        gaps_out, announced, doubles = detect_slots(
+            range(n), mu, eta, params, np.random.default_rng(seed))
+        pos = np.cumsum(gaps_out) - 1
+        outcomes = announced + 1
+        outcomes[doubles] = Outcome.DOUBLE
+        shift_phase(outcomes, announced, bits[pos])
+        want = _reference_clicks(n, bits, mu, eta, params,
+                                 np.random.default_rng(seed), chunk=64)
+        for g, w in zip((pos, outcomes, announced), want):
+            assert g.dtype == w.dtype and np.array_equal(g, w), seed
+        # the first call draws the clicks, each later one a run
+        assert any(len(run) > 2 for run in runs[1:]) == draws_on, seed
+        assert (doubles.base.size > room) == grows, seed
+
+
+def test_category_draw_takes_nothing_when_only_the_matching_detector_fires():
+    # e_d = p_d = 0: the wrong detector never fires, so the generator
+    # gives the click gaps and nothing else, over several batches
+    params = SystemParams(misalignment=0.0, dark_count_rate=0.0)
+    n = 3 * _CHUNK + 1
+    zeros = np.zeros(n, dtype=np.uint8)
+    rng, ref = np.random.default_rng(33), np.random.default_rng(33)
+    pos, outcomes, announced = _clicks(range(n), 0.4999, 1.0, params, rng)
+    want = _reference_clicks(n, zeros, 0.4999, 1.0, params, ref)
+    assert np.array_equal(pos, want[0]) and pos.size > _CHUNK
+    assert np.all(outcomes == Outcome.D1) and not announced.any()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("e_d", [5e-324, 1e-310])
+def test_sampler_on_a_vanishing_non_matching_rate(e_d):
+    # p_d = 0: the wrong detector fires with probability e_d mu eta,
+    # which rounds to 0 at e_d = 5e-324 and is subnormal at 1e-310; the
+    # non-matching draw is clipped before the int cast like the clicks',
+    # so nothing overflows and no click is non-matching
+    params = SystemParams(misalignment=e_d, dark_count_rate=0.0)
+    p_w = _firing(0.4999, 1.0, params)[1]
+    assert p_w < 1e-300 and (p_w > 0.0) == (e_d > 5e-324)
+    with warnings.catch_warnings(), np.errstate(
+            over="raise", divide="raise", invalid="raise", under="ignore"):
+        warnings.simplefilter("error")
+        for n in (1, 2, 17, 10**6):
+            pos, outcomes, announced = _clicks(
+                range(n), 0.4999, 1.0, params, np.random.default_rng(34))
+            assert np.all(outcomes == Outcome.D1) and not announced.any()
+    want = _reference_clicks(n, np.zeros(n, dtype=np.uint8), 0.4999, 1.0,
+                             params, np.random.default_rng(34))
+    assert np.array_equal(pos, want[0]) and pos.size > 300_000
+
+
+@pytest.mark.parametrize("params", [
+    pytest.param(SystemParams(), id="2pct"),
+    pytest.param(SystemParams(misalignment=0.2, dark_count_rate=1e-3),
+                 id="20pct"),
+])
+def test_categories_hold_their_law_at_every_batch_end(params):
+    # over 3 _CHUNK clicks, so at least four batches: the first and the
+    # last 1,000 clicks of each batch, and the gaps between non-matching
+    # clicks over the whole run, follow the model
+    mu, eta = 0.4, 0.56
+    p = click_probability(mu, eta, params)
+    p_m, p_w = _firing(mu, eta, params)
+    n = int(3.2 * _CHUNK / p)
+    pos, outcomes, announced = _clicks(range(n), mu, eta, params,
+                                       np.random.default_rng(35))
+    # 0 the matching detector alone, 1 the wrong one alone, 2 both
+    category = announced.astype(np.int64)
+    category[outcomes == Outcome.DOUBLE] = 2
+    # each batch's clicks, by the documented batch sizes: a batch that
+    # passes the end keeps fewer than its gaps
+    starts, ends, last = [0], [], -1
+    while last < n - 1:
+        left = n - 1 - last
+        mean = left * p
+        k = min(_CHUNK, left, int(mean + 4.0 * math.sqrt(mean)) + 1)
+        ends.append(min(starts[-1] + k, pos.size))
+        last = pos[ends[-1] - 1] if ends[-1] - starts[-1] == k else n
+        starts.append(ends[-1])
+    assert len(ends) >= 4 and ends[-1] == pos.size
+    probs = np.array([p_m * (1 - p_w), (1 - p_m) * p_w, p_m * p_w]) / p
+    stat, df = 0.0, 0
+    for window in ([category[lo:lo + 1000] for lo in starts[:-1]],
+                   [category[max(lo, hi - 1000):hi]
+                    for lo, hi in zip(starts, ends)]):
+        picked = np.concatenate(window)
+        s, d = _pearson(np.bincount(picked, minlength=3),
+                        probs * picked.size)
+        stat, df = stat + s, df + d
+    assert stat <= CHI2_999[df], (stat, df)
+    # the gaps between non-matching clicks, the first from one click
+    # before the run: geometric with parameter p_w / p, in nine cells
+    # of near equal probability
+    share = p_w / p
+    assert 0.015 < share < 0.25
+    gaps = np.diff(np.flatnonzero(category), prepend=-1)
+    edges = np.unique(np.ceil(
+        np.log1p(-np.arange(1, 9) / 9) / math.log1p(-share)).astype(int))
+    stay = (1 - share) ** np.concatenate(([0], edges))
+    expected = np.append(stay[:-1] - stay[1:], stay[-1]) * gaps.size
+    observed = np.bincount(np.searchsorted(edges, gaps),
+                           minlength=edges.size + 1)
+    stat, df = _pearson(observed, expected)
+    assert df >= 6 and stat <= CHI2_999[df], (stat, df)

@@ -300,7 +300,7 @@ def _dense_inputs():
 
 
 def _dense_run():
-    """simulate_dense at half the length: 803,462 clicks in four sampler
+    """simulate_dense at half the length: 802,010 clicks in four sampler
     batches."""
     a, b, state, rng = _dense_inputs()
     return a, b, run_measurement(a, b, state, rng)
@@ -310,7 +310,7 @@ def test_records_carry_the_sender_bits_at_every_click():
     # the bits run_measurement read tile by tile after the sampler are
     # the rule's bits at every click's slot, on both parities
     a, b, records = _dense_run()
-    assert records.click_slots.size == 803_462
+    assert records.click_slots.size == 802_010
     slots = records.click_slots
     assert records.click_a_bits.dtype == records.click_b_bits.dtype == np.uint8
     assert np.array_equal(records.click_a_bits, a.bits[(slots - 1) >> 1])
@@ -404,7 +404,7 @@ def test_measurement_allocates_each_per_click_array_once():
     finally:
         tracemalloc.stop()
     clicks = records.click_slots.size
-    assert clicks == 803_462
+    assert clicks == 802_010
     assert peak < 14 * clicks, peak / clicks
 
 
@@ -549,22 +549,33 @@ def test_tiles_keep_to_their_click_and_slot_caps(monkeypatch, n, mu,
 def test_sparse_doubles_draw_only_the_bytes_near_them(monkeypatch):
     # simulate_sparse at seed 1: run_protocol measures its 5 double
     # clicks alone, millions of slots apart. A tile ends before a window
-    # of _GAP_SLOTS slots with no click, so no span crosses such a gap:
-    # 3,368 bytes drawn, against 534,235 while a tile spanned from its
-    # first double to its last, within _SPAN_SLOTS
-    spans = []
-    span = _DrawnTrain._span
+    # of _GAP_SLOTS slots with no click, so only doubles under
+    # 2 _GAP_SLOTS apart can share a tile, and a tile's span of a train
+    # is at most its slots / 16 + 2 bytes: the bound is the run's own.
+    # Seed 1 draws 6,914 bytes, two doubles 55,247 slots apart sharing
+    # a tile, against 382,456 while a tile spanned from its first
+    # double to its last, within _SPAN_SLOTS
+    spans, measured = [], []
+    span, measure = _DrawnTrain._span, tfqss.mcsim._measure
 
     def watched_span(self, lo, hi):
         spans.append(hi - lo)
         return span(self, lo, hi)
 
+    def watched_measure(a, b, slots, outcomes, resolved):
+        measured.append(slots.copy())
+        return measure(a, b, slots, outcomes, resolved)
+
     monkeypatch.setattr(_DrawnTrain, "_span", watched_span)
+    monkeypatch.setattr(tfqss.mcsim, "_measure", watched_measure)
     report = run_protocol(DEFAULTS, ProtocolConfig(
         intensity=0.05, n_pairs=10**7, distance=100.0, rng_seed=1))
     assert report.detected_slots == 81_444
-    assert len(spans) >= 2 * 4
-    assert sum(spans) < 8_000, spans
+    slots, = measured
+    apart = np.diff(slots)
+    near = apart[apart < 2 * tfqss.mcsim._GAP_SLOTS]
+    assert len(spans) >= 2 * (slots.size - near.size) >= 2 * 4
+    assert sum(spans) <= 2 * (near.sum() / 16 + 2 * slots.size), spans
 
 
 # ----------------------------------------------------------------- sifting
@@ -598,7 +609,7 @@ def test_sift_allocates_only_the_dealer_bits():
     finally:
         tracemalloc.stop()
     clicks = len(keys)
-    assert clicks == 803_462
+    assert clicks == 802_010
     assert peak < 2 * clicks, peak / clicks
     assert np.shares_memory(keys.slots, records.click_slots)
 
@@ -1050,8 +1061,8 @@ def test_run_protocol_is_reproducible():
 
 
 @pytest.mark.parametrize("args, detected, printed_qber", [
-    ((4 * 10**6, 0.0, 0.4), 1_606_031, "1.985006600e-02"),
-    ((10**7, 100.0, 0.05), 81_444, "2.001227747e-02"),
+    ((4 * 10**6, 0.0, 0.4), 1_606_089, "1.974982722e-02"),
+    ((10**7, 100.0, 0.05), 81_444, "1.915285451e-02"),
 ], ids=["dense", "sparse"])
 def test_seed_one_reproduces_the_readme_numbers(args, detected, printed_qber):
     # the simulate_dense and simulate_sparse runs of the benchmark at
@@ -1071,15 +1082,15 @@ def _sifted_digest(keys):
 
 
 def test_multi_batch_run_reproduces_its_pinned_keys():
-    # 803,462 clicks take four sampler batches; the digest covers every
+    # 802,010 clicks take four sampler batches; the digest covers every
     # remaining key bit, so it pins the whole stream: trains, gaps,
     # categories, coins and the QBER test sample
     report = run_protocol(DEFAULTS, ProtocolConfig(
         intensity=0.4, n_pairs=2 * 10**6, distance=0.0, rng_seed=3))
-    assert report.detected_slots == 803_462
+    assert report.detected_slots == 802_010
     assert report.sifted.slots.dtype == np.int64
     assert _sifted_digest(report.sifted) == (
-        "607976e352b7004b988d0208e0f387725d9906dfcac36ec69a0820a375635f4e")
+        "ee1a79501236f8f22db41c643e0d6d42c18311731ac49ee68315b3498aec532d")
 
 
 def test_sparse_run_reproduces_its_pinned_keys():
@@ -1090,7 +1101,7 @@ def test_sparse_run_reproduces_its_pinned_keys():
         intensity=0.05, n_pairs=2 * 10**6, distance=100.0, rng_seed=3))
     assert report.detected_slots == 16_399
     assert _sifted_digest(report.sifted) == (
-        "b94ea8252dff2aa408027c279921ea95ffc17fecbbebaf161195a4083731ace9")
+        "36f32bfc05c72f71011f99dd4483a9e123997ec911ce89c1b16e8be051222c38")
 
 
 def test_double_heavy_run_reproduces_its_pinned_records():
@@ -1104,13 +1115,13 @@ def test_double_heavy_run_reproduces_its_pinned_records():
     records = run_measurement(
         a, b, ChannelState.for_distance(0.0, params), rng)
     assert records.click_slots.size == 200_933
-    assert np.count_nonzero(records.click_outcomes == Outcome.DOUBLE) == 33_142
+    assert np.count_nonzero(records.click_outcomes == Outcome.DOUBLE) == 33_071
     digest = hashlib.sha256()
     for name in ("click_slots", "click_outcomes", "click_resolved",
                  "click_a_bits", "click_b_bits"):
         digest.update(np.ascontiguousarray(getattr(records, name)).tobytes())
     assert digest.hexdigest() == (
-        "128f73a8c777a990f4886c57fb861adf9d225c779fbbb5235d097478b805089a")
+        "8c261e953af4466bd75d16ce6e16160908a468098cee2a9903c8f0c9191c12e9")
 
 
 def _record_path(system, config, qber_abort_threshold):
@@ -1174,8 +1185,8 @@ def _dense_report():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert report.detected_slots == 803_462
-    return report, held / 803_462, peak / 803_462
+    assert report.detected_slots == 802_010
+    return report, held / 802_010, peak / 802_010
 
 
 def test_dense_report_holds_under_2_bytes_per_click():
@@ -1184,7 +1195,7 @@ def test_dense_report_holds_under_2_bytes_per_click():
     # (13 bytes a click while the sifted key was kept)
     report, held, _ = _dense_report()
     assert held < 2.0, held
-    assert len(report.sifted) == 803_462 - 80_347
+    assert len(report.sifted) == 802_010 - 80_201
 
 
 def test_dense_run_peaks_under_14_bytes_per_click():
