@@ -28,9 +28,10 @@ and its next word, and draw again only the bytes that run_measurement
 reads, at most 256 KB a train at a time whatever N is.
 run_measurement draws the clicks of the interior slots first
 (channel.detect_slots, phase-free), which gives each click's gap from
-the click before, and numbers every click by its slot with one prefix
-sum over those gaps, in place; then _measure walks them once in tiles
-and applies the rule above only there: it reads each sender bit once,
+the click before, and hands those gaps to _measure, the one place that
+numbers clicks: one prefix sum over the gaps, in place, gives each
+click its slot. _measure then walks the clicks once in tiles and
+applies the rule above only there: it reads each sender bit once,
 straight from its packed byte, nothing unpacked, and channel.shift_phase
 applies each click's phase. The record of a run is its clicks:
 DetectionRecords keeps n_pairs plus, per click, the slot, outcome,
@@ -51,16 +52,16 @@ run_protocol builds no whole record. A single click's error bit
 a ^ b ^ c is the port the sampler drew for phase 0, whatever the
 phase: 0 where the matching detector fired alone, 1 where the wrong
 one did (run_protocol's docstring has the derivation). So it counts
-K from the sampler's announced bits, and runs the record path (the
-tile loop, then sift) on the double clicks alone, whose error bit
-depends on the senders' bits. It numbers only those: the sampler
-lists the doubles' indices, and their slots are the gaps summed up
-to each. It makes the count draw and no position draw: its sifted
-key is measured and sifted again on its first read, from a copy of
-the generator saved after the trains, and the test positions are
-drawn then, from a copy saved after the count draw. So the key is
-the one the whole record gives. One seeded generator is
-consumed in this order: Alice's packed phase bytes, Bob's (which
+K from the sampler's announced bits, and runs the record path
+(_measure, then sift) on the double clicks alone, whose error bit
+depends on the senders' bits: the sampler lists the doubles' indices,
+and _measure gets the gaps between consecutive doubles, each the sum
+of the click gaps between them. It makes the count draw and no
+position draw: its sifted key is measured and sifted again on its
+first read, from a copy of the generator saved after the trains, and
+the test positions are drawn then, from a copy saved after the count
+draw. So the key is the one the whole record gives. One seeded
+generator is consumed in this order: Alice's packed phase bytes, Bob's (which
 run_protocol skips, and draws again from copies of the generator
 where they are read), then per sampler batch the click gaps'
 uniforms and, per run of its draw of the clicks where the wrong
@@ -106,15 +107,14 @@ _TILE = 1 << 15
 # is at most 256 KB whatever N is.
 _SPAN_SLOTS = 1 << 22
 
-# A tile also ends before a window of this many slots with no click.
-# One more tile costs about 43 us (two advance and random_raw calls, about
-# 1.5 us a train, and the tile's other numpy calls), and a span about
-# 0.036 ns a slot (a raw 64-bit word, 2.3 ns, holds 128 slots' bits of
-# a train, and each tile draws two trains): the two break even at a gap
-# of about 1.2e6 slots, measured on 2-CPU x86_64, numpy 2.4.6. Windows
-# of 2^19 slots cut every gap of 2^20 slots or more and none below 2^19.
-# The whole-record path's clicks lie far closer than that.
-_GAP_SLOTS = 1 << 19
+# A tile also ends before a gap of more than this many slots between
+# two clicks. One more tile costs about 43 us (two advance and
+# random_raw calls, about 1.5 us a train, and the tile's other numpy
+# calls), and a span about 0.036 ns a slot (a raw 64-bit word, 2.3 ns,
+# holds 128 slots' bits of a train, and each tile draws two trains):
+# the two break even at a gap of about 1.2e6 slots, measured on 2-CPU
+# x86_64, numpy 2.4.6. The whole-record path's clicks lie far closer.
+_GAP_SLOTS = 1 << 20
 
 # A test sample's positions (_subset) mark each entry whose uint16
 # word, one of _WORDS values, falls below a threshold this many
@@ -246,12 +246,12 @@ def run_measurement(
 
     Slot outcomes follow the channel's threshold-detector model applied
     to each slot's ideal phase difference. The clicks are drawn first
-    (channel.detect_slots over the slots [2, 2N-1]); their gaps are
-    summed in place into their slot numbers, and their outcomes are the
-    announced bits plus 1, DOUBLE at the sampler's doubles. _measure
-    then reads the sender bits at the clicked slots only, by the module
-    docstring's rule; the record keeps them for sift. N = 1 yields no
-    interior slots.
+    (channel.detect_slots over the slots [2, 2N-1]), and their outcomes
+    are the announced bits plus 1, DOUBLE at the sampler's doubles.
+    _measure then numbers the clicks from their gaps and reads the
+    sender bits at the clicked slots only, by the module docstring's
+    rule; the record keeps them for sift. N = 1 yields no interior
+    slots.
     """
     if a.owner is not Owner.ALICE or b.owner is not Owner.BOB:
         raise ParameterError("expected trains in (alice, bob) order")
@@ -265,32 +265,30 @@ def run_measurement(
     # from the first argument
     gaps, resolved, doubles = detect_slots(
         range(2, 2 * len(a)), a.intensity, state.eta, state.params, rng)
-    # the first gap counts from slot 1; the clicks are numbered in place
-    gaps[:1] += 1
-    slots = np.cumsum(gaps, out=gaps)
     outcomes = resolved + 1
     outcomes[doubles] = Outcome.DOUBLE
-    return _measure(a, b, slots, outcomes, resolved)
+    return _measure(a, b, gaps, outcomes, resolved)
 
 
 def _measure(
     a: PulseTrain | _DrawnTrain,
     b: PulseTrain | _DrawnTrain,
-    slots: np.ndarray,
+    gaps: np.ndarray,
     outcomes: np.ndarray,
     resolved: np.ndarray,
 ) -> DetectionRecords:
     """The record of some of detect_slots' clicks, phases applied.
 
-    slots, outcomes and resolved are the ascending int64 slot numbers,
-    uint8 Outcome values and announced bits of detect_slots' clicks over
-    the trains' interior (run_measurement builds them from its gaps,
-    announced bits and doubles), or of a subset of those clicks; the
-    record takes outcomes and resolved over and applies the phases to
-    them in place. One pass walks the clicks in tiles of at most _TILE
-    clicks within _SPAN_SLOTS slots, each ending also before a window of
-    _GAP_SLOTS slots with no click, so that clicks far apart, as
-    run_protocol's double clicks often are, fall in tiles of their own.
+    gaps, outcomes and resolved are the int64 slot gaps, uint8 Outcome
+    values and announced bits of detect_slots' clicks over the trains'
+    interior, or of a subset of those clicks: each gap runs from the
+    click before, the first from slot 1. gaps is summed in place into
+    the clicks' slot numbers, which the record keeps, and the record
+    takes outcomes and resolved over and applies the phases to them in
+    place. One pass walks the clicks in tiles of at most _TILE clicks
+    within _SPAN_SLOTS slots, each ending also before a gap of more
+    than _GAP_SLOTS slots, so that clicks far apart, as run_protocol's
+    double clicks often are, fall in tiles of their own.
     Each train gives a tile the span of its bytes from the tile's first
     click to its last (its _span), which run_protocol's trains draw
     again for it: at most 256 KB each.
@@ -299,6 +297,9 @@ def _measure(
     int64 index buffer; the rest is uint8 temporaries of at most 32 KB
     per tile.
     """
+    # the first gap counts from slot 1; the clicks are numbered in place
+    gaps[:1] += 1
+    slots = np.cumsum(gaps, out=gaps)
     clicks = slots.size
     a_bits = np.empty(clicks, dtype=np.uint8)
     b_bits = np.empty(clicks, dtype=np.uint8)
@@ -314,16 +315,12 @@ def _measure(
         # the last click's
         j = slots[lo:lo + _TILE]
         j = j[:np.searchsorted(j, j[0] + _SPAN_SLOTS)]
-        if j[-1] - j[0] >= 2 * _GAP_SLOTS:
-            # the tile ends before the first of its windows of
-            # _GAP_SLOTS slots from j[0] that holds no click, whose bytes
-            # its spans would draw for nothing; a gap of 2 _GAP_SLOTS
-            # between two clicks holds such a window
-            edges = np.searchsorted(j, range(int(j[0]) + _GAP_SLOTS,
-                                             int(j[-1]) + 1, _GAP_SLOTS))
-            empty = np.flatnonzero(edges[1:] == edges[:-1])
-            if empty.size:
-                j = j[:edges[empty[0]]]
+        if j[-1] - j[0] > _GAP_SLOTS:
+            # the tile ends before its first gap of more than _GAP_SLOTS
+            # slots, whose bytes its spans would draw for nothing
+            cut = np.flatnonzero(np.diff(j) > _GAP_SLOTS)
+            if cut.size:
+                j = j[:cut[0] + 1]
         m = j.size
         at = index[:m]
         low = j.astype(np.uint8)  # j mod 256
@@ -574,9 +571,9 @@ def run_protocol(
     double click resolved stays the coin, so a ^ b ^ c = phi ^ coin,
     which the record path (_measure, then sift) gives on the doubles
     alone. detect_slots lists the doubles' indices among its clicks,
-    so only their slots are numbered: one np.add.reduceat sums the
-    gaps between consecutive doubles, and a prefix sum over those few
-    sums gives their slots; no other click is numbered or scanned.
+    and one np.add.reduceat sums the click gaps between consecutive
+    doubles into the gaps that _measure numbers; no other click is
+    numbered or scanned.
     The count of those bits is all the QBER's count draw (_estimate)
     needs. The random stream is the record path's, so the report is
     the one a whole record would give. The report keeps no sifted key
@@ -600,21 +597,16 @@ def run_protocol(
     if detected == 0:
         raise ValueError(
             "no detections; increase n_pairs, intensity, or shorten the link")
-    # only the doubles are numbered: the gaps summed up to each, from
-    # slot 1
-    slots = np.empty(0, dtype=np.int64)
     if doubles.size:
-        starts = np.concatenate(([0], doubles[:-1] + 1))
-        slots = np.add.reduceat(gaps[:doubles[-1] + 1], starts)
-        np.cumsum(slots, out=slots)
-        slots += 1
-    keys = sift(_measure(a, b, slots,
-                         np.full(doubles.size, Outcome.DOUBLE, dtype=np.uint8),
-                         errors[doubles]), a, b)
-    errors[doubles] = keys.a_bits ^ keys.b_bits ^ keys.c_bits
+        # the gaps between consecutive doubles, the first from slot 1
+        between = np.add.reduceat(gaps[:doubles[-1] + 1],
+                                  np.concatenate(([0], doubles[:-1] + 1)))
+        errors[doubles] = _error_bits(sift(_measure(
+            a, b, between, np.full(doubles.size, Outcome.DOUBLE, np.uint8),
+            errors[doubles]), a, b))
     bad = int(np.count_nonzero(errors))
     # only the error count meets the QBER test sample
-    del gaps, errors, doubles, slots, keys
+    del gaps, errors, doubles
     m, k = _estimate(detected, bad, config.test_fraction, rng)
     positions = copy.deepcopy(rng.bit_generator)
 

@@ -242,9 +242,10 @@ def maximize_rate_at_transmittance(
     the side its slope points to, bisecting where the slope is not
     concave, the step leaves the bracket or the probe rates 0, at most
     _REFINE_ITERS steps. The answer is the last probe with key; a lane
-    keeps the best grid point where that probe rates below it. If every
-    grid point yields rate 0 the channel supports no key and (1e-6,
-    zero-rate breakdown) is returned.
+    keeps the best grid point where that probe rates below it. Where no
+    grid point has key, (1e-6, a zero-rate breakdown) is returned. The
+    grid can miss a key window narrower than one grid cell (README's
+    grid_size note), so rate 0 does not prove the channel has no key.
 
     eta is a scalar or an array of lanes, each maximized independently;
     for an array, mu and the breakdown's fields are arrays of its shape.

@@ -330,8 +330,7 @@ def test_records_carry_the_sender_bits_at_every_click():
 
 
 @pytest.mark.parametrize("tile", [1, 8, 13])
-def test_phase_lookup_reads_the_same_bits_across_span_boundaries(
-        monkeypatch, tile):
+def test_tiles_of_few_clicks_read_the_same_bits(monkeypatch, tile):
     # run_measurement reads the sender bits a tile of clicks at a time,
     # each tile from its own span of each train; tiles of 1, 8 and 13
     # clicks cut the click list into many tiles and spans, and the
@@ -408,27 +407,11 @@ def test_measurement_allocates_each_per_click_array_once():
     assert peak < 14 * clicks, peak / clicks
 
 
-def test_dense_run_peaks_under_34_bytes_per_click():
-    # simulate_dense's point at half the length: one slot in five
-    # clicks, four sampler batches. The run peaks at the QBER test
-    # sample, where the sifted key's 11 bytes per click meet the
-    # sample's 2-byte words and its 1-byte mask: near 14 bytes per click
-    # (near 21 while rng.choice permuted an 8-byte index of every click)
-    config = ProtocolConfig(intensity=0.4, n_pairs=2 * 10**6, distance=0.0,
-                            rng_seed=3)
-    tracemalloc.start()
-    try:
-        report = run_protocol(DEFAULTS, config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.detected_slots > 800_000
-    assert peak < 34 * report.detected_slots, peak / report.detected_slots
-
-
 def test_dense_run_peaks_under_17_bytes_per_click():
-    # the same run: the test sample lists no index of every click, so
-    # the sifted key and the sample's words and mask lead the peak
+    # simulate_dense's point at half the length: one slot in five
+    # clicks, four sampler batches. The test sample lists no index of
+    # every click, so the sifted key and the sample's words and mask
+    # lead the peak
     config = ProtocolConfig(intensity=0.4, n_pairs=2 * 10**6, distance=0.0,
                             rng_seed=3)
     tracemalloc.start()
@@ -548,10 +531,10 @@ def test_tiles_keep_to_their_click_and_slot_caps(monkeypatch, n, mu,
 
 def test_sparse_doubles_draw_only_the_bytes_near_them(monkeypatch):
     # simulate_sparse at seed 1: run_protocol measures its 5 double
-    # clicks alone, millions of slots apart. A tile ends before a window
-    # of _GAP_SLOTS slots with no click, so only doubles under
-    # 2 _GAP_SLOTS apart can share a tile, and a tile's span of a train
-    # is at most its slots / 16 + 2 bytes: the bound is the run's own.
+    # clicks alone, millions of slots apart. A tile ends before a gap of
+    # more than _GAP_SLOTS slots, so only doubles under 2 _GAP_SLOTS
+    # apart can share a tile, and a tile's span of a train is at most
+    # its slots / 16 + 2 bytes: the bound is the run's own.
     # Seed 1 draws 6,914 bytes, two doubles 55,247 slots apart sharing
     # a tile, against 382,456 while a tile spanned from its first
     # double to its last, within _SPAN_SLOTS
@@ -562,9 +545,10 @@ def test_sparse_doubles_draw_only_the_bytes_near_them(monkeypatch):
         spans.append(hi - lo)
         return span(self, lo, hi)
 
-    def watched_measure(a, b, slots, outcomes, resolved):
-        measured.append(slots.copy())
-        return measure(a, b, slots, outcomes, resolved)
+    def watched_measure(a, b, gaps, outcomes, resolved):
+        records = measure(a, b, gaps, outcomes, resolved)
+        measured.append(records.click_slots.copy())
+        return records
 
     monkeypatch.setattr(_DrawnTrain, "_span", watched_span)
     monkeypatch.setattr(tfqss.mcsim, "_measure", watched_measure)
@@ -576,6 +560,51 @@ def test_sparse_doubles_draw_only_the_bytes_near_them(monkeypatch):
     near = apart[apart < 2 * tfqss.mcsim._GAP_SLOTS]
     assert len(spans) >= 2 * (slots.size - near.size) >= 2 * 4
     assert sum(spans) <= 2 * (near.sum() / 16 + 2 * slots.size), spans
+
+
+def test_a_tile_ends_before_a_gap_of_more_than_gap_slots(monkeypatch):
+    # hand-made gaps over kept trains: the gap of _GAP_SLOTS + 1 slots
+    # after slot 2 ends the first tile, the gap of exactly _GAP_SLOTS
+    # later does not, so two tiles read two spans of each train; with
+    # the cut off, one tile reads one span of each, and the record is
+    # the same
+    g = tfqss.mcsim._GAP_SLOTS
+    n = g + 16
+    rng = np.random.default_rng(43)
+    a, b = _trains(n, 0.3, 0, rng.integers(0, 2, n), rng.integers(0, 2, n))
+    gaps = [1, g + 1, 5, g, 3]
+    slots = 1 + np.cumsum(gaps)
+    spans = []
+    span = PulseTrain._span
+
+    def watched_span(self, lo, hi):
+        spans.append((self.owner, lo, hi))
+        return span(self, lo, hi)
+
+    def measure():
+        spans.clear()
+        return tfqss.mcsim._measure(
+            a, b, np.array(gaps, dtype=np.int64),
+            np.ones(len(gaps), dtype=np.uint8),
+            np.zeros(len(gaps), dtype=np.uint8))
+
+    monkeypatch.setattr(PulseTrain, "_span", watched_span)
+    records = measure()
+    assert np.array_equal(records.click_slots, slots)
+    # each train's span runs from the byte of the tile's first click to
+    # the last's: slot j reads Bob's byte (j-2) >> 4, Alice's (j-1) >> 4
+    assert spans == [
+        (owner, (first - k) >> 4, ((last - k) >> 4) + 1)
+        for first, last in ((slots[0], slots[0]), (slots[1], slots[-1]))
+        for owner, k in ((Owner.BOB, 2), (Owner.ALICE, 1))]
+    monkeypatch.setattr(tfqss.mcsim, "_GAP_SLOTS", 2 * n)
+    uncut = measure()
+    assert len(spans) == 2
+    for name in ("click_slots", "click_outcomes", "click_resolved",
+                 "click_a_bits", "click_b_bits"):
+        assert np.array_equal(getattr(records, name), getattr(uncut, name))
+    assert np.array_equal(records.click_a_bits, a.bits[(slots - 1) >> 1])
+    assert np.array_equal(records.click_b_bits, b.bits[(slots >> 1) - 1])
 
 
 # ----------------------------------------------------------------- sifting
