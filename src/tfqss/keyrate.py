@@ -37,12 +37,13 @@ and eta: the optimizer gives each lane its own e_d that way, passing a
 record with SystemParams' three field names. Like mu and eta they
 enter each element's arithmetic alone, so a lane's result does not
 depend on its neighbours. _rate_terms gives rate_at_transmittance's
-rate of eta that its caller validated with _check_eta, and
-_rate_and_slope the same rate together with dR/dmu and d2R/dmu2 from
-one pass over the same expressions; it validates no argument, and only
-the rate's Q == 0 check runs. _key_window gives each lane the range of
-an ascending mu grid outside which _rate_terms rates exactly 0, from
-closed forms, so that the optimizer's grid evaluates that range alone.
+rate of eta that its caller validated with _check_eta and
+_require_gain, with the pieces _rate_and_slope reads again to give the
+same rate together with dR/dmu and d2R/dmu2; it validates no argument.
+_key_window gives each lane the range of an ascending mu grid outside
+which _rate_terms rates exactly 0, from closed forms evaluated once per
+distinct channel value, so that the optimizer's grid evaluates that
+range alone.
 """
 
 from __future__ import annotations
@@ -96,15 +97,19 @@ def _check_gain_args(mu, eta, p_d) -> None:
 
 
 def _gain(mu, eta, p_d):
-    """Q and the exponent mu*eta."""
-    x = mu * eta
-    return -np.expm1(-x) * (1.0 - 2.0 * p_d) + 2.0 * p_d, x
+    """Q and e^(-mu*eta)."""
+    x = -(mu * eta)
+    return -np.expm1(x) * (1.0 - 2.0 * p_d) + 2.0 * p_d, np.exp(x)
+
+
+def _require_gain(mu, eta, p_d) -> None:
+    """DegenerateChannelError where Q = 0: p_d = 0 and mu*eta = 0."""
+    if ((p_d == 0.0) & (mu * eta == 0.0)).any():
+        raise DegenerateChannelError(_ZERO_GAIN)
 
 
 def _qber(q, decay, p_d, e_d):
-    """E from Q and e^(-mu*eta); DegenerateChannelError where Q = 0."""
-    if (q == 0.0).any():
-        raise DegenerateChannelError(_ZERO_GAIN)
+    """E from Q > 0 and e^(-mu*eta)."""
     dark = 2.0 * p_d * decay
     # dark <= q holds exactly (their difference is 1 - e^(-mu*eta)), so
     # the true value is <= 1/2; division rounding can poke an ulp above
@@ -113,10 +118,12 @@ def _qber(q, decay, p_d, e_d):
 
 
 def _binary_entropy(x):
+    """h(x), and y (x inside (0, 1), else 1/2), log2(y) and 1 - y."""
     inside = (x > 0.0) & (x < 1.0)
     y = np.where(inside, x, 0.5)  # keeps log2 away from 0
-    return np.where(
-        inside, -y * np.log2(y) - (1.0 - y) * np.log1p(-y) / _LN2, 0.0)
+    log_y, one_y = np.log2(y), 1.0 - y
+    return (np.where(inside, -y * log_y - one_y * np.log1p(-y) / _LN2, 0.0),
+            y, log_y, one_y)
 
 
 def _collision_probability(e):
@@ -146,8 +153,8 @@ def qber(mu, eta, p_d, e_d):
     mu, eta, p_d, e_d = (np.asarray(v) for v in (mu, eta, p_d, e_d))
     _require(e_d, (e_d >= 0.0) & (e_d < 0.5), "e_d={!r} outside [0, 0.5)")
     _check_gain_args(mu, eta, p_d)
-    q, x = _gain(mu, eta, p_d)
-    e = _qber(q, np.exp(-x), p_d, e_d)
+    _require_gain(mu, eta, p_d)
+    e = _qber(*_gain(mu, eta, p_d), p_d, e_d)
     return _float_or_array(e)
 
 
@@ -156,7 +163,7 @@ def binary_entropy(x):
     x = np.asarray(x)
     _require(x, (x >= 0.0) & (x <= 1.0),
              "binary entropy argument {!r} outside [0, 1]")
-    return _float_or_array(_binary_entropy(x))
+    return _float_or_array(_binary_entropy(x)[0])
 
 
 def collision_probability(e):
@@ -173,29 +180,33 @@ def collision_probability(e):
 
 
 def _rate_terms(mu, eta, params: SystemParams):
-    """e^(-mu*eta) and the breakdown's fields (Q, E, P_co, privacy, ec, R).
+    """The breakdown's fields (Q, E, P_co, privacy, ec, R), and the
+    pieces _rate_and_slope reads again: e^(-mu*eta), log2 P_co (0 where
+    saturated), 1 - 2 mu, privacy - f h(E), and _binary_entropy's y,
+    log2 y and 1 - y.
 
-    mu and eta are validated arrays. params' dark_count_rate,
-    misalignment and ec_efficiency are floats or arrays that broadcast
-    against them, one value per lane; they need no check, because
-    SystemParams validated them (the optimizer checks each e_d of a
-    scan the same way).
+    mu and eta are validated arrays with Q > 0 at every point
+    (_require_gain). params' dark_count_rate, misalignment and
+    ec_efficiency are floats or arrays that broadcast against them, one
+    value per lane; they need no check, because SystemParams validated
+    them (the optimizer checks each e_d of a scan the same way).
     """
     p_d = params.dark_count_rate
-    q, x = _gain(mu, eta, p_d)
-    decay = np.exp(-x)
+    q, decay = _gain(mu, eta, p_d)
     e = _qber(q, decay, p_d, params.misalignment)
     p_co = _collision_probability(e)
-    ec_term = params.ec_efficiency * _binary_entropy(e)
+    h, *entropy = _binary_entropy(e)
+    ec_term = params.ec_efficiency * h
     # A collision probability below 1/2 is outside the bound's validity
     # (E > 6/19): treat it as saturated rather than credit the diverging
     # -log2(P_co) with nonphysical privacy. The -inf term gives rate 0.
     saturated = p_co < 0.5
-    privacy = np.where(
-        saturated, -np.inf,
-        -(1.0 - 2.0 * mu) * np.log2(np.where(saturated, 1.0, p_co)))
-    rate = np.maximum(0.0, q * (privacy - ec_term))
-    return decay, q, e, p_co, privacy, ec_term, rate
+    log_p = np.log2(np.where(saturated, 1.0, p_co))
+    w = 1.0 - 2.0 * mu
+    privacy = np.where(saturated, -np.inf, -w * log_p)
+    s = privacy - ec_term
+    rate = np.maximum(0.0, q * s)
+    return (q, e, p_co, privacy, ec_term, rate), (decay, log_p, w, s, *entropy)
 
 
 def _error_top(f: float) -> float:
@@ -223,6 +234,20 @@ def _error_top(f: float) -> float:
     return hi
 
 
+def _window_bounds(p_d: float, e_d: float, f: float) -> tuple[float, float]:
+    """(x_lo, mu_hi) of _key_window at one channel value: mu*eta >=
+    x_lo and mu < mu_hi where the key lives, and (inf, 0) where none
+    does."""
+    r = (_error_top(f) * (1.0 + _TOP_MARGIN) - e_d) / (0.5 - e_d)
+    if r <= 0.0:
+        return math.inf, 0.0
+    e = min(e_d, _E_SAT)
+    h = -e * math.log2(e) - (1.0 - e) * math.log2(1.0 - e) if e else 0.0
+    ratio = h / -math.log2(1.0 - e * e - (1.0 - 6.0 * e) ** 2 / 2.0)
+    return (math.log1p(2.0 * p_d * (1.0 - r) / r),
+            0.5 * (1.0 - f * min(ratio, _H_SAT)))
+
+
 def _key_window(grid: np.ndarray, eta: np.ndarray, params: SystemParams
                 ) -> tuple[np.ndarray, np.ndarray]:
     """[lo, hi): the indices of the ascending mu grid outside which
@@ -239,31 +264,30 @@ def _key_window(grid: np.ndarray, eta: np.ndarray, params: SystemParams
     widened by _TOP_MARGIN, and the window by one grid cell each side.
 
     eta is a validated 1-D array; params' fields are floats or arrays
-    with one value per lane. Raises DegenerateChannelError where p_d = 0
-    and grid[0]*eta = 0, as the kernel does at that point.
+    with one value per lane. The bounds that depend on the channel alone
+    are evaluated once per distinct (p_d, e_d, f) (_window_bounds), so
+    float fields are the one-value case. Raises DegenerateChannelError
+    where p_d = 0 and grid[0]*eta = 0, as rate_at_transmittance does at
+    that point.
     """
-    p_d, e_d = params.dark_count_rate, params.misalignment
-    f = params.ec_efficiency
-    if ((p_d == 0.0) & (grid[0] * eta == 0.0)).any():
-        raise DegenerateChannelError(_ZERO_GAIN)
-    if np.ndim(f) == 0:
-        top = _error_top(float(f))
-    else:
-        values, inverse = np.unique(f, return_inverse=True)
-        top = np.array([_error_top(v) for v in values.tolist()])[inverse]
-    r = (top * (1.0 + _TOP_MARGIN) - e_d) / (0.5 - e_d)
-    keyed = r > 0.0
-    r = np.where(keyed, r, 1.0)
-    x_lo = np.log1p(2.0 * p_d * (1.0 - r) / r)
+    fields = params.dark_count_rate, params.misalignment, params.ec_efficiency
+    _require_gain(grid[0], eta, fields[0])
+    values, inverse = [fields], 0
+    if any(isinstance(v, np.ndarray) for v in fields):
+        # each lane's (p_d, e_d, f) as one 24-byte key
+        rows = np.empty((eta.size, 3))
+        rows[:, 0], rows[:, 1], rows[:, 2] = fields
+        _, first, inverse = np.unique(rows.view("V24")[:, 0],
+                                      return_index=True, return_inverse=True)
+        values = rows[first].tolist()
+    x_lo, mu_hi = np.reshape([_window_bounds(*v) for v in values],
+                             (-1, 2)).T[:, inverse]
     with np.errstate(over="ignore"):
         mu_lo = np.divide(x_lo, eta, out=np.full(eta.shape, np.inf),
                           where=eta > 0.0)
-    e = np.minimum(e_d, _E_SAT)
-    ratio = _binary_entropy(e) / -np.log2(_collision_probability(e))
-    mu_hi = 0.5 * (1.0 - f * np.minimum(ratio, _H_SAT))
     lo = np.maximum(np.searchsorted(grid, mu_lo) - 1, 0)
     hi = np.minimum(np.searchsorted(grid, mu_hi, "right") + 1, grid.size)
-    return lo, np.where(keyed, np.maximum(lo, hi), lo)
+    return lo, np.maximum(lo, hi)
 
 
 def rate_at_transmittance(mu, eta, params: SystemParams) -> RateBreakdown:
@@ -278,7 +302,8 @@ def rate_at_transmittance(mu, eta, params: SystemParams) -> RateBreakdown:
     _require(mu, (mu > 0.0) & (mu < MAX_INTENSITY),
              f"mu={{!r}} outside (0, {MAX_INTENSITY})")
     _check_eta(eta)
-    _, *terms = _rate_terms(mu, eta, params)
+    _require_gain(mu, eta, params.dark_count_rate)
+    terms, _ = _rate_terms(mu, eta, params)
     return RateBreakdown(*(_float_or_array(v) for v in terms))
 
 
@@ -306,10 +331,13 @@ def _rate_and_slope(mu, eta, params: SystemParams):
 
     where h''(E) E'^2 = -E' (E'/E)/((1 - E) ln 2) is 0 where E = 0
     (E'/E <= eta/Q). Slope and curvature are 0 wherever the rate is
-    clamped to 0 or P_co is saturated. No argument is validated here;
-    only the rate's Q == 0 check can raise DegenerateChannelError.
+    clamped to 0 or P_co is saturated. No argument is validated here,
+    nor Q > 0: each of the optimizer's lanes has passed _key_window's
+    check at the grid's first mu, or lies between two walk lanes of
+    find_crossover that have, and it probes no smaller mu.
     """
-    decay, q, e, p_co, privacy, ec_term, rate = _rate_terms(mu, eta, params)
+    (q, e, p_co, _, _, rate), (decay, log_p, w, s, y, log_y, one_y) = (
+        _rate_terms(mu, eta, params))
     p_d, e_d = params.dark_count_rate, params.misalignment
     f = params.ec_efficiency
     keyed = rate > 0.0  # so P_co >= 1/2 and E < 1/2
@@ -319,15 +347,12 @@ def _rate_and_slope(mu, eta, params: SystemParams):
     p = np.where(keyed, p_co, 1.0)
     p_e = 6.0 - 38.0 * e
     r = p_e * de / p
-    w = 1.0 - 2.0 * mu
     # h'(E) as a difference of logs: (1 - E)/E overflows for subnormal
-    # E. E = 0 only where D/Q = 0, and then dE/dmu = 0 as well.
-    positive = e > 0.0
-    y = np.where(positive, e, 0.5)
-    one_y = 1.0 - y
-    f_h1 = f * np.where(positive, np.log2(one_y) - np.log2(y), 0.0)
-    s = np.where(keyed, privacy - ec_term, 0.0)
-    d_s = 2.0 * np.log2(p) - w * r / _LN2 - f_h1 * de
+    # E. E = 0 only where D/Q = 0, and then dE/dmu = 0 as well; there
+    # y = 1/2, and h'(E) reads 0.
+    f_h1 = f * (np.log2(one_y) - log_y)
+    s = np.where(keyed, s, 0.0)
+    d_s = 2.0 * log_p - w * r / _LN2 - f_h1 * de
     slope = np.where(keyed, dq * s + q * d_s, 0.0)
     # E'' = -E' (eta + Q')/Q = E' (eta - 2 eta/Q), as eta Q + Q' = eta
     d2e = de * (eta - 2.0 * eta_q)

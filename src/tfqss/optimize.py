@@ -119,7 +119,8 @@ def _grid_best(grid: np.ndarray, lanes: np.ndarray,
         first = ends[i:j] - n - base
         lane = np.repeat(tile, n)
         index = np.arange(lane.size) + np.repeat(lo[i:j] - first, n)
-        rates = _rate_terms(grid[index], lanes[lane], channel.take(lane))[-1]
+        rates = _rate_terms(grid[index], lanes[lane],
+                            channel.take(lane))[0][-1]
         top = np.maximum.reduceat(rates, first)
         # each lane's first point at its max, as argmax picks it
         best[tile] = np.minimum.reduceat(np.where(
@@ -188,37 +189,43 @@ def _root_search(x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     or where the slope is not concave, or ran out of steps. A warm
     crossover round stands only where every lane converged, and runs
     again through the grid search otherwise. One slope call per step;
-    lanes and channel are validated by the caller.
+    lanes and channel are validated by the caller, and x, lo and hi are
+    left as they are.
     """
     start = x
     running = np.ones(lanes.size, dtype=bool)
-    mu_opt, mu_rate = x, np.zeros(lanes.size)
-    last = np.zeros(lanes.size, dtype=bool)
-    converged = last
+    # updated in place, on copies of the caller's arrays; the step is
+    # read only where the slope is concave
+    mu_opt, lo, hi = x.copy(), lo.copy(), hi.copy()
+    mu_rate, step = np.zeros(lanes.size), np.zeros(lanes.size)
+    converged = np.zeros(lanes.size, dtype=bool)
+    last = False
     for _ in range(steps + 1):
         rate, g, curv = _rate_and_slope(x, lanes, channel)
         # the answer is the last probe with key: where the rate jumps
         # from 0 at the saturation edge, the root is that edge
-        keyed_x = running & (rate > 0.0)
-        mu_opt = np.where(keyed_x, x, mu_opt)
-        mu_rate = np.where(keyed_x, rate, mu_rate)
+        keyed = rate > 0.0
+        keyed_x = running & keyed
+        np.copyto(mu_opt, x, where=keyed_x)
+        np.copyto(mu_rate, rate, where=keyed_x)
         # where the rate is clamped to 0 its slope and curvature are 0,
         # yet the maximum lies toward the start
-        g = np.where(rate > 0.0, g, start - x)
+        g = np.where(keyed, g, start - x)
         up = running & (g > 0.0)  # the root lies above x
         down = running & (g < 0.0)
-        lo, hi = np.where(up, x, lo), np.where(down, x, hi)
+        np.copyto(lo, x, where=up)
+        np.copyto(hi, x, where=down)
         # Newton's step on the slope where it is concave and stays
         # inside the bracket, else bisection, as at a probe without key
         concave = curv < 0.0
-        step = np.divide(g, curv, out=np.zeros_like(g), where=concave)
+        np.divide(g, curv, out=step, where=concave)
         target = x - step
         newton = concave & (lo < target) & (target < hi)
         size = np.abs(step)
         # a step below _STOP of x leaves x at the root to rounding
         at_root = last | (concave & (size <= _STOP * x))
-        converged = converged | (keyed_x & at_root)
-        running = ((up | down) & ~at_root & (hi - lo > _STOP * hi))
+        converged |= keyed_x & at_root
+        running = (up | down) & ~at_root & (hi - lo > _STOP * hi)
         if not running.any():
             break
         # convergence is quadratic: a step below sqrt(_STOP) of x leaves

@@ -488,6 +488,88 @@ def test_slope_without_dark_counts_on_long_links():
     assert bd.rate > 0.0 and MU_MIN < mu_opt < MU_MAX
 
 
+def _written_out_rate_and_slope(mu, eta, p_d, e_d, f):
+    """R, dR/dmu and d2R/dmu2 with every piece written out and formed
+    here, none shared with the rate: the expressions _rate_and_slope
+    evaluated before it read _rate_terms' pieces, in the same order."""
+    ln2 = math.log(2.0)
+    x = mu * eta
+    q = -np.expm1(-x) * (1.0 - 2.0 * p_d) + 2.0 * p_d
+    decay = np.exp(-x)
+    e = np.minimum(0.5, (e_d * q + (0.5 - e_d) * (2.0 * p_d * decay)) / q)
+    p_co = 1.0 - e * e - (1.0 - 6.0 * e) ** 2 / 2.0
+    inside = (e > 0.0) & (e < 1.0)
+    y = np.where(inside, e, 0.5)
+    ec_term = f * np.where(
+        inside, -y * np.log2(y) - (1.0 - y) * np.log1p(-y) / ln2, 0.0)
+    saturated = p_co < 0.5
+    privacy = np.where(
+        saturated, -np.inf,
+        -(1.0 - 2.0 * mu) * np.log2(np.where(saturated, 1.0, p_co)))
+    rate = np.maximum(0.0, q * (privacy - ec_term))
+    keyed = rate > 0.0
+    dq = (1.0 - 2.0 * p_d) * eta * decay
+    eta_q = eta / q
+    de = -(0.5 - e_d) * (2.0 * p_d * decay / q) * eta_q
+    p = np.where(keyed, p_co, 1.0)
+    p_e = 6.0 - 38.0 * e
+    r = p_e * de / p
+    w = 1.0 - 2.0 * mu
+    positive = e > 0.0
+    y = np.where(positive, e, 0.5)
+    one_y = 1.0 - y
+    f_h1 = f * np.where(positive, np.log2(one_y) - np.log2(y), 0.0)
+    s = np.where(keyed, privacy - ec_term, 0.0)
+    d_s = 2.0 * np.log2(p) - w * r / ln2 - f_h1 * de
+    slope = np.where(keyed, dq * s + q * d_s, 0.0)
+    d2e = de * (eta - 2.0 * eta_q)
+    d_r = (p_e * d2e - 38.0 * de * de) / p - r * r
+    d2_s = (4.0 * r - w * d_r + f * de * (de / y) / one_y) / ln2 - f_h1 * d2e
+    curv = dq * (2.0 * d_s - eta * s) + q * d2_s
+    return rate, slope, np.where(keyed, curv, 0.0)
+
+
+def test_rate_and_slope_match_the_written_out_formulas_bit_for_bit():
+    # the 3,000 draws of the audit domain (row-major draw order), then
+    # lanes without dark counts and lanes with a subnormal e_d, each at
+    # its own distance, p_d, e_d and f, and at ten mu from 1e-6 to the
+    # top of the range, in one call with per-lane _Channel arrays: rate,
+    # slope and curvature must be the written-out formulas' to the bit
+    rows = np.random.default_rng(0).uniform(size=(3000, 6))
+    params = [_domain_params(row) for row in rows]
+    distances = (800.0 * rows[:, 5]).tolist()
+    for p_d, e_d in ((0.0, 0.02), (0.0, 0.0), (1e-8, 2.2e-311),
+                     (1e-3, 2.2e-311)):
+        for distance in (0.0, 100.0, 400.0, 800.0):
+            params.append(SystemParams(dark_count_rate=p_d,
+                                       misalignment=e_d))
+            distances.append(distance)
+    mu = np.array([1e-6, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.45,
+                   MU_MAX])
+    lanes = np.repeat([transmittance(d, p)
+                       for d, p in zip(distances, params)], mu.size)
+    channel = _per_lane_channel([p for p in params for _ in mu])
+    mu = np.tile(mu, len(params))
+    got = _rate_and_slope(mu, lanes, channel)
+    expected = _written_out_rate_and_slope(mu, lanes, *channel)
+    for name, a, b in zip(("rate", "slope", "curvature"), got, expected):
+        assert a.tobytes() == b.tobytes(), name
+    # keyed points (2,985), saturated ones (15,654) and others clamped
+    # to rate 0 (11,521), and keyed points of the extra lanes (70 with a
+    # subnormal e_d, 72 without dark counts)
+    rate, _, curv = got
+    saturated = collision_probability(rate_at_transmittance(
+        mu, lanes, channel).qber) < 0.5
+    assert np.count_nonzero(rate > 0.0) >= 2500
+    assert np.count_nonzero(saturated) >= 10000
+    assert np.count_nonzero((rate == 0.0) & ~saturated) >= 10000
+    assert np.count_nonzero((rate > 0.0)
+                            & (channel.misalignment < 1e-300)) >= 50
+    assert np.count_nonzero((rate > 0.0)
+                            & (channel.dark_count_rate == 0.0)) >= 50
+    assert (curv[rate == 0.0] == 0.0).all()
+
+
 @pytest.mark.parametrize("e_d", [0.0, 0.02, 0.04, 0.052])
 def test_mu_opt_is_the_50_digit_optimum(e_d):
     params = SystemParams(misalignment=e_d)
@@ -851,6 +933,36 @@ def test_crossover_lanes_at_the_saturation_edge_stop_warm_early(
     assert not converged.any()
 
 
+@pytest.mark.parametrize("start", ["warm", "grid"])
+def test_root_search_leaves_its_arguments_unchanged(start):
+    # the search updates its bracket and answers in place, on copies: a
+    # warm round's _start_between arrays and the grid's gathers stay as
+    # the caller made them (read-only here, so a write would raise)
+    params = replace(DEFAULTS, misalignment=0.04)
+    channel = tfqss.optimize._Channel(
+        params.dark_count_rate, params.misalignment, params.ec_efficiency)
+    distances = [170.0 + 5.0 * k / 32 for k in range(1, 32)]
+    lanes = np.array([transmittance(d, params) for d in distances])
+    if start == "warm":
+        (mu_a, mu_b), _ = maximize_rate_at_transmittance(
+            np.array([transmittance(d, params) for d in (170.0, 175.0)]),
+            params)
+        args = tfqss.optimize._start_between(
+            distances, (170.0, mu_a), (175.0, mu_b))
+    else:
+        grid = _mu_grid(64)
+        best, _ = tfqss.optimize._grid_best(grid, lanes, channel)
+        args = grid[best], grid[best - 1], grid[best + 1]
+    kept = [a.copy() for a in args]
+    for a in args:
+        a.flags.writeable = False
+    mu_opt, _, converged = tfqss.optimize._root_search(
+        *args, lanes, channel)
+    assert converged.all() and (mu_opt != args[0]).any()
+    for a, b in zip(args, kept):
+        assert a.tobytes() == b.tobytes()
+
+
 def _crossover_calls(monkeypatch):
     """List that grows by "grid" per grid call of the optimizer, and by
     "warm" or "unsettled" per warm round's root search, as every lane
@@ -1107,6 +1219,30 @@ def test_key_window_shapes_hold_on_a_dense_error_grid(f):
     assert (sign[e > top * (1.0 + 1e-9)] < 0).all()
     falls = np.diff(entropy[1:] / privacy[1:]) < 0.0
     assert falls.any() and falls[np.argmax(falls):].all()
+
+
+def test_key_window_of_float_fields_matches_per_lane_arrays():
+    # the 3,000 draws of the audit domain (row-major draw order) at nine
+    # distances each: one call per draw with float fields against one
+    # call over every lane with per-lane arrays of the same values. The
+    # bounds are evaluated once per distinct channel value either way
+    grid = _mu_grid(64)
+    params = [_domain_params(row)
+              for row in np.random.default_rng(0).uniform(size=(3000, 6))]
+    distances = [0.0, 25.0, 50.0, 100.0, 200.0, 300.0, 400.0, 600.0, 800.0]
+    lanes = np.array([[transmittance(d, p) for d in distances]
+                      for p in params])
+    window = tfqss.keyrate._key_window
+    per_draw = np.array([
+        window(grid, eta, tfqss.optimize._Channel(
+            p.dark_count_rate, p.misalignment, p.ec_efficiency))
+        for eta, p in zip(lanes, params)])
+    lo, hi = window(grid, lanes.reshape(-1), _per_lane_channel(
+        [p for p in params for _ in distances]))
+    assert lo.tobytes() == per_draw[:, 0].reshape(-1).tobytes()
+    assert hi.tobytes() == per_draw[:, 1].reshape(-1).tobytes()
+    assert np.count_nonzero(hi > lo) >= 1000
+    assert np.count_nonzero(hi == lo) >= 1000
 
 
 def test_grid_raises_for_a_zero_gain_lane_whose_window_is_empty():
