@@ -7,7 +7,7 @@ detector D1 (D2); misalignment diverts a photon to the wrong detector
 with probability e_d, and each detector dark-fires independently with
 probability p_d per slot. Photon numbers are Poissonian, detectors are
 threshold (click on >= 1 photon or a dark count), and double clicks are
-kept and later resolved to a fair coin bit.
+kept and resolved to a fair coin bit.
 
 The matching detector sees mean photon number lam_m = (1-e_d) mu eta and
 the wrong one lam_w = e_d mu eta. Detector x stays silent with
@@ -43,11 +43,15 @@ the generator in this order: the clicks' gap uniforms, then, per run
 of the non-matching draw, its gap uniforms, one uniform per
 non-matching click (below p_m a double click, else the wrong detector
 alone) and one coin bit per double click. shift_phase then applies the
-phase bits at the clicks, so they never move a click or a draw and a
-seed reproduces the same clicks bit for bit. The outputs are allocated
-once, sized to the clicks, and the double clicks, expected plus four
-standard deviations, and grow only before a batch or a run that could
-overrun them, which is rare. Every draw goes into one reused float
+phase bits at the clicks, by one rule for every click: a phase bit of 1
+flips the announced bit, and swaps D1 and D2 on a single click. A
+double's coin XOR its phase bit is as fair a coin, independent of the
+phase, as the coin itself. So the phase bits never move a click or a
+draw, a seed reproduces the same clicks bit for bit, and on every
+click the announced bit XOR the phase bit is the bit drawn for phase
+0. The outputs are allocated once, sized to the clicks, and the double
+clicks, expected plus four standard deviations, and grow only before a
+batch or a run that could overrun them, which is rare. Every draw goes into one reused float
 scratch, whose first half, viewed as int64, also holds a run's
 non-matching click indices. The sampler keeps each click's gap from the
 click before, not its slot number: a caller that needs the slots of
@@ -296,13 +300,14 @@ def shift_phase(outcomes: np.ndarray, announced: np.ndarray,
     """Apply the clicks' uint8 phase bits to their outcomes and bits.
 
     outcomes are the Outcome values of detect_slots' clicks (announced
-    + 1, DOUBLE at its doubles) and announced its announced bits. A
-    phase bit of 1 swaps D1 and D2 and flips the announced bit of a
-    single click; a double click and its coin stay as drawn. Works in
+    + 1, DOUBLE at its doubles) and announced its announced bits. One
+    rule: a phase bit of 1 flips the announced bit of every click, and
+    swaps D1 and D2 on the single clicks; a double click stays DOUBLE,
+    and its coin turns with the phase, still a fair coin. Works in
     place, phase included.
     """
+    announced ^= phase
     flip = np.bitwise_and(phase, outcomes < Outcome.DOUBLE, out=phase)
-    announced ^= flip
     flip *= 3  # D1 ^ 3 is D2 and D2 ^ 3 is D1
     outcomes ^= flip
 

@@ -48,29 +48,26 @@ uniform (m - k)-subset of the rest. The remaining keys' arrays are
 masked out only when a caller first reads them, so a run that
 reports only the remaining count copies none.
 
-run_protocol builds no whole record. A single click's error bit
-a ^ b ^ c is the port the sampler drew for phase 0, whatever the
-phase: 0 where the matching detector fired alone, 1 where the wrong
-one did (run_protocol's docstring has the derivation). So it counts
-K from the sampler's announced bits, and runs the record path
-(_measure, then sift) on the double clicks alone, whose error bit
-depends on the senders' bits: the sampler lists the doubles' indices,
-and _measure gets the gaps between consecutive doubles, each the sum
-of the click gaps between them. It makes the count draw and no
-position draw: its sifted key is measured and sifted again on its
-first read, from a copy of the generator saved after the trains, and
-the test positions are drawn then, from a copy saved after the count
-draw. So the key is the one the whole record gives. One seeded
-generator is consumed in this order: Alice's packed phase bytes, Bob's (which
-run_protocol skips, and draws again from copies of the generator
-where they are read), then per sampler batch the click gaps'
-uniforms and, per run of its draw of the clicks where the wrong
-detector fires, that run's gap uniforms, one uniform per such click
-and one coin per double click (channel's module docstring), then the
-count draw's blocks of binomial pairs, then the position draw: a
-uint16 word per entry without error and, unless exactly m - k words
-fall below its threshold, one rng.choice of the entries to unmark or
-to add, then the same over the errors for k.
+run_protocol builds no whole record. Every click's error bit a ^ b ^ c
+is the bit the sampler announced for phase 0, whatever the phase: 0
+where the matching detector fired alone, 1 where the wrong one did,
+and a double's coin (run_protocol's docstring has the derivation). So
+it counts K from the sampler's announced bits alone, reads no train
+byte and no sender bit, and makes the count draw and no position draw:
+its sifted key is measured and sifted again on its first read, from a
+copy of the generator saved after the trains, and the test positions
+are drawn then, from a copy saved after the count draw. So the key is
+the one the whole record gives. One seeded generator is consumed in
+this order: Alice's packed phase bytes, Bob's (which run_protocol
+skips, and draws again from copies of the generator where they are
+read), then per sampler batch the click gaps' uniforms and, per run of
+its draw of the clicks where the wrong detector fires, that run's gap
+uniforms, one uniform per such click and one coin per double click
+(channel's module docstring), then the count draw's blocks of binomial
+pairs, then the position draw: a uint16 word per entry without error
+and, unless exactly m - k words fall below its threshold, one
+rng.choice of the entries to unmark or to add, then the same over the
+errors for k.
 """
 
 from __future__ import annotations
@@ -113,7 +110,9 @@ _SPAN_SLOTS = 1 << 22
 # calls), and a span about 0.036 ns a slot (a raw 64-bit word, 2.3 ns,
 # holds 128 slots' bits of a train, and each tile draws two trains):
 # the two break even at a gap of about 1.2e6 slots, measured on 2-CPU
-# x86_64, numpy 2.4.6. The whole-record path's clicks lie far closer.
+# x86_64, numpy 2.4.6. Only a whole record whose clicks lie more than
+# that apart meets the cut: at the defaults and mu = 0.05, from about
+# 550 km on (P_click about 7e-7 at 550 km, 3e-7 at 600 km).
 _GAP_SLOTS = 1 << 20
 
 # A test sample's positions (_subset) mark each entry whose uint16
@@ -277,18 +276,17 @@ def _measure(
     outcomes: np.ndarray,
     resolved: np.ndarray,
 ) -> DetectionRecords:
-    """The record of some of detect_slots' clicks, phases applied.
+    """The record of detect_slots' clicks, phases applied.
 
     gaps, outcomes and resolved are the int64 slot gaps, uint8 Outcome
     values and announced bits of detect_slots' clicks over the trains'
-    interior, or of a subset of those clicks: each gap runs from the
-    click before, the first from slot 1. gaps is summed in place into
-    the clicks' slot numbers, which the record keeps, and the record
-    takes outcomes and resolved over and applies the phases to them in
-    place. One pass walks the clicks in tiles of at most _TILE clicks
+    interior: each gap runs from the click before, the first from slot
+    1. gaps is summed in place into the clicks' slot numbers, which the
+    record keeps, and the record takes outcomes and resolved over and
+    applies the phases to them in place. One pass walks the clicks in tiles of at most _TILE clicks
     within _SPAN_SLOTS slots, each ending also before a gap of more
-    than _GAP_SLOTS slots, so that clicks far apart, as run_protocol's
-    double clicks often are, fall in tiles of their own.
+    than _GAP_SLOTS slots, so that clicks far apart, as on the longest
+    links, fall in tiles of their own.
     Each train gives a tile the span of its bytes from the tile's first
     click to its last (its _span), which run_protocol's trains draw
     again for it: at most 256 KB each.
@@ -561,26 +559,20 @@ def run_protocol(
     (shorter trains have no interior slots) and at least one detection.
     The threshold and the link are checked before the first draw.
 
-    The QBER needs each click's error bit a ^ b ^ c, and only the
-    double clicks need sender bits for it. With phi = (j & 1) ^ a ^ b
-    the phase of slot j, detect_slots announces the port it drew for
-    phase 0 (0 for the matching detector alone, 1 for the wrong one
-    alone) or, for a double click, a coin. For a single click,
-    shift_phase sets resolved = port ^ phi and sift sets c = resolved
-    ^ (j & 1), so a ^ b ^ c = port: the announced bit as drawn. For a
-    double click resolved stays the coin, so a ^ b ^ c = phi ^ coin,
-    which the record path (_measure, then sift) gives on the doubles
-    alone. detect_slots lists the doubles' indices among its clicks,
-    and one np.add.reduceat sums the click gaps between consecutive
-    doubles into the gaps that _measure numbers; no other click is
-    numbered or scanned.
-    The count of those bits is all the QBER's count draw (_estimate)
-    needs. The random stream is the record path's, so the report is
-    the one a whole record would give. The report keeps no sifted key
-    and no test positions: on the first read of report.sifted's arrays
-    the key is measured and sifted again, from a copy of the generator
-    saved after the trains, and the positions drawn (_keep_mask) from
-    a copy saved after the count draw (see _RemainingKeys).
+    The QBER needs each click's error bit a ^ b ^ c, and no sender bit
+    for it. With phi = (j & 1) ^ a ^ b the phase of slot j,
+    detect_slots announces the bit it drew for phase 0: 0 for the
+    matching detector alone, 1 for the wrong one alone, a coin for a
+    double click. On every click shift_phase sets resolved = announced
+    ^ phi and sift sets c = resolved ^ (j & 1), so a ^ b ^ c is the
+    announced bit as drawn. Their count is all the QBER's count draw
+    (_estimate) needs. The random stream is the record path's, so the
+    report is the one a whole record would give. The report keeps no
+    sifted key and no test positions: on the first read of
+    report.sifted's arrays the key is measured and sifted again, from a
+    copy of the generator saved after the trains, and the positions
+    drawn (_keep_mask) from a copy saved after the count draw (see
+    _RemainingKeys).
     """
     if config.n_pairs < 2:
         raise ParameterError(
@@ -590,23 +582,16 @@ def run_protocol(
     rng = np.random.default_rng(config.rng_seed)
     a, b = _drawn_trains(config.n_pairs, config.intensity, rng)
     trains = copy.deepcopy(rng.bit_generator)
-    gaps, errors, doubles = detect_slots(
+    errors = detect_slots(
         range(2, 2 * config.n_pairs), config.intensity, state.eta,
-        state.params, rng)
+        state.params, rng)[1]
     detected = errors.size
     if detected == 0:
         raise ValueError(
             "no detections; increase n_pairs, intensity, or shorten the link")
-    if doubles.size:
-        # the gaps between consecutive doubles, the first from slot 1
-        between = np.add.reduceat(gaps[:doubles[-1] + 1],
-                                  np.concatenate(([0], doubles[:-1] + 1)))
-        errors[doubles] = _error_bits(sift(_measure(
-            a, b, between, np.full(doubles.size, Outcome.DOUBLE, np.uint8),
-            errors[doubles]), a, b))
     bad = int(np.count_nonzero(errors))
     # only the error count meets the QBER test sample
-    del gaps, errors, doubles
+    del errors
     m, k = _estimate(detected, bad, config.test_fraction, rng)
     positions = copy.deepcopy(rng.bit_generator)
 

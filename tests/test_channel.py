@@ -346,14 +346,14 @@ def test_click_positions_do_not_depend_on_phase_bits():
     clicked = out != Outcome.NO_CLICK
     assert np.array_equal(flip_out != Outcome.NO_CLICK, clicked)
     assert np.array_equal(zero_out != Outcome.NO_CLICK, clicked)
-    # flipping every phase bit swaps D1 and D2 and keeps each double and
-    # its coin
+    # flipping every phase bit swaps D1 and D2, keeps each double, and
+    # flips every click's announced bit, a double's coin included
     swap = np.array([Outcome.NO_CLICK, Outcome.D2, Outcome.D1,
                      Outcome.DOUBLE], dtype=np.uint8)
     assert np.array_equal(flip_out, swap[out])
     double = out == Outcome.DOUBLE
     assert double.any()
-    assert np.array_equal(flip_res[double], res[double])
+    assert np.array_equal(flip_res[double], 1 - res[double])
     single = clicked & ~double
     assert np.array_equal(flip_res[single], 1 - res[single])
 
@@ -456,7 +456,7 @@ def _reference_clicks(n, bits, mu, eta, params, rng, chunk=_CHUNK):
         port ^= bits[slot]
         out = port + 1
         out[double] = Outcome.DOUBLE
-        port[double] = coins[double]
+        port[double] = coins[double] ^ bits[slot[double]]
         parts.append((slot, out, port))
     return [np.concatenate(col) for col in zip(*parts)]
 
