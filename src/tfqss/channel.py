@@ -42,23 +42,23 @@ helper, _gaps, draws both processes. Per batch of clicks it consumes
 the generator in this order: the clicks' gap uniforms, then, per run
 of the non-matching draw, its gap uniforms, one uniform per
 non-matching click (below p_m a double click, else the wrong detector
-alone) and one coin bit per double click. shift_phase then applies the
-phase bits at the clicks, by one rule for every click: a phase bit of 1
-flips the announced bit, and swaps D1 and D2 on a single click. A
-double's coin XOR its phase bit is as fair a coin, independent of the
-phase, as the coin itself. So the phase bits never move a click or a
-draw, a seed reproduces the same clicks bit for bit, and on every
-click the announced bit XOR the phase bit is the bit drawn for phase
-0. The outputs are allocated once, sized to the clicks, and the double
-clicks, expected plus four standard deviations, and grow only before a
-batch or a run that could overrun them, which is rare. Every draw goes into one reused float
-scratch, whose first half, viewed as int64, also holds a run's
-non-matching click indices. The sampler keeps each click's gap from the
-click before, not its slot number: a caller that needs the slots of
-every click sums the gaps once, and one that needs them at a few
-clicks, such as the double clicks, sums only up to those. Only the
-batch that reaches the range's end numbers its clicks, to drop those
-past it.
+alone) and one coin bit per double click. Each click gets one uint8
+code: bit 0 is its announced bit for phase 0 (0 for D1, 1 for D2, the
+coin for a double) and bit 1 marks a double. The caller applies the
+phase bits at the clicks by one rule for every click: a phase bit of 1
+flips bit 0, which swaps D1 and D2 on a single click and turns a
+double's coin, as fair a coin, independent of the phase, as the coin
+itself. So the phase bits never move a click or a draw, a seed
+reproduces the same clicks bit for bit, and on every click the
+announced bit XOR the phase bit is the bit drawn for phase 0. The
+outputs are allocated once, sized to the clicks expected plus four
+standard deviations, and grow only before a batch that could overrun
+them, which is rare. Every draw goes into one reused float scratch,
+whose halves, viewed as int64, also hold a run's non-matching click
+indices and the doubles among them. The sampler keeps each click's gap
+from the click before, not its slot number: a caller that needs the
+slots sums the gaps once. Only the batch that reaches the range's end
+numbers its clicks, to drop those past it.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_INTENSITY, Outcome, ParameterError, SystemParams
+from .core import MAX_INTENSITY, ParameterError, SystemParams
 
 # Clicks are drawn in batches of at most this many geometric
 # gaps, which bounds the per-batch temporaries however many slots click.
@@ -136,28 +136,29 @@ def detect_slots(
     eta: float,
     params: SystemParams,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Draw the clicks among a range of consecutive slots.
 
-    Returns (gaps, announced, doubles), drawn with every phase bit 0.
-    gaps holds each click's int64 slot gap from the click before, each
-    at least 1, the first counted from slots.start - 1, so
+    Returns (gaps, codes), drawn with every phase bit 0. gaps holds
+    each click's int64 slot gap from the click before, each at least 1,
+    the first counted from slots.start - 1, so
     np.cumsum(gaps) + slots.start - 1 are the ascending slot numbers
-    that click. announced holds their uint8 announced bits (0 for D1,
-    1 for D2, a fair coin for DOUBLE), and doubles the ascending
-    indices of the double clicks; every other click is a single one,
-    its Outcome announced + 1.
+    that click. codes holds their uint8 codes: bit 0 the announced bit
+    (0 for D1, 1 for D2, a fair coin for a double click) and bit 1 set
+    on a double. A phase bit of 1 flips bit 0 of its click's code,
+    whatever the click; a single click's Outcome is then code + 1, and
+    a double's DOUBLE.
 
     The clicks are a Bernoulli(P_click) process over the slots, which
     _gaps draws in batches of geometric gaps. Over each batch's clicks,
     those where the wrong detector fires are a Bernoulli(p_w / P_click)
     process, which _gaps draws too, in runs of at most half the float
     scratch. Each of them takes one uniform: below p_m it is a double
-    click, else a wrong-only one. Every other click is the matching
-    detector's alone, announced 0. The stream order is in the module
-    docstring, and it does not depend on where the range starts. When
-    P_click is 0 the generator is not touched, and when p_w is 0 it
-    gives the click gaps alone.
+    click, whose coin makes its code 2 or 3, else a wrong-only one,
+    code 1. Every other click is the matching detector's alone, code
+    0. The stream order is in the module docstring, and it does not
+    depend on where the range starts. When P_click is 0 the generator
+    is not touched, and when p_w is 0 it gives the click gaps alone.
     """
     if slots.step != 1:
         raise ParameterError(f"slots={slots!r} must have step 1")
@@ -166,40 +167,36 @@ def detect_slots(
     p_click = click_probability(mu, eta, params)
     n = len(slots)
     if n == 0 or p_click == 0.0:
-        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8),
-                np.empty(0, dtype=np.intp))
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
 
     e_d = params.misalignment
     dark_silent = math.log1p(-params.dark_count_rate)
     p_match = -math.expm1(dark_silent - (1.0 - e_d) * mu * eta)
     p_wrong = -math.expm1(dark_silent - e_d * mu * eta)
 
-    # gaps and announced hold the clicks expected in all n slots plus
-    # four standard deviations, the bound of the first batch, and
-    # doubles the double clicks expected likewise; each grows only
-    # before a batch or a run that could overrun it, and the result is
-    # their filled heads
+    # gaps and codes hold the clicks expected in all n slots plus four
+    # standard deviations, the bound of the first batch, and grow only
+    # before a batch that could overrun them; the result is their
+    # filled heads
     size = min(n, _click_bound(n * p_click))
     gaps = np.empty(size, dtype=np.int64)
-    announced = np.empty(size, dtype=np.uint8)
-    doubles = np.empty(min(size, _click_bound(n * p_match * p_wrong)),
-                       dtype=np.intp)
+    codes = np.empty(size, dtype=np.uint8)
     # one float scratch, sized to the first batch, the largest, and
     # rounded up to even: a batch's gap uniforms fill it, and a run of
     # the non-matching draw takes its first half, viewed as int64, for
-    # its click indices and its second for their uniforms
+    # its click indices and its second for their uniforms, then for the
+    # doubles among them
     half = (min(_CHUNK, size) + 1) // 2
     scratch = np.empty(2 * half)
     ints = scratch.view(np.int64)
-    filled = tally = 0
+    filled = 0
 
     def room(k: int) -> np.ndarray:
-        nonlocal gaps, announced
+        nonlocal gaps, codes
         if filled + k > gaps.size:
             # filled + k <= n, since filled clicks lie among the slots
             # drawn and k gaps among the rest
-            gaps, announced = (_grown(col, filled + k, n)
-                               for col in (gaps, announced))
+            gaps, codes = (_grown(col, filled + k, n) for col in (gaps, codes))
         return gaps[filled:filled + k]
 
     for g, last, reached in _gaps(p_click, n, _CHUNK, rng, scratch, room):
@@ -210,7 +207,7 @@ def detect_slots(
             # those up to the end
             pos = np.cumsum(g, out=ints[:g.size])
             end = filled + int(np.searchsorted(pos, n + 1 - last))
-        port = announced[filled:end]
+        port = codes[filled:end]
         port.fill(0)  # the matching detector alone: D1
         for h, at, passed in _gaps(p_wrong / p_click, port.size, half, rng,
                                    scratch, lambda k: ints[:k]):
@@ -223,14 +220,11 @@ def detect_slots(
             port[idx] = 1  # the wrong detector: D2, unless a double
             double = rng.random(out=scratch[half:half + idx.size]) < p_match
             d = int(np.count_nonzero(double))
-            if tally + d > doubles.size:
-                doubles = _grown(doubles, tally + d, n)
-            mark = np.compress(double, idx, out=doubles[tally:tally + d])
-            port[mark] = rng.integers(0, 2, d, dtype=np.uint8)
-            mark += filled
-            tally += d
+            # a double: bit 1 set, and its coin in bit 0
+            mark = np.compress(double, idx, out=ints[half:half + d])
+            port[mark] = rng.integers(2, 4, d, dtype=np.uint8)
         filled = end
-    return gaps[:filled], announced[:filled], doubles[:tally]
+    return gaps[:filled], codes[:filled]
 
 
 def _gaps(
@@ -293,21 +287,4 @@ def _grown(col: np.ndarray, need: int, cap: int) -> np.ndarray:
 def _click_bound(mean: float) -> int:
     """Events expected plus four standard deviations, rounded up."""
     return int(mean + 4.0 * math.sqrt(mean)) + 1
-
-
-def shift_phase(outcomes: np.ndarray, announced: np.ndarray,
-                phase: np.ndarray) -> None:
-    """Apply the clicks' uint8 phase bits to their outcomes and bits.
-
-    outcomes are the Outcome values of detect_slots' clicks (announced
-    + 1, DOUBLE at its doubles) and announced its announced bits. One
-    rule: a phase bit of 1 flips the announced bit of every click, and
-    swaps D1 and D2 on the single clicks; a double click stays DOUBLE,
-    and its coin turns with the phase, still a fair coin. Works in
-    place, phase included.
-    """
-    announced ^= phase
-    flip = np.bitwise_and(phase, outcomes < Outcome.DOUBLE, out=phase)
-    flip *= 3  # D1 ^ 3 is D2 and D2 ^ 3 is D1
-    outcomes ^= flip
 

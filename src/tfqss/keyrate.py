@@ -223,7 +223,7 @@ def _error_top(f: float) -> float:
         return _E_SAT
     lo, hi, e = 0.0, _E_SAT, 0.05
     for _ in range(100):
-        p = 1.0 - e * e - (1.0 - 6.0 * e) ** 2 / 2.0
+        p = _collision_probability(e)
         log_e, log_1e = math.log2(e), math.log2(1.0 - e)
         g = -math.log2(p) + f * (e * log_e + (1.0 - e) * log_1e)
         lo, hi = (e, hi) if g > 0.0 else (lo, e)
@@ -243,7 +243,7 @@ def _window_bounds(p_d: float, e_d: float, f: float) -> tuple[float, float]:
         return math.inf, 0.0
     e = min(e_d, _E_SAT)
     h = -e * math.log2(e) - (1.0 - e) * math.log2(1.0 - e) if e else 0.0
-    ratio = h / -math.log2(1.0 - e * e - (1.0 - 6.0 * e) ** 2 / 2.0)
+    ratio = h / -math.log2(_collision_probability(e))
     return (math.log1p(2.0 * p_d * (1.0 - r) / r),
             0.5 * (1.0 - f * min(ratio, _H_SAT)))
 

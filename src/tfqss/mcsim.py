@@ -28,12 +28,13 @@ and its next word, and draw again only the bytes that run_measurement
 reads, at most 256 KB a train at a time whatever N is.
 run_measurement draws the clicks of the interior slots first
 (channel.detect_slots, phase-free), which gives each click's gap from
-the click before, and hands those gaps to _measure, the one place that
-numbers clicks: one prefix sum over the gaps, in place, gives each
-click its slot. _measure then walks the clicks once in tiles and
-applies the rule above only there: it reads each sender bit once,
-straight from its packed byte, nothing unpacked, and channel.shift_phase
-applies each click's phase. The record of a run is its clicks:
+the click before and its code: the announced bit for phase 0, and a
+mark on a double click. One prefix sum over the gaps, in place, gives
+each click its slot. run_measurement then walks the clicks once in
+tiles and applies the rule above only there: it reads each sender bit
+once, straight from its packed byte, nothing unpacked, and XORs each
+click's phase bit into its code, then derives every Outcome from the
+codes at once. The record of a run is its clicks:
 DetectionRecords keeps n_pairs plus, per click, the slot, outcome,
 announced bit and the two sender bits, each array allocated once. sift
 adds only the dealer's flipped bit and passes the record's arrays on
@@ -52,8 +53,8 @@ run_protocol builds no whole record. Every click's error bit a ^ b ^ c
 is the bit the sampler announced for phase 0, whatever the phase: 0
 where the matching detector fired alone, 1 where the wrong one did,
 and a double's coin (run_protocol's docstring has the derivation). So
-it counts K from the sampler's announced bits alone, reads no train
-byte and no sender bit, and makes the count draw and no position draw:
+it counts K from the sampler's codes alone, reads no train byte and
+no sender bit, and makes the count draw and no position draw:
 its sifted key is measured and sifted again on its first read, from a
 copy of the generator saved after the trains, and the test positions
 are drawn then, from a copy saved after the count draw. So the key is
@@ -80,7 +81,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import ChannelState, detect_slots, shift_phase
+from .channel import ChannelState, detect_slots
 from .core import (
     Outcome,
     Owner,
@@ -206,11 +207,12 @@ class DetectionRecords:
 
     n_pairs is N, the pulses per sender, so the run covers the interior
     slots [2, 2N-1]. click_slots holds the ascending slot numbers that
-    clicked, click_outcomes their Outcome values, click_resolved their
-    announced bits (0 for D1, 1 for D2, a fair coin for DOUBLE), and
-    click_a_bits and click_b_bits Alice's and Bob's bits at each click
-    by the module docstring's rule, as run_measurement read them.
-    Every other interior slot did not click.
+    clicked, click_outcomes their Outcome values and click_resolved
+    their announced bits (0 for D1, 1 for D2, a fair coin for DOUBLE),
+    both of which run_measurement derives from the codes detect_slots
+    drew, phases applied, and click_a_bits and click_b_bits Alice's and
+    Bob's bits at each click by the module docstring's rule, as
+    run_measurement read them. Every other interior slot did not click.
     """
 
     n_pairs: int
@@ -245,12 +247,23 @@ def run_measurement(
 
     Slot outcomes follow the channel's threshold-detector model applied
     to each slot's ideal phase difference. The clicks are drawn first
-    (channel.detect_slots over the slots [2, 2N-1]), and their outcomes
-    are the announced bits plus 1, DOUBLE at the sampler's doubles.
-    _measure then numbers the clicks from their gaps and reads the
-    sender bits at the clicked slots only, by the module docstring's
-    rule; the record keeps them for sift. N = 1 yields no interior
-    slots.
+    (channel.detect_slots over the slots [2, 2N-1]), which gives each
+    click's gap from the click before, the first from slot 1, and its
+    code for phase 0. The gaps are summed in place into the clicks'
+    slot numbers, which the record keeps. One pass then walks the
+    clicks in tiles of at most _TILE clicks within _SPAN_SLOTS slots,
+    each ending also before a gap of more than _GAP_SLOTS slots, so
+    that clicks far apart, as on the longest links, fall in tiles of
+    their own. Each train gives a tile the span of its bytes from the
+    tile's first click to its last (its _span), which run_protocol's
+    trains draw again for it: at most 256 KB each. The pass reads each
+    click's two bits from those bytes, by the module docstring's rule,
+    and XORs the click's phase bit into its code. After the pass the
+    Outcome is code + 1 on a single click and DOUBLE on a double, and
+    the announced bit is the code's bit 0; the record keeps the codes'
+    array as the announced bits. It preallocates one int64 index
+    buffer; the rest is uint8 temporaries of at most 32 KB per tile.
+    N = 1 yields no interior slots.
     """
     if a.owner is not Owner.ALICE or b.owner is not Owner.BOB:
         raise ParameterError("expected trains in (alice, bob) order")
@@ -262,39 +275,8 @@ def run_measurement(
 
     # the range goes positionally: bench/tracing.py counts the slots
     # from the first argument
-    gaps, resolved, doubles = detect_slots(
+    gaps, codes = detect_slots(
         range(2, 2 * len(a)), a.intensity, state.eta, state.params, rng)
-    outcomes = resolved + 1
-    outcomes[doubles] = Outcome.DOUBLE
-    return _measure(a, b, gaps, outcomes, resolved)
-
-
-def _measure(
-    a: PulseTrain | _DrawnTrain,
-    b: PulseTrain | _DrawnTrain,
-    gaps: np.ndarray,
-    outcomes: np.ndarray,
-    resolved: np.ndarray,
-) -> DetectionRecords:
-    """The record of detect_slots' clicks, phases applied.
-
-    gaps, outcomes and resolved are the int64 slot gaps, uint8 Outcome
-    values and announced bits of detect_slots' clicks over the trains'
-    interior: each gap runs from the click before, the first from slot
-    1. gaps is summed in place into the clicks' slot numbers, which the
-    record keeps, and the record takes outcomes and resolved over and
-    applies the phases to them in place. One pass walks the clicks in tiles of at most _TILE clicks
-    within _SPAN_SLOTS slots, each ending also before a gap of more
-    than _GAP_SLOTS slots, so that clicks far apart, as on the longest
-    links, fall in tiles of their own.
-    Each train gives a tile the span of its bytes from the tile's first
-    click to its last (its _span), which run_protocol's trains draw
-    again for it: at most 256 KB each.
-    The pass reads each click's two bits from those bytes and applies
-    the tile's phase bits (channel.shift_phase). It preallocates one
-    int64 index buffer; the rest is uint8 temporaries of at most 32 KB
-    per tile.
-    """
     # the first gap counts from slot 1; the clicks are numbered in place
     gaps[:1] += 1
     slots = np.cumsum(gaps, out=gaps)
@@ -333,10 +315,13 @@ def _measure(
             out &= 1
         low &= 1  # the odd slots' pi shift, then the phase difference
         low ^= ab ^ bb
-        shift_phase(outcomes[lo:lo + m], resolved[lo:lo + m], low)
+        codes[lo:lo + m] ^= low
         lo += m
-    return DetectionRecords(len(a), slots, outcomes, resolved, a_bits,
-                            b_bits)
+    # a double's code is 2 or 3, so its Outcome is DOUBLE
+    outcomes = codes + 1
+    np.minimum(outcomes, np.uint8(Outcome.DOUBLE), out=outcomes)
+    codes &= 1
+    return DetectionRecords(len(a), slots, outcomes, codes, a_bits, b_bits)
 
 
 def sift(
@@ -561,11 +546,11 @@ def run_protocol(
 
     The QBER needs each click's error bit a ^ b ^ c, and no sender bit
     for it. With phi = (j & 1) ^ a ^ b the phase of slot j,
-    detect_slots announces the bit it drew for phase 0: 0 for the
-    matching detector alone, 1 for the wrong one alone, a coin for a
-    double click. On every click shift_phase sets resolved = announced
-    ^ phi and sift sets c = resolved ^ (j & 1), so a ^ b ^ c is the
-    announced bit as drawn. Their count is all the QBER's count draw
+    detect_slots announces in bit 0 of each click's code the bit it
+    drew for phase 0: 0 for the matching detector alone, 1 for the
+    wrong one alone, a coin for a double click. On every click
+    run_measurement sets resolved = announced ^ phi and sift sets
+    c = resolved ^ (j & 1), so a ^ b ^ c is the announced bit as drawn. Their count is all the QBER's count draw
     (_estimate) needs. The random stream is the record path's, so the
     report is the one a whole record would give. The report keeps no
     sifted key and no test positions: on the first read of
@@ -589,6 +574,7 @@ def run_protocol(
     if detected == 0:
         raise ValueError(
             "no detections; increase n_pairs, intensity, or shorten the link")
+    errors &= 1  # clears the doubles' mark, leaving the announced bits
     bad = int(np.count_nonzero(errors))
     # only the error count meets the QBER test sample
     del errors

@@ -18,7 +18,6 @@ from tfqss.channel import (
     ChannelState,
     click_probability,
     detect_slots,
-    shift_phase,
     transmittance,
 )
 from tfqss.core import Outcome, ParameterError, SystemParams
@@ -114,31 +113,36 @@ def test_detect_slots_argument_validation():
         detect_slots(range(2, 8, 2), 0.1, 0.5, DEFAULTS, rng)
 
 
-def _clicks(slots, mu, eta, params, rng):
+def _clicks(slots, mu, eta, params, rng, bits=None):
     """detect_slots' clicks as (slot numbers, outcomes, announced bits).
 
     The gaps are summed in place into the slot numbers, so the first
-    array is still a view of the sampler's output; the outcomes are
-    announced + 1, DOUBLE at the doubles.
+    array is still a view of the sampler's output. bits, if given, are
+    the phase bits by slot number, applied by run_measurement's rule:
+    each click's phase bit is XORed into its code. The outcomes are
+    code + 1, DOUBLE where the code marks a double, and the announced
+    bits the codes' bit 0, in the codes' own array.
     """
-    gaps, announced, doubles = detect_slots(slots, mu, eta, params, rng)
+    gaps, codes = detect_slots(slots, mu, eta, params, rng)
     gaps[:1] += slots.start - 1
     pos = np.cumsum(gaps, out=gaps)
-    outcomes = announced + 1
-    outcomes[doubles] = Outcome.DOUBLE
-    return pos, outcomes, announced
+    if bits is not None:
+        codes ^= bits[pos]
+    outcomes = codes + 1
+    np.minimum(outcomes, np.uint8(Outcome.DOUBLE), out=outcomes)
+    codes &= 1
+    return pos, outcomes, codes
 
 
 def _dense(bits, mu, eta, params, rng):
     """Per-slot (outcomes, resolved) of slots 0..n-1 with phase bits bits.
 
-    detect_slots draws the clicks, shift_phase applies their phase bits
-    and a scatter writes them into dense uint8 arrays, 0 where nothing
+    _clicks draws the clicks and applies their phase bits, and a
+    scatter writes them into dense uint8 arrays, 0 where nothing
     clicked.
     """
     slots, clicked, announced = _clicks(range(bits.size), mu, eta, params,
-                                        rng)
-    shift_phase(clicked, announced, bits.take(slots))
+                                        rng, bits)
     outcomes = np.zeros(bits.size, dtype=np.uint8)
     resolved = np.zeros(bits.size, dtype=np.uint8)
     outcomes[slots] = clicked
@@ -390,8 +394,7 @@ def test_sampler_reads_phase_bits_only_at_the_clicks():
         want = _reference_clicks(n, bits, 0.4999, 1.0, params,
                                  copy.deepcopy(rng))
         pos, outcomes, resolved = _clicks(
-            range(n), 0.4999, 1.0, params, rng)
-        shift_phase(outcomes, resolved, bits[pos])
+            range(n), 0.4999, 1.0, params, rng, bits)
         for g, w in zip((pos, outcomes, resolved), want):
             assert g.dtype == w.dtype and np.array_equal(g, w)
         assert np.all(np.diff(pos) > 0)
@@ -480,8 +483,7 @@ def test_sampler_draws_the_documented_stream(params, mu, eta, n, seeds,
     room = min(n, int(mean + 4.0 * math.sqrt(mean)) + 1)
     for seed in seeds:
         got = _clicks(range(n), mu, eta, params,
-                      np.random.default_rng(seed))
-        shift_phase(got[1], got[2], bits[got[0]])
+                      np.random.default_rng(seed), bits)
         want = _reference_clicks(n, bits, mu, eta, params,
                                  np.random.default_rng(seed))
         for g, w in zip(got, want):
@@ -502,20 +504,22 @@ def test_sampler_draws_the_documented_stream(params, mu, eta, n, seeds,
 def test_sampler_gaps_and_doubles_follow_the_documented_stream(
         params, mu, eta, n, seeds):
     # the raw outputs: gaps from the click before, the first from
-    # start - 1, and the doubles' indices, wherever the range starts
+    # start - 1, and the codes, whose bit 1 marks the doubles and bit 0
+    # holds the announced bit, wherever the range starts
     zeros = np.zeros(n, dtype=np.uint8)
     for seed in seeds:
         pos, outcomes, port = _reference_clicks(
             n, zeros, mu, eta, params, np.random.default_rng(seed))
         for start in (0, 2):
-            gaps, announced, doubles = detect_slots(
+            gaps, codes = detect_slots(
                 range(start, start + n), mu, eta, params,
                 np.random.default_rng(seed))
             assert gaps.dtype == np.int64 and np.all(gaps >= 1), seed
+            assert codes.dtype == np.uint8 and codes.max(initial=0) <= 3
             assert np.array_equal(np.cumsum(gaps) + start - 1, pos + start)
             assert np.array_equal(
-                doubles, np.flatnonzero(outcomes == Outcome.DOUBLE)), seed
-            assert np.array_equal(announced, port), seed
+                codes >> 1, outcomes == Outcome.DOUBLE), seed
+            assert np.array_equal(codes & 1, port), seed
 
 
 def test_outputs_grow_before_a_later_batch_that_would_overrun_them(
@@ -533,8 +537,7 @@ def test_outputs_grow_before_a_later_batch_that_would_overrun_them(
     for seed, grows in [(40, True), (67, True), (70, True), (87, True),
                         (0, False), (1, False), (2, False), (3, False)]:
         got = _clicks(range(n), mu, eta, params,
-                      np.random.default_rng(seed))
-        shift_phase(got[1], got[2], bits[got[0]])
+                      np.random.default_rng(seed), bits)
         want = _reference_clicks(n, bits, mu, eta, params,
                                  np.random.default_rng(seed), chunk=64)
         for g, w in zip(got, want):
@@ -547,8 +550,9 @@ def test_non_matching_runs_draw_on_and_the_doubles_grow(monkeypatch):
     # batches of 64 clicks at the defaults: about 1.4 of a batch's
     # clicks are non-matching, so a run's first draw holds 7 gaps; on
     # seeds 434 and 479 they fall short of the batch's last click and
-    # the run draws on. About 1.8 doubles are expected in all, room for
-    # 8; seed 15017 draws 9 and the doubles grow
+    # the run draws on. About 1.8 doubles are expected in all, 8 with
+    # four standard deviations; seed 15017 draws 9, each a bit of its
+    # click's code, so nothing is sized to them
     monkeypatch.setattr("tfqss.channel._CHUNK", 64)
     gaps = tfqss.channel._gaps
     runs = []
@@ -567,23 +571,20 @@ def test_non_matching_runs_draw_on_and_the_doubles_grow(monkeypatch):
     p_m, p_w = _firing(mu, eta, params)
     mean = n * p_m * p_w
     room = int(mean + 4.0 * math.sqrt(mean)) + 1
-    for seed, draws_on, grows in [(434, True, False), (479, True, False),
-                                  (15017, False, True), (0, False, False),
-                                  (1, False, False), (2, False, False)]:
+    for seed, draws_on, many in [(434, True, False), (479, True, False),
+                                 (15017, False, True), (0, False, False),
+                                 (1, False, False), (2, False, False)]:
         runs.clear()
-        gaps_out, announced, doubles = detect_slots(
-            range(n), mu, eta, params, np.random.default_rng(seed))
-        pos = np.cumsum(gaps_out) - 1
-        outcomes = announced + 1
-        outcomes[doubles] = Outcome.DOUBLE
-        shift_phase(outcomes, announced, bits[pos])
+        got = _clicks(range(n), mu, eta, params,
+                      np.random.default_rng(seed), bits)
         want = _reference_clicks(n, bits, mu, eta, params,
                                  np.random.default_rng(seed), chunk=64)
-        for g, w in zip((pos, outcomes, announced), want):
+        for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w), seed
         # the first call draws the clicks, each later one a run
         assert any(len(run) > 2 for run in runs[1:]) == draws_on, seed
-        assert (doubles.base.size > room) == grows, seed
+        doubles = np.count_nonzero(got[1] == Outcome.DOUBLE)
+        assert (doubles > room) == many, seed
 
 
 def test_category_draw_takes_nothing_when_only_the_matching_detector_fires():

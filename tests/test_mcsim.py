@@ -501,36 +501,35 @@ def test_tiles_keep_to_their_click_and_slot_caps(monkeypatch, n, mu,
         return run_measurement(*_drawn_trains(n, mu, rng), state, rng)
 
     default = measure()
-    spans, tiles = [], []
-    span, shift = _DrawnTrain._span, tfqss.mcsim.shift_phase
+    spans = []
+    span = _DrawnTrain._span
 
     def watched_span(self, lo, hi):
-        spans.append(hi - lo)
+        spans.append((self.owner, hi - lo))
         return span(self, lo, hi)
 
-    def watched_shift(outcomes, resolved, phase):
-        tiles.append(outcomes.size)
-        return shift(outcomes, resolved, phase)
-
     monkeypatch.setattr(_DrawnTrain, "_span", watched_span)
-    monkeypatch.setattr(tfqss.mcsim, "shift_phase", watched_shift)
     records = measure()
     for name in ("click_slots", "click_outcomes", "click_resolved",
                  "click_a_bits", "click_b_bits"):
         assert np.array_equal(getattr(records, name), getattr(default, name))
-    assert sum(tiles) == records.click_slots.size
-    assert len(spans) == 2 * len(tiles)
-    assert max(spans) <= tfqss.mcsim._SPAN_SLOTS // 16 + 1
-    assert max(tiles) <= tfqss.mcsim._TILE
+    # a tile reads one span of Bob's train, then one of Alice's
+    tiles = len(spans) // 2
+    assert [owner for owner, _ in spans] == [Owner.BOB, Owner.ALICE] * tiles
+    widest = max(size for _, size in spans)
+    assert widest <= tfqss.mcsim._SPAN_SLOTS // 16 + 1
     if distance == 0.0:
-        assert max(tiles) == tfqss.mcsim._TILE
+        # only the click cap cuts, so the tiles are as few as it allows
+        assert tiles == -(-records.click_slots.size // tfqss.mcsim._TILE)
+        assert tiles > 1
     else:
-        assert len(tiles) >= 3
-        assert max(spans) > tfqss.mcsim._SPAN_SLOTS // 32
+        assert tiles >= 3
+        assert widest > tfqss.mcsim._SPAN_SLOTS // 32
 
 
 def test_a_tile_ends_before_a_gap_of_more_than_gap_slots(monkeypatch):
-    # hand-made gaps over kept trains: the gap of _GAP_SLOTS + 1 slots
+    # hand-made gaps over kept trains, handed to run_measurement in
+    # place of the sampler's: the gap of _GAP_SLOTS + 1 slots
     # after slot 2 ends the first tile, the gap of exactly _GAP_SLOTS
     # later does not, so two tiles read two spans of each train; with
     # the cut off, one tile reads one span of each, and the record is
@@ -539,6 +538,7 @@ def test_a_tile_ends_before_a_gap_of_more_than_gap_slots(monkeypatch):
     n = g + 16
     rng = np.random.default_rng(43)
     a, b = _trains(n, 0.3, 0, rng.integers(0, 2, n), rng.integers(0, 2, n))
+    state = ChannelState.for_distance(0.0, DEFAULTS)
     gaps = [1, g + 1, 5, g, 3]
     slots = 1 + np.cumsum(gaps)
     spans = []
@@ -548,13 +548,15 @@ def test_a_tile_ends_before_a_gap_of_more_than_gap_slots(monkeypatch):
         spans.append((self.owner, lo, hi))
         return span(self, lo, hi)
 
+    def hand_made(slots, mu, eta, params, rng):
+        return (np.array(gaps, dtype=np.int64),
+                np.zeros(len(gaps), dtype=np.uint8))
+
     def measure():
         spans.clear()
-        return tfqss.mcsim._measure(
-            a, b, np.array(gaps, dtype=np.int64),
-            np.ones(len(gaps), dtype=np.uint8),
-            np.zeros(len(gaps), dtype=np.uint8))
+        return run_measurement(a, b, state, np.random.default_rng(0))
 
+    monkeypatch.setattr("tfqss.mcsim.detect_slots", hand_made)
     monkeypatch.setattr(PulseTrain, "_span", watched_span)
     records = measure()
     assert np.array_equal(records.click_slots, slots)
@@ -572,6 +574,11 @@ def test_a_tile_ends_before_a_gap_of_more_than_gap_slots(monkeypatch):
         assert np.array_equal(getattr(records, name), getattr(uncut, name))
     assert np.array_equal(records.click_a_bits, a.bits[(slots - 1) >> 1])
     assert np.array_equal(records.click_b_bits, b.bits[(slots >> 1) - 1])
+    # every code was the matching detector's alone, so the announced bit
+    # is the click's phase bit
+    phase = (slots & 1) ^ records.click_a_bits ^ records.click_b_bits
+    assert np.array_equal(records.click_resolved, phase)
+    assert np.array_equal(records.click_outcomes, phase + 1)
 
 
 # ----------------------------------------------------------------- sifting
@@ -1224,28 +1231,23 @@ def test_dense_report_holds_under_2_bytes_per_click():
     assert len(report.sifted) == 802_010 - 80_201
 
 
-def test_dense_run_peaks_under_14_bytes_per_click():
-    # the run peaks in the sampler, at its three per-click outputs and
-    # float scratch; the QBER test sample now meets only the error bits,
-    # a byte per click, not the 11 of the sifted key
-    _, _, peak = _dense_report()
-    assert peak < 14.0, peak
-
-
 def test_dense_run_peaks_under_12_5_bytes_per_click():
-    # the sampler keeps each click's int64 gap and announced bit, and
-    # the doubles' indices apart: no per-click outcome code, and no
-    # slot numbers, which run_protocol does not need (13 bytes a click
-    # with both)
+    # the run peaks in the sampler, at each click's int64 gap and code
+    # and its float scratch: no per-click outcome array, and no slot
+    # numbers, which run_protocol does not need (13 bytes a click with
+    # both). The QBER test sample meets only the error bits, a byte per
+    # click, not the 11 of the sifted key
     _, _, peak = _dense_report()
     assert peak < 12.5, peak
 
 
-def test_double_heavy_run_peaks_under_15_bytes_per_click():
+def test_double_heavy_run_peaks_under_12_bytes_per_click():
     # dark counts at 0.4999 make 38.5 % of the clicks doubles. The run
-    # counts their errors from the sampler's bits as it does the single
-    # clicks', so it peaks in the sampler: 18.2 bytes a click while it
-    # numbered, measured and sifted the doubles apart
+    # counts their errors from the sampler's codes as it does the single
+    # clicks', and a double is a bit of its click's code, so the run
+    # peaks in the sampler as a dense one does: 14.3 bytes a click while
+    # the sampler listed the doubles' int64 indices apart, 18.2 while
+    # the run numbered, measured and sifted them apart
     run_protocol(DEFAULTS, ProtocolConfig(n_pairs=1000, distance=0.0))
     config = ProtocolConfig(intensity=0.45, n_pairs=10**6, distance=0.0,
                             rng_seed=5)
@@ -1257,24 +1259,25 @@ def test_double_heavy_run_peaks_under_15_bytes_per_click():
         tracemalloc.stop()
     clicks = report.detected_slots
     assert clicks == 1_611_065
-    assert peak < 15 * clicks, peak / clicks
+    assert peak < 12 * clicks, peak / clicks
 
 
 def test_run_protocol_measures_nothing_until_the_key_is_read(monkeypatch):
     # every click's error bit is the sampler's announced bit, so the
-    # report runs no _measure or sift and draws no train span, doubles
-    # or not; the first read of the sifted key measures and sifts every
-    # click once, and a later read measures none
+    # report runs no run_measurement or sift and draws no train span,
+    # doubles or not; the first read of the sifted key measures and
+    # sifts every click once, and a later read measures none
     system = SystemParams(dark_count_rate=0.2, misalignment=0.2)
     config = ProtocolConfig(intensity=0.45, n_pairs=20_000, distance=0.0,
                             rng_seed=5)
     calls = []
-    measure, sifted, span = (tfqss.mcsim._measure, tfqss.mcsim.sift,
+    measure, sifted, span = (tfqss.mcsim.run_measurement, tfqss.mcsim.sift,
                              _DrawnTrain._span)
 
-    def watched_measure(a, b, gaps, outcomes, resolved):
-        calls.append(("_measure", gaps.size))
-        return measure(a, b, gaps, outcomes, resolved)
+    def watched_measure(a, b, state, rng):
+        records = measure(a, b, state, rng)
+        calls.append(("run_measurement", records.click_slots.size))
+        return records
 
     def watched_sift(records, a, b):
         calls.append(("sift", records.click_slots.size))
@@ -1284,7 +1287,7 @@ def test_run_protocol_measures_nothing_until_the_key_is_read(monkeypatch):
         calls.append(("_span", hi - lo))
         return span(self, lo, hi)
 
-    monkeypatch.setattr(tfqss.mcsim, "_measure", watched_measure)
+    monkeypatch.setattr(tfqss.mcsim, "run_measurement", watched_measure)
     monkeypatch.setattr(tfqss.mcsim, "sift", watched_sift)
     monkeypatch.setattr(_DrawnTrain, "_span", watched_span)
     report = run_protocol(system, config, 1.0)
@@ -1294,7 +1297,7 @@ def test_run_protocol_measures_nothing_until_the_key_is_read(monkeypatch):
     keys = report.sifted.slots
     clicks = report.detected_slots
     assert [c for c in calls if c[0] != "_span"] == [
-        ("_measure", clicks), ("sift", clicks)]
+        ("run_measurement", clicks), ("sift", clicks)]
     assert any(name == "_span" for name, _ in calls)
     assert keys.size == len(report.sifted)
     read = len(calls)
